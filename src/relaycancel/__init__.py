@@ -26,9 +26,11 @@ from .lifting import LiftedPlant, fsfh_lift, lifted_closed_loop, sampled_data_no
 from .synthesis import (
     Controller,
     QParam,
+    Reconstruction,
     RobustPlant,
     SynthesisError,
     build_robust_plant,
+    design_reconstruction,
     robust_stability_sweep,
     synthesize_nominal,
     synthesize_robust,

@@ -3,7 +3,9 @@
 Configuration is a single YAML document; unknown keys are rejected and
 every report embeds the full effective configuration including defaults,
 so reports are re-runnable.  Exit codes: 0 success, 1 configuration or
-I/O error, 2 infeasible synthesis or a failed experiment expectation.
+I/O error, 2 infeasible synthesis (``SynthesisError``, reported as
+"synthesis infeasible: ..." by every command) or a failed experiment
+expectation.
 """
 
 from __future__ import annotations
@@ -243,14 +245,20 @@ def _write_json(obj: dict, path: Path):
 # commands
 
 
-def _design(cfg: dict):
+def _design(cfg: dict, reconstruction=None):
+    """Design the canceler a config asks for.
+
+    A nominal design reuses ``reconstruction`` (the Q* of an earlier
+    nominal design) when given; synthesize_nominal checks that it fits.
+    """
     params, channel = config_objects(cfg)
     spec = build_generalized_plant(params, channel)
     d = cfg["design"]
     if d["mode"] == "nominal":
         lp = fsfh_lift(spec, d["N"])
         K = synthesize_nominal(lp, tol=d["tol"], n_q=d["n_q"],
-                               grid_size=d["grid_size"])
+                               grid_size=d["grid_size"],
+                               reconstruction=reconstruction)
     else:
         W2 = uncertainty_weight(channel, d["epsilon"])
         rp = build_robust_plant(spec, W2, d["N"])
@@ -263,11 +271,7 @@ def _design(cfg: dict):
 def cmd_design(config: str, out: str) -> int:
     cfg = load_config(config)
     t0 = time.perf_counter()
-    try:
-        spec, K = _design(cfg)
-    except SynthesisError as exc:
-        print(f"synthesis infeasible: {exc}", file=sys.stderr)
-        return 2
+    spec, K = _design(cfg)
     t_design = time.perf_counter() - t0
     t0 = time.perf_counter()
     report_verify = verify_design(spec, K, N_verify=2 * cfg["design"]["N"])
@@ -375,9 +379,11 @@ def cmd_reproduce_paper(out_dir: str) -> int:
         failures.append("fig9: nominal cancelation diverged")
 
     # experiment 2: nominal design at the lower transmit gain, perturbed
-    # channel: the unmodeled detour path destabilizes the loop
+    # channel: the unmodeled detour path destabilizes the loop.  The
+    # nominal Q* does not depend on the transmit gain, so fig9's is reused
+    # (and checked to fit); G22, the closed loop and gamma are fig10's own.
     cfg10 = load_config("nominal_40db")
-    spec10, K10 = _design(cfg10)
+    spec10, K10 = _design(cfg10, reconstruction=K9.reconstruction)
     params10, channel10 = config_objects(cfg10)
     pert = _fig10_channel(channel10)
     trace10 = simulate_closed_loop(SimConfig(
@@ -500,6 +506,9 @@ def main(argv=None) -> int:
         if args.command == "lift-check":
             n_list = [int(x) for x in args.n_list.split(",") if x]
             return cmd_lift_check(args.config, args.out, n_list)
+    except SynthesisError as exc:
+        print(f"synthesis infeasible: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

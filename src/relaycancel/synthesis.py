@@ -17,6 +17,12 @@ linear cuts generated from singular vectors, and the LP relaxations are
 solved with HiGHS); the achieved norms are then certified with the exact
 bisection norm, which is what the returned gamma values report.
 
+The nominal objective holds no coupling term (T1 = W, T2 = -P, T3 = F W
+in the stable-plant form), so its FIR parameter Q* is designed once by
+``design_reconstruction`` and can be wrapped around the G22 of any plant
+whose affine grid responses are bitwise equal: ``synthesize_nominal``
+takes such a reconstruction through ``reconstruction=``.
+
 The robust design adds the uncertainty channel as a hard constraint
 (grid gain of T_z2w2 at most 1 - margin, followed by the exact-norm
 check at 1); if the exact check fails the margin is increased and the
@@ -25,6 +31,7 @@ solve repeats, up to three attempts.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 from dataclasses import dataclass, field
@@ -53,10 +60,12 @@ from .relay import (
 __all__ = [
     "Controller",
     "QParam",
+    "Reconstruction",
     "RobustPlant",
     "SynthesisError",
     "build_robust_plant",
     "youla_closed_loop_maps",
+    "design_reconstruction",
     "synthesize_nominal",
     "synthesize_robust",
     "verify_design",
@@ -91,6 +100,46 @@ class QParam:
 
 
 @dataclass(frozen=True)
+class Reconstruction:
+    """Nominal FIR parameter Q*, found once and reusable across plants.
+
+    ``fingerprint`` is the SHA-256 of the T1/T2/T3 grid responses the
+    minimax ran on; a plant whose responses hash the same, at the same
+    design settings, has the same Q*.  ``info`` is the solver report.
+    """
+
+    coeffs: np.ndarray  # (n_q, 2, 2)
+    info: dict
+    fingerprint: str
+    n_q: int
+    N: int
+    h: float
+    grid_size: int
+    tol: float
+    max_iter: int
+
+    def __post_init__(self):
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def check(self, fingerprint: str, N: int, h: float, n_q: int,
+              grid_size: int, tol: float, max_iter: int):
+        """Raise ValueError unless a design at these settings, on grid
+        responses with this fingerprint, would give the same Q*."""
+        wanted = {"N": N, "h": h, "n_q": n_q, "grid_size": grid_size,
+                  "tol": tol, "max_iter": max_iter}
+        wrong = [f"{k}={v!r} (reconstruction: {getattr(self, k)!r})"
+                 for k, v in wanted.items() if getattr(self, k) != v]
+        if wrong:
+            raise ValueError("reconstruction was designed at other settings: "
+                             + ", ".join(wrong))
+        if fingerprint != self.fingerprint:
+            raise ValueError("reconstruction does not fit this plant: its "
+                             "T1/T2/T3 grid responses differ")
+
+
+@dataclass(frozen=True)
 class Controller:
     """Synthesized digital canceler with its achieved norms.
 
@@ -98,6 +147,8 @@ class Controller:
     gamma1 (performance) and gamma2 (uncertainty channel) for robust
     ones.  The controller itself need not be stable, only the closed
     loop; its own stability is recorded in meta["controller_stable"].
+    A nominal design carries its reconstruction, which can be passed to
+    ``synthesize_nominal`` for another plant.
     """
 
     sys: StateSpace
@@ -105,6 +156,7 @@ class Controller:
     method: str
     meta: dict = field(default_factory=dict)
     qparam: QParam | None = None
+    reconstruction: Reconstruction | None = None
 
 
 @dataclass(frozen=True)
@@ -260,7 +312,7 @@ def _q_response(zinv_pow: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def _channel_gains(ch: dict, Qz: np.ndarray) -> np.ndarray:
-    T = ch["T1"] + np.einsum("kpi,kij,kjq->kpq", ch["T2"], Qz, ch["T3"])
+    T = ch["T1"] + ch["T2"] @ (Qz @ ch["T3"])
     return np.linalg.svd(T, compute_uv=False)[:, 0]
 
 
@@ -401,28 +453,73 @@ def _frequency_grid(h: float, grid_size: int) -> np.ndarray:
 # Nominal design
 
 
+def _nominal_grid(lp: LiftedPlant, grid_size: int):
+    """G22 (stability-guarded), the grid and the affine grid responses."""
+    maps = _nominal_maps(lp)
+    omegas = _frequency_grid(lp.h, grid_size)
+    return maps["G22"], omegas, _grid_responses(maps["zw"], omegas)
+
+
+def _fingerprint(ch: dict) -> str:
+    digest = hashlib.sha256()
+    for key in ("T1", "T2", "T3"):
+        arr = np.ascontiguousarray(ch[key])
+        digest.update(f"{key}{arr.shape}{arr.dtype}".encode())
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+def _reconstruct(lp: LiftedPlant, omegas: np.ndarray, ch: dict, tol: float,
+                 n_q: int, grid_size: int, max_iter: int) -> Reconstruction:
+    zinv_pow = np.exp(-1j * np.outer(omegas * lp.h, np.arange(n_q)))
+    Q, info, _ = _solve_minimax(ch, zinv_pow, n_q, rel_tol=tol,
+                                max_iter=max_iter)
+    return Reconstruction(coeffs=Q, info=info, fingerprint=_fingerprint(ch),
+                          n_q=n_q, N=lp.N, h=lp.h, grid_size=grid_size,
+                          tol=tol, max_iter=max_iter)
+
+
+def design_reconstruction(lp: LiftedPlant, tol: float = 1e-3, n_q: int = 8,
+                          grid_size: int = 256,
+                          max_iter: int = 300) -> Reconstruction:
+    """Solve the nominal grid minimax for the FIR parameter Q*.
+
+    The objective T1 + T2 Q T3 holds no coupling term, so the result fits
+    every plant with the same W, F, P, h and N; ``synthesize_nominal``
+    checks that fit bitwise before it reuses Q*.
+    """
+    _, omegas, ch = _nominal_grid(lp, grid_size)
+    return _reconstruct(lp, omegas, ch, tol, n_q, grid_size, max_iter)
+
+
 def synthesize_nominal(lp: LiftedPlant, tol: float = 1e-3, n_q: int = 8,
-                       grid_size: int = 256, max_iter: int = 300) -> Controller:
+                       grid_size: int = 256, max_iter: int = 300,
+                       reconstruction: Reconstruction | None = None
+                       ) -> Controller:
     """Minimize the lifted closed-loop H-infinity norm over FIR-Q cancelers.
 
     The returned gamma is the exact bisection norm of the achieved closed
     loop (certified, never below any grid evaluation); the closed loop is
     internally stable by construction because the plant is stable and Q
     is stable.
+
+    Without ``reconstruction`` the minimax is solved here.  With one, its
+    Q* is wrapped around this plant's G22 instead, after checking that
+    this plant's affine grid responses and the design settings match
+    (ValueError otherwise); the result is bitwise that of a fresh design.
+    meta["iterations"] and meta["n_cuts"] count the minimax work done by
+    this call, so both are 0 when a reconstruction is reused.
     """
-    maps = _nominal_maps(lp)
-    omegas = _frequency_grid(lp.h, grid_size)
-    ch = _grid_responses(maps["zw"], omegas)
-    zinv_pow = np.exp(-1j * np.outer(omegas * lp.h, np.arange(n_q)))
-    Q, info, _ = _solve_minimax(ch, zinv_pow, n_q, rel_tol=tol,
-                                max_iter=max_iter)
-    # never do worse than the open loop (Q = 0)
-    open_gain = float(np.max(_channel_gains(ch, _q_response(zinv_pow,
-                                                            np.zeros((n_q, 2, 2))))))
-    if info["grid_objective"] > open_gain:
-        Q = np.zeros((n_q, 2, 2))
-        info["grid_objective"] = open_gain
-    qp = QParam(n_q=n_q, coeffs=Q, base=maps["G22"])
+    G22, omegas, ch = _nominal_grid(lp, grid_size)
+    if reconstruction is None:
+        rec = _reconstruct(lp, omegas, ch, tol, n_q, grid_size, max_iter)
+        info = rec.info
+    else:
+        reconstruction.check(_fingerprint(ch), N=lp.N, h=lp.h, n_q=n_q,
+                             grid_size=grid_size, tol=tol, max_iter=max_iter)
+        rec = reconstruction
+        info = {**rec.info, "iterations": 0, "n_cuts": 0}
+    qp = QParam(n_q=n_q, coeffs=rec.coeffs, base=G22)
     K = controller_from_q(qp, lp.h)
     cl = lifted_closed_loop(lp, K)
     if not is_stable(cl):
@@ -435,10 +532,11 @@ def synthesize_nominal(lp: LiftedPlant, tol: float = 1e-3, n_q: int = 8,
         "grid_size": grid_size,
         "tol": tol,
         "controller_stable": is_stable(K),
+        "reconstruction_reused": reconstruction is not None,
         **info,
     }
     return Controller(sys=K, gamma_achieved=gamma, method="nominal_hinf",
-                      meta=meta, qparam=qp)
+                      meta=meta, qparam=qp, reconstruction=rec)
 
 
 # ---------------------------------------------------------------------------

@@ -71,12 +71,15 @@ def nominal_design():
 
 
 @pytest.fixture(scope="module")
-def lowgain_design():
+def lowgain_design(nominal_design):
+    # as in reproduce-paper: the transmit gain leaves Q* unchanged, so the
+    # 60 dB design's reconstruction is reused (and checked to fit)
     params = make_example_params(a2=100.0)
     channel = CouplingChannel(r=0.2, L=1.0)
     spec = build_generalized_plant(params, channel)
     K = synthesize_nominal(fsfh_lift(spec, 16), tol=1e-3, n_q=8,
-                           grid_size=256)
+                           grid_size=256,
+                           reconstruction=nominal_design["K"].reconstruction)
     return {"params": params, "channel": channel, "spec": spec, "K": K}
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from relaycancel import cli
 from relaycancel.cli import (
     ConfigError,
     cmd_design,
@@ -16,7 +17,7 @@ from relaycancel.cli import (
     write_controller,
 )
 from relaycancel.lti import StateSpace
-from relaycancel.synthesis import Controller
+from relaycancel.synthesis import Controller, SynthesisError
 
 
 FAST_CONFIG = {
@@ -181,3 +182,23 @@ def test_verify_command(tmp_path):
     assert rc == 0
     vr = json.loads((tmp_path / "verify.json").read_text())
     assert vr["closed_loop_stable"]
+
+
+@pytest.mark.parametrize("command", ["design", "reproduce-paper",
+                                     "lift-check"])
+def test_synthesis_error_exits_two(tmp_path, capsys, monkeypatch, command):
+    def infeasible(*args, **kwargs):
+        raise SynthesisError("no FIR parameter met the bound")
+
+    monkeypatch.setattr(cli, "synthesize_nominal", infeasible)
+    cfg_path = write_cfg(tmp_path, FAST_CONFIG)
+    argv = {
+        "design": ["design", "--config", cfg_path,
+                   "--out", str(tmp_path / "r.json")],
+        "reproduce-paper": ["reproduce-paper", "--out", str(tmp_path / "rp")],
+        "lift-check": ["lift-check", "--config", cfg_path, "--n-list", "2"],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == ("synthesis infeasible: no FIR parameter met "
+                           "the bound")

@@ -228,8 +228,12 @@ def test_static_identity_norm_is_one():
     assert hinf_norm(cl, 1e-8) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_sampled_data_norm_reports_inf_for_unstable(example_params, example_channel):
+def test_sampled_data_norm_reports_inf_for_unstable(example_params,
+                                                    example_channel, caplog):
     spec = build_generalized_plant(example_params, example_channel)
     # positive feedback through the alpha=200 coupling destabilizes
     K_bad = StateSpace.static(0.1 * np.eye(2), dt=1.0)
     assert sampled_data_norm(spec, K_bad, 4) == np.inf
+    cl = lifted_closed_loop(fsfh_lift(spec, 4), K_bad)
+    radius = np.max(np.abs(np.linalg.eigvals(cl.A)))
+    assert f"(spectral radius {radius:.6f})" in caplog.text

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from relaycancel.lti import StateSpace, frequency_response, hinf_norm, is_stable
 from relaycancel.relay import (
     CouplingChannel,
     build_generalized_plant,
+    scalar_block,
     uncertainty_weight,
 )
 from relaycancel.lifting import fsfh_lift, lifted_closed_loop
@@ -13,6 +16,7 @@ from relaycancel.synthesis import (
     QParam,
     build_robust_plant,
     controller_from_q,
+    design_reconstruction,
     fir_system,
     robust_stability_sweep,
     synthesize_nominal,
@@ -184,6 +188,69 @@ def test_nominal_small_design_properties(small_lifted):
     )
     assert K.gamma_achieved >= grid_max - 1e-6
     assert K.meta["controller_stable"] == is_stable(K.sys)
+    # never worse than the open loop (Q = 0, T = T1) on the design grid
+    T1 = youla_closed_loop_maps_nominal(lp)["zw"]["T1"]
+    open_gain = max(
+        np.linalg.svd(frequency_response(T1, om), compute_uv=False)[0]
+        for om in np.geomspace(1e-3 / lp.h, np.pi / lp.h, 64)
+    )
+    assert K.meta["grid_objective"] <= open_gain
+
+
+# ---------------------------------------------------------------------------
+# design_reconstruction and its reuse across plants
+
+
+def _small_lp(a2=1000.0, channel=CouplingChannel(0.2, 1.0), N=4, W=None):
+    params = make_example_params(a2=a2)
+    if W is not None:
+        params = replace(params, W=W)
+    return fsfh_lift(build_generalized_plant(params, channel), N)
+
+
+SMALL_DESIGN = dict(tol=1e-3, n_q=4, grid_size=64, max_iter=120)
+
+
+@pytest.fixture(scope="module")
+def reconstruction_a2_1000():
+    return design_reconstruction(_small_lp(a2=1000.0), **SMALL_DESIGN)
+
+
+def test_reconstruction_is_channel_independent(reconstruction_a2_1000):
+    ref = reconstruction_a2_1000
+    lp_far = _small_lp(channel=CouplingChannel(0.5, 2.0))
+    for lp in (_small_lp(a2=100.0), lp_far):
+        other = design_reconstruction(lp, **SMALL_DESIGN)
+        assert other.fingerprint == ref.fingerprint
+        assert other.coeffs.tobytes() == ref.coeffs.tobytes()
+    assert lp_far.sys.n_states > _small_lp().sys.n_states
+
+
+def test_reused_reconstruction_matches_cold_design(reconstruction_a2_1000):
+    lp = _small_lp(a2=100.0)
+    cold = synthesize_nominal(lp, **SMALL_DESIGN)
+    warm = synthesize_nominal(lp, **SMALL_DESIGN,
+                              reconstruction=reconstruction_a2_1000)
+    for name in ("A", "B", "C", "D"):
+        assert (getattr(warm.sys, name).tobytes()
+                == getattr(cold.sys, name).tobytes())
+    assert warm.gamma_achieved == cold.gamma_achieved
+    assert not cold.meta["reconstruction_reused"]
+    assert warm.meta["reconstruction_reused"]
+    assert warm.meta["iterations"] == 0 and cold.meta["iterations"] > 0
+    assert warm.meta["grid_objective"] == cold.meta["grid_objective"]
+
+
+def test_reconstruction_rejects_other_plants(reconstruction_a2_1000):
+    rec = reconstruction_a2_1000
+    other_W = _small_lp(W=scalar_block([1.0], [1.0, 1.0]))
+    with pytest.raises(ValueError, match="grid responses differ"):
+        synthesize_nominal(other_W, **SMALL_DESIGN, reconstruction=rec)
+    with pytest.raises(ValueError, match="N=8"):
+        synthesize_nominal(_small_lp(N=8), **SMALL_DESIGN, reconstruction=rec)
+    with pytest.raises(ValueError, match="n_q=3"):
+        synthesize_nominal(_small_lp(), **{**SMALL_DESIGN, "n_q": 3},
+                           reconstruction=rec)
 
 
 # ---------------------------------------------------------------------------
