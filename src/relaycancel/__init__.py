@@ -2,13 +2,11 @@
 single-frequency full-duplex relay stations."""
 
 from .lti import (
-    FrequencyResponseSample,
     StateSpace,
     frequency_response,
     hinf_norm,
     interconnect,
     is_stable,
-    response_sample,
     zoh_discretize,
 )
 from .relay import (
@@ -27,7 +25,6 @@ from .synthesis import (
     Controller,
     QParam,
     Reconstruction,
-    RobustPlant,
     SynthesisError,
     build_robust_plant,
     design_reconstruction,

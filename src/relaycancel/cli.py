@@ -5,7 +5,9 @@ every report embeds the full effective configuration including defaults,
 so reports are re-runnable.  Exit codes: 0 success, 1 configuration or
 I/O error, 2 infeasible synthesis (``SynthesisError``, reported as
 "synthesis infeasible: ..." by every command) or a failed experiment
-expectation.
+expectation, 3 internal numerical failure (a ``RuntimeError`` such as a
+norm bisection that does not converge, or a ``LinAlgError``; reported as
+"numerical failure: ...").
 """
 
 from __future__ import annotations
@@ -67,6 +69,17 @@ _INPUT_DEFAULTS = {
 # perturbation used by the reference divergence/robustness experiments
 _FIG10_PERTURBATION = {"r_factor": 0.07, "L_factor": 1.1}
 _FIG_OVERSAMPLE_PERTURBED = 80  # L1 = 1.1 h must land on the fine grid
+
+# reference experiments: figure, config, perturbed channel, oversample
+# (None: the config's), expected outcome, message when it is not met
+_EXPERIMENTS = (
+    ("fig9", "nominal_60db", False, None, "stable",
+     "nominal cancelation diverged"),
+    ("fig10", "nominal_40db", True, _FIG_OVERSAMPLE_PERTURBED, "diverged",
+     "perturbed nominal loop did not diverge"),
+    ("fig11", "robust_40db", True, _FIG_OVERSAMPLE_PERTURBED, "stable",
+     "robust cancelation diverged"),
+)
 
 
 class ConfigError(ValueError):
@@ -264,7 +277,6 @@ def _design(cfg: dict, reconstruction=None):
         rp = build_robust_plant(spec, W2, d["N"])
         K = synthesize_robust(rp, n_q=d["n_q"], grid_size=d["grid_size"],
                               margin=d["margin"], tol=d["tol"])
-        K.meta["epsilon"] = d["epsilon"]
     return spec, K
 
 
@@ -357,70 +369,41 @@ def _fig10_channel(channel: CouplingChannel) -> CouplingChannel:
 
 
 def cmd_reproduce_paper(out_dir: str) -> int:
-    """Run the three reference experiments end to end with pinned seeds."""
+    """Run the three reference experiments end to end with pinned seeds.
+
+    fig9 is the nominal design on its nominal channel; fig10 the nominal
+    design at the lower transmit gain on the perturbed channel, where the
+    unmodeled detour path destabilizes the loop; fig11 the robust design
+    under the same perturbation.  The nominal Q* does not depend on the
+    transmit gain, so fig10 reuses fig9's (checked to fit); G22, the
+    closed loop and gamma are fig10's own.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = {}
+    summary = {"criteria": {}}
     failures = []
-
-    # experiment 1: nominal design, nominal channel, filtered rect input
-    cfg9 = load_config("nominal_60db")
-    spec9, K9 = _design(cfg9)
-    params9, channel9 = config_objects(cfg9)
-    trace9 = simulate_closed_loop(SimConfig(
-        params=params9, channel=channel9, K=K9,
-        duration=cfg9["sim"]["duration"], oversample=cfg9["sim"]["oversample"],
-        input=_input_spec(cfg9), seed=cfg9["sim"]["seed"]))
-    write_trace_csv(trace9, out / "fig9.csv")
-    m9 = metrics(trace9)
-    summary["fig9"] = {"stable": not trace9.diverged,
-                       "gamma": K9.gamma_achieved, **m9}
-    if trace9.diverged:
-        failures.append("fig9: nominal cancelation diverged")
-
-    # experiment 2: nominal design at the lower transmit gain, perturbed
-    # channel: the unmodeled detour path destabilizes the loop.  The
-    # nominal Q* does not depend on the transmit gain, so fig9's is reused
-    # (and checked to fit); G22, the closed loop and gamma are fig10's own.
-    cfg10 = load_config("nominal_40db")
-    spec10, K10 = _design(cfg10, reconstruction=K9.reconstruction)
-    params10, channel10 = config_objects(cfg10)
-    pert = _fig10_channel(channel10)
-    trace10 = simulate_closed_loop(SimConfig(
-        params=params10, channel=pert, K=K10,
-        duration=cfg10["sim"]["duration"],
-        oversample=_FIG_OVERSAMPLE_PERTURBED,
-        input=_input_spec(cfg10), seed=cfg10["sim"]["seed"]))
-    write_trace_csv(trace10, out / "fig10.csv")
-    summary["fig10"] = {"diverged": trace10.diverged,
-                        "gamma": K10.gamma_achieved,
-                        **metrics(trace10)}
-    if not trace10.diverged:
-        failures.append("fig10: perturbed nominal loop did not diverge")
-
-    # experiment 3: robust design under the same perturbation stays stable
-    cfg11 = load_config("robust_40db")
-    spec11, K11 = _design(cfg11)
-    params11, channel11 = config_objects(cfg11)
-    trace11 = simulate_closed_loop(SimConfig(
-        params=params11, channel=pert, K=K11,
-        duration=cfg11["sim"]["duration"],
-        oversample=_FIG_OVERSAMPLE_PERTURBED,
-        input=_input_spec(cfg11), seed=cfg11["sim"]["seed"]))
-    write_trace_csv(trace11, out / "fig11.csv")
-    summary["fig11"] = {"stable": not trace11.diverged,
-                        "gamma1": K11.gamma_achieved["gamma1"],
-                        "gamma2": K11.gamma_achieved["gamma2"],
-                        "small_gain": K11.gamma_achieved["gamma2"] <= 1.0,
-                        **metrics(trace11)}
-    if trace11.diverged:
-        failures.append("fig11: robust cancelation diverged")
-
-    summary["criteria"] = {
-        "fig9": "stable" if summary["fig9"]["stable"] else "diverged",
-        "fig10": "diverged" if summary["fig10"]["diverged"] else "stable",
-        "fig11": "stable" if summary["fig11"]["stable"] else "diverged",
-    }
+    reconstruction = None
+    for fig, config, perturbed, oversample, expected, failure in _EXPERIMENTS:
+        cfg = load_config(config)
+        spec, K = _design(cfg, reconstruction=reconstruction)
+        reconstruction = K.reconstruction
+        params, channel = config_objects(cfg)
+        trace = simulate_closed_loop(SimConfig(
+            params=params,
+            channel=_fig10_channel(channel) if perturbed else channel,
+            K=K, duration=cfg["sim"]["duration"],
+            oversample=oversample or cfg["sim"]["oversample"],
+            input=_input_spec(cfg), seed=cfg["sim"]["seed"]))
+        write_trace_csv(trace, out / f"{fig}.csv")
+        g = K.gamma_achieved
+        gammas = ({**g, "small_gain": g["gamma2"] <= 1.0}
+                  if isinstance(g, dict) else {"gamma": g})
+        outcome = "diverged" if trace.diverged else "stable"
+        summary[fig] = {expected: outcome == expected, **gammas,
+                        **metrics(trace)}
+        summary["criteria"][fig] = outcome
+        if outcome != expected:
+            failures.append(f"{fig}: {failure}")
     summary["all_passed"] = not failures
     summary["failures"] = failures
     _write_json(summary, out / "summary.json")
@@ -509,10 +492,11 @@ def main(argv=None) -> int:
     except SynthesisError as exc:
         print(f"synthesis infeasible: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    # LinAlgError is a ValueError, so it is caught before the config errors
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -12,7 +12,9 @@ norm as N grows.
 Conventions (fixed; synthesis and simulation must agree):
 
 * within one period the fast samples are stacked oldest first, in both
-  the input and the output stacks;
+  the input and the output stacks, one I/Q pair after another: a core
+  with fast inputs (w1, w2) gives [w1 stack, w2 stack, u], and likewise
+  [z1 stack, z2 stack, y] for its outputs;
 * the measurement is sampled at the start of the period (y at t = k h)
   and the controller output is held over [k h, (k+1) h);
 * performance outputs are sampled at the substep starts t = k h + j h/N,
@@ -44,7 +46,12 @@ from .lti import (
     stability_margin,
     zoh_discretize,
 )
-from .relay import CoreSystem, GeneralizedPlantSpec, assemble_plant_core
+from .relay import (
+    CoreSystem,
+    GeneralizedPlantSpec,
+    assemble_plant_core,
+    delay_steps,
+)
 
 __all__ = [
     "LiftedPlant",
@@ -66,9 +73,11 @@ class LiftedPlant:
     """Discrete generalized plant produced by FSFH lifting.
 
     Inputs are [w stack (n_fast_in * N), u (n_ctrl)], outputs
-    [z stack (n_fast_out * N), y (n_meas)], all at period h.
-    delay_registers counts the fast-rate delay states that realize the
-    path delays.
+    [z stack (n_fast_out * N), y (n_meas)], all at period h; each stack
+    holds one I/Q pair's 2N fast samples after another, so channel k is
+    the k-th block of 2N inputs and outputs.  delay_registers counts the
+    fast-rate delay states that realize the path delays.  W2 is the
+    uncertainty weight of a robust design plant, None otherwise.
     """
 
     sys: StateSpace
@@ -79,6 +88,7 @@ class LiftedPlant:
     n_ctrl: int
     n_meas: int
     delay_registers: int
+    W2: StateSpace | None = None
 
     @property
     def n_w(self) -> int:
@@ -88,18 +98,11 @@ class LiftedPlant:
     def n_z(self) -> int:
         return self.n_fast_out * self.N
 
-
-def _chain_length(L: float, N: int, h: float) -> int:
-    d = L * N / h
-    d_round = round(d)
-    if abs(d - d_round) > 1e-9 * max(1.0, abs(d)):
-        raise ValueError(
-            f"delay not on FSFH grid: L={L} needs L*N/h integer, got {d} "
-            f"(increase N or adjust the delay)"
-        )
-    if d_round < 0:
-        raise ValueError("negative delay")
-    return int(d_round)
+    def channel_indices(self) -> list:
+        """Stack indices of each channel, the same for w_k and z_k."""
+        n = 2 * self.N
+        return [np.arange(k * n, (k + 1) * n)
+                for k in range(self.n_fast_in // 2)]
 
 
 def lift_core(core: CoreSystem, N: int, h: float,
@@ -114,7 +117,7 @@ def lift_core(core: CoreSystem, N: int, h: float,
     if N < 1:
         raise ValueError("fast-rate factor N must be a positive integer")
     tau = h / N
-    lengths = [_chain_length(L, N, h) for L, _ in core.chains]
+    lengths = [delay_steps(L, N, h) for L, _ in core.chains]
     n_c = core.sys.n_states
     n_regs = 2 * sum(lengths)
     n_f = n_c + n_regs
@@ -171,7 +174,9 @@ def lift_core(core: CoreSystem, N: int, h: float,
     C_zf, C_yf = C_fast[:n_perf], C_fast[n_perf:]
     D_zf, D_yf = D_fast[:n_perf], D_fast[n_perf:]
 
-    # stack N substeps: propagate the map (state0, stacked inputs) -> state
+    # stack N substeps: propagate the map (state0, stacked inputs) -> state;
+    # the fast pair at columns (rows) p, p+1 of substep j goes to stacked
+    # column (row) N p + 2 j
     n_in_total = N * n_ext + n_ctrl
     M = np.zeros((n_f, n_f + n_in_total))
     M[:, :n_f] = np.eye(n_f)
@@ -179,14 +184,17 @@ def lift_core(core: CoreSystem, N: int, h: float,
     y_rows = None
     for j in range(N):
         P_j = np.zeros((nfi, n_f + n_in_total))
-        P_j[:n_ext, n_f + j * n_ext: n_f + (j + 1) * n_ext] = np.eye(n_ext)
+        for p in range(0, n_ext, 2):
+            col = n_f + N * p + 2 * j
+            P_j[p:p + 2, col:col + 2] = np.eye(2)
         P_j[n_ext:, n_f + N * n_ext:] = np.eye(n_ctrl)
         z_rows.append(C_zf @ M + D_zf @ P_j)
         if j == 0:
             y_rows = C_yf @ M + D_yf @ P_j
         M = A_f @ M + B_f @ P_j
 
-    CD = np.vstack(z_rows + [y_rows])
+    z_stack = [z[p:p + 2] for p in range(0, n_perf, 2) for z in z_rows]
+    CD = np.vstack(z_stack + [y_rows])
     sys = StateSpace(M[:, :n_f], M[:, n_f:], CD[:, :n_f], CD[:, n_f:], dt=h)
     return LiftedPlant(sys=sys, N=N, h=h, n_fast_in=n_ext,
                        n_fast_out=n_perf, n_ctrl=n_ctrl, n_meas=n_meas,
@@ -209,7 +217,7 @@ def lifted_closed_loop(lp: LiftedPlant, K: StateSpace) -> StateSpace:
     """
     if not K.is_discrete:
         raise ValueError("controller must be discrete-time")
-    return interconnect("lower_lft", lp.sys, K, partition=(lp.n_w, lp.n_z))
+    return interconnect(lp.sys, K, partition=(lp.n_w, lp.n_z))
 
 
 def sampled_data_norm(plant: GeneralizedPlantSpec, K: StateSpace, N: int,

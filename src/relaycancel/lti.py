@@ -27,7 +27,6 @@ from scipy.signal import tf2ss
 
 __all__ = [
     "StateSpace",
-    "FrequencyResponseSample",
     "STABILITY_MARGIN",
     "zoh_discretize",
     "interconnect",
@@ -35,7 +34,6 @@ __all__ = [
     "stability_margin",
     "hinf_norm",
     "frequency_response",
-    "response_sample",
     "subsystem",
     "from_tf",
 ]
@@ -183,54 +181,17 @@ def zoh_discretize(sys: StateSpace, T: float) -> StateSpace:
     return StateSpace(E[:n, :n], E[:n, n:], sys.C, sys.D, dt=T)
 
 
-def _check_same_domain(sys1: StateSpace, sys2: StateSpace):
-    if sys1.is_discrete != sys2.is_discrete:
-        raise ValueError("cannot interconnect continuous with discrete systems")
-    if sys1.is_discrete and abs(sys1.dt - sys2.dt) > 1e-12 * max(sys1.dt, sys2.dt):
-        raise ValueError("sampling periods differ")
-
-
-def _series(sys1: StateSpace, sys2: StateSpace) -> StateSpace:
-    # signal flows sys1 -> sys2
-    if sys2.n_inputs != sys1.n_outputs:
-        raise ValueError(
-            f"series: sys1 has {sys1.n_outputs} outputs, "
-            f"sys2 expects {sys2.n_inputs} inputs"
-        )
-    n1, n2 = sys1.n_states, sys2.n_states
-    A = np.block([
-        [sys1.A, np.zeros((n1, n2))],
-        [sys2.B @ sys1.C, sys2.A],
-    ]) if n1 + n2 else np.zeros((0, 0))
-    B = np.vstack([sys1.B, sys2.B @ sys1.D])
-    C = np.hstack([sys2.D @ sys1.C, sys2.C])
-    D = sys2.D @ sys1.D
-    return StateSpace(A, B, C, D, sys1.dt)
-
-
-def _parallel(sys1: StateSpace, sys2: StateSpace) -> StateSpace:
-    if (sys1.n_inputs, sys1.n_outputs) != (sys2.n_inputs, sys2.n_outputs):
-        raise ValueError("parallel: I/O dimensions must match")
-    n1, n2 = sys1.n_states, sys2.n_states
-    A = np.block([
-        [sys1.A, np.zeros((n1, n2))],
-        [np.zeros((n2, n1)), sys2.A],
-    ]) if n1 + n2 else np.zeros((0, 0))
-    B = np.vstack([sys1.B, sys2.B])
-    C = np.hstack([sys1.C, sys2.C])
-    D = sys1.D + sys2.D
-    return StateSpace(A, B, C, D, sys1.dt)
-
-
-def _lower_lft(plant: StateSpace, K: StateSpace, partition) -> StateSpace:
+def interconnect(plant: StateSpace, K: StateSpace, partition) -> StateSpace:
     """Close the lower loop of a partitioned plant with controller K.
 
     ``partition = (n_w, n_z)``: the first n_w plant inputs are the
     disturbance w and the first n_z outputs the performance z; the
     remaining channels (y, u) are closed through u = K y.
     """
-    if partition is None:
-        raise ValueError("lower_lft requires partition=(n_w, n_z)")
+    if plant.is_discrete != K.is_discrete:
+        raise ValueError("cannot interconnect continuous with discrete systems")
+    if plant.is_discrete and abs(plant.dt - K.dt) > 1e-12 * max(plant.dt, K.dt):
+        raise ValueError("sampling periods differ")
     n_w, n_z = partition
     n_u = plant.n_inputs - n_w
     n_y = plant.n_outputs - n_z
@@ -273,25 +234,6 @@ def _lower_lft(plant: StateSpace, K: StateSpace, partition) -> StateSpace:
     return StateSpace(Acl, Bcl, Ccl, Dcl, plant.dt)
 
 
-def interconnect(kind: str, sys1: StateSpace, sys2: StateSpace,
-                 partition=None) -> StateSpace:
-    """Interconnect two systems.
-
-    kind = "series"    : output of sys1 feeds sys2 (sys2 o sys1)
-    kind = "parallel"  : common input, outputs added
-    kind = "lower_lft" : sys1 is a partitioned plant, sys2 the controller
-                         closing the lower (y, u) loop; see partition.
-    """
-    _check_same_domain(sys1, sys2)
-    if kind == "series":
-        return _series(sys1, sys2)
-    if kind == "parallel":
-        return _parallel(sys1, sys2)
-    if kind == "lower_lft":
-        return _lower_lft(sys1, sys2, partition)
-    raise ValueError(f"unknown interconnection kind {kind!r}")
-
-
 def _eigenvalues(sys: StateSpace) -> np.ndarray:
     if sys.n_states == 0:
         return np.zeros(0, dtype=complex)
@@ -316,25 +258,6 @@ def is_stable(sys: StateSpace, margin: float = STABILITY_MARGIN) -> bool:
     marginal eigenvalues count as unstable.
     """
     return stability_margin(sys) > margin
-
-
-@dataclass(frozen=True)
-class FrequencyResponseSample:
-    """One frequency-response evaluation: omega [rad/s] and the value."""
-
-    omega: float
-    value: np.ndarray
-
-    def __post_init__(self):
-        value = np.atleast_2d(np.asarray(self.value, dtype=complex))
-        value.setflags(write=False)
-        object.__setattr__(self, "value", value)
-
-
-def response_sample(sys: StateSpace, omega: float) -> FrequencyResponseSample:
-    """Evaluate the response at omega as a tagged sample."""
-    return FrequencyResponseSample(omega=float(omega),
-                                   value=frequency_response(sys, omega))
 
 
 def frequency_response(sys: StateSpace, omega: float) -> np.ndarray:

@@ -47,7 +47,7 @@ __all__ = [
     "uncertainty_weight",
     "assemble_plant_core",
     "assemble_core_blocks",
-    "assemble_robust_core",
+    "delay_steps",
 ]
 
 
@@ -150,12 +150,6 @@ class CouplingChannel:
                     f"extra path delay {Li} must exceed the nominal delay {self.L}"
                 )
         object.__setattr__(self, "extra_paths", paths)
-
-    def alphas(self, a1: float, a2: float):
-        """Loop gains of all paths: alpha_i = a1 * a2 * r_i."""
-        gains = [a1 * a2 * self.r]
-        gains += [a1 * a2 * ri for ri, _ in self.extra_paths]
-        return gains
 
 
 @dataclass(frozen=True)
@@ -299,28 +293,64 @@ class CoreSystem:
     chains: tuple
 
 
+def delay_steps(L: float, N: int, h: float) -> int:
+    """Length of the register chain that delays by L on a grid of N steps
+    per period h; raises ValueError when L is off that grid."""
+    d = L * N / h
+    d_round = round(d)
+    if abs(d - d_round) > 1e-9 * max(1.0, abs(d)):
+        raise ValueError(
+            f"delay not on FSFH grid: L={L} needs L*N/h integer at N={N}, "
+            f"got {d} (increase N or adjust the delay)"
+        )
+    if d_round < 0:
+        raise ValueError("negative delay")
+    return int(d_round)
+
+
 def assemble_plant_core(spec: GeneralizedPlantSpec,
-                        external_input: bool = False) -> CoreSystem:
+                        external_input: bool = False,
+                        W2: StateSpace | None = None) -> CoreSystem:
     """Delay-free core of the design plant.
 
     Inputs: [w (2), u (2), one delayed-u slot (2) per path]; outputs
     [z (2), y (2)].  With ``external_input`` the W block is replaced by a
     unit feedthrough so the first input is the already-shaped signal v
-    (used by the simulator, which generates v separately).
+    (used by the simulator, which generates v separately).  With an
+    uncertainty weight ``W2`` the core also carries the uncertainty
+    channel of the robust design plant (see ``assemble_core_blocks``).
     """
     params = spec.params
     W = StateSpace.static(np.eye(2)) if external_input else params.W
-    return assemble_core_blocks(W, params.F, params.P, spec.paths)
+    if W2 is not None:
+        _check_block("W2", W2)
+    return assemble_core_blocks(W, params.F, params.P, spec.paths, W2)
 
 
 def assemble_core_blocks(W: StateSpace, F: StateSpace, P: StateSpace,
-                         paths) -> CoreSystem:
-    """Delay-free core from raw blocks (no parameter validation)."""
+                         paths, W2: StateSpace | None = None) -> CoreSystem:
+    """Delay-free core from raw blocks (no parameter validation).
+
+    With ``W2`` (single-path plants only) the uncertainty channel
+
+        z2 = W2 F P u,    y += alpha R w2(t-L)
+
+    is appended, so that closing w2 = Delta z2 with any ||Delta|| < 1
+    reproduces every admissible channel perturbation.  Its parts go last:
+    states x_Fz (F on P u) and x_W2, input w2 after w, output z2 after z,
+    and the delayed-w2 slot with its chain.
+    """
     M = len(paths)
+    robust = W2 is not None
+    if robust and M != 1:
+        raise ValueError("robust core expects the nominal single-path plant")
 
     nW, nF, nP = W.n_states, F.n_states, P.n_states
-    # state layout: x_W | x_Pu | (x_Pd_i, x_Fd_i) per path | x_Fv
+    # state layout: x_W | x_Pu | (x_Pd_i, x_Fd_i) per path | x_Fv,
+    # then x_Fz | x_W2 with W2
     sizes = [nW, nP] + [nP + nF] * M + [nF]
+    if robust:
+        sizes += [nF, W2.n_states]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     n = offsets[-1]
     sW = slice(offsets[0], offsets[1])
@@ -332,10 +362,11 @@ def assemble_core_blocks(W: StateSpace, F: StateSpace, P: StateSpace,
                             slice(base + nP, base + nP + nF)))
     sFv = slice(offsets[2 + M], offsets[3 + M])
 
-    n_in = 2 + 2 + 2 * M
+    n_ext = 4 if robust else 2  # w, then w2
+    n_in = n_ext + 2 + 2 * M + (2 if robust else 0)
     A = np.zeros((n, n))
     B = np.zeros((n, n_in))
-    c_w, c_u = slice(0, 2), slice(2, 4)
+    c_w, c_u = slice(0, 2), slice(n_ext, n_ext + 2)
 
     A[sW, sW] = W.A
     B[sW, c_w] = W.B
@@ -346,16 +377,16 @@ def assemble_core_blocks(W: StateSpace, F: StateSpace, P: StateSpace,
     A[sFv, sW] = F.B @ W.C
     B[sFv, c_w] = F.B @ W.D
     for i, (sPd, sFd) in enumerate(path_slices):
-        c_dly = slice(4 + 2 * i, 6 + 2 * i)
+        c_dly = slice(n_ext + 2 + 2 * i, n_ext + 4 + 2 * i)
         A[sPd, sPd] = P.A
         B[sPd, c_dly] = P.B
         A[sFd, sFd] = F.A
         A[sFd, sPd] = F.B @ P.C
         B[sFd, c_dly] = F.B @ P.D
 
-    C = np.zeros((4, n))
-    D = np.zeros((4, n_in))
-    rz, ry = slice(0, 2), slice(2, 4)
+    C = np.zeros((n_ext + 2, n))
+    D = np.zeros((n_ext + 2, n_in))
+    rz, ry = slice(0, 2), slice(n_ext, n_ext + 2)
     # z = v - P u
     C[rz, sW] = W.C
     D[rz, c_w] = W.D
@@ -366,97 +397,30 @@ def assemble_core_blocks(W: StateSpace, F: StateSpace, P: StateSpace,
     C[ry, sW] = F.D @ W.C
     D[ry, c_w] = F.D @ W.D
     for i, ((sPd, sFd), path) in enumerate(zip(path_slices, paths)):
-        c_dly = slice(4 + 2 * i, 6 + 2 * i)
+        c_dly = slice(n_ext + 2 + 2 * i, n_ext + 4 + 2 * i)
         gR = path.alpha * path.rot
         C[ry, sFd] += gR @ F.C
         C[ry, sPd] += gR @ F.D @ P.C
         D[ry, c_dly] += gR @ F.D @ P.D
-
     chains = tuple((path.L, "ctrl") for path in paths)
-    return CoreSystem(StateSpace(A, B, C, D), n_ext=2, n_ctrl=2,
-                      n_perf=2, n_meas=2, chains=chains)
 
-
-def assemble_robust_core(spec: GeneralizedPlantSpec,
-                         W2: StateSpace) -> CoreSystem:
-    """Delay-free core of the two-channel robust design plant.
-
-    Inputs [w1 (2), w2 (2), u (2), delayed u (2), delayed w2 (2)];
-    outputs [z1 (2), z2 (2), y (2)].  The performance channel is the
-    nominal one; the uncertainty channel exposes
-
-        z2 = W2 F P u,    y += alpha R (F P u)(t-L) + alpha R w2(t-L)
-
-    so that closing w2 = Delta z2 with any ||Delta|| < 1 reproduces every
-    admissible channel perturbation.
-    """
-    if len(spec.paths) != 1:
-        raise ValueError("robust core expects the nominal single-path plant")
-    params = spec.params
-    path = spec.paths[0]
-    W, F, P = params.W, params.F, params.P
-    _check_block("W2", W2)
-
-    nW, nF, nP, n2 = W.n_states, F.n_states, P.n_states, W2.n_states
-    # x_W | x_Pu | x_Pd, x_Fd (delayed chain) | x_Fv | x_Fz (F on P u) | x_W2
-    sizes = [nW, nP, nP + nF, nF, nF, n2]
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-    n = offsets[-1]
-    sW = slice(offsets[0], offsets[1])
-    sPu = slice(offsets[1], offsets[2])
-    sPd = slice(offsets[2], offsets[2] + nP)
-    sFd = slice(offsets[2] + nP, offsets[3])
-    sFv = slice(offsets[3], offsets[4])
-    sFz = slice(offsets[4], offsets[5])
-    sW2 = slice(offsets[5], offsets[6])
-
-    n_in = 10
-    c_w1, c_w2 = slice(0, 2), slice(2, 4)
-    c_u, c_ud, c_w2d = slice(4, 6), slice(6, 8), slice(8, 10)
-    A = np.zeros((n, n))
-    B = np.zeros((n, n_in))
-
-    A[sW, sW] = W.A
-    B[sW, c_w1] = W.B
-    A[sPu, sPu] = P.A
-    B[sPu, c_u] = P.B
-    A[sPd, sPd] = P.A
-    B[sPd, c_ud] = P.B
-    A[sFd, sFd] = F.A
-    A[sFd, sPd] = F.B @ P.C
-    B[sFd, c_ud] = F.B @ P.D
-    A[sFv, sFv] = F.A
-    A[sFv, sW] = F.B @ W.C
-    B[sFv, c_w1] = F.B @ W.D
-    # xi = F P u (undelayed), feeding W2
-    A[sFz, sFz] = F.A
-    A[sFz, sPu] = F.B @ P.C
-    B[sFz, c_u] = F.B @ P.D
-    A[sW2, sW2] = W2.A
-    A[sW2, sFz] = W2.B @ F.C
-    A[sW2, sPu] = W2.B @ F.D @ P.C
-    B[sW2, c_u] = W2.B @ F.D @ P.D
-
-    C = np.zeros((6, n))
-    D = np.zeros((6, n_in))
-    rz1, rz2, ry = slice(0, 2), slice(2, 4), slice(4, 6)
-    C[rz1, sW] = W.C
-    D[rz1, c_w1] = W.D
-    C[rz1, sPu] = -P.C
-    D[rz1, c_u] = -P.D
-    C[rz2, sW2] = W2.C
-    C[rz2, sFz] = W2.D @ F.C
-    C[rz2, sPu] = W2.D @ F.D @ P.C
-    D[rz2, c_u] = W2.D @ F.D @ P.D
-    gR = path.alpha * path.rot
-    C[ry, sFv] = F.C
-    C[ry, sW] = F.D @ W.C
-    D[ry, c_w1] = F.D @ W.D
-    C[ry, sFd] = gR @ F.C
-    C[ry, sPd] = gR @ F.D @ P.C
-    D[ry, c_ud] = gR @ F.D @ P.D
-    D[ry, c_w2d] = gR
-
-    chains = ((path.L, "ctrl"), (path.L, ("ext", 2)))
-    return CoreSystem(StateSpace(A, B, C, D), n_ext=4, n_ctrl=2,
-                      n_perf=4, n_meas=2, chains=chains)
+    if robust:
+        sFz = slice(offsets[3 + M], offsets[4 + M])
+        sW2 = slice(offsets[4 + M], offsets[5 + M])
+        rz2 = slice(2, 4)
+        # xi = F P u (undelayed), feeding W2
+        A[sFz, sFz] = F.A
+        A[sFz, sPu] = F.B @ P.C
+        B[sFz, c_u] = F.B @ P.D
+        A[sW2, sW2] = W2.A
+        A[sW2, sFz] = W2.B @ F.C
+        A[sW2, sPu] = W2.B @ F.D @ P.C
+        B[sW2, c_u] = W2.B @ F.D @ P.D
+        C[rz2, sW2] = W2.C
+        C[rz2, sFz] = W2.D @ F.C
+        C[rz2, sPu] = W2.D @ F.D @ P.C
+        D[rz2, c_u] = W2.D @ F.D @ P.D
+        D[ry, n_in - 2:] = paths[0].alpha * paths[0].rot
+        chains += ((paths[0].L, ("ext", 2)),)
+    return CoreSystem(StateSpace(A, B, C, D), n_ext=n_ext, n_ctrl=2,
+                      n_perf=n_ext, n_meas=2, chains=chains)

@@ -29,6 +29,7 @@ from .relay import (
     RelayParams,
     assemble_plant_core,
     build_perturbed_plant,
+    delay_steps,
 )
 
 __all__ = [
@@ -175,14 +176,7 @@ def simulate_closed_loop(cfg: SimConfig) -> SimulationTrace:
     spec = build_perturbed_plant(params, cfg.channel)
     core = assemble_plant_core(spec, external_input=True)
     cd = zoh_discretize(core.sys, dt)
-    lengths = []
-    for L, _ in core.chains:
-        d = L * N_sim / params.h
-        if abs(d - round(d)) > 1e-9 * max(1.0, d):
-            raise ValueError(
-                f"delay not on FSFH grid: L={L} at oversample {N_sim}"
-            )
-        lengths.append(int(round(d)))
+    lengths = [delay_steps(L, N_sim, params.h) for L, _ in core.chains]
 
     v = generate_input(cfg.input, params, cfg.duration, N_sim, cfg.seed)
     T = v.shape[1]

@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -43,7 +43,6 @@ from .lti import (
     StateSpace,
     frequency_response,
     hinf_norm,
-    interconnect,
     is_stable,
     stability_margin,
     subsystem,
@@ -52,16 +51,14 @@ from .lifting import LiftedPlant, fsfh_lift, lift_core, lifted_closed_loop
 from .relay import (
     CouplingChannel,
     GeneralizedPlantSpec,
-    assemble_robust_core,
+    assemble_plant_core,
     build_perturbed_plant,
-    uncertainty_weight,
 )
 
 __all__ = [
     "Controller",
     "QParam",
     "Reconstruction",
-    "RobustPlant",
     "SynthesisError",
     "build_robust_plant",
     "youla_closed_loop_maps",
@@ -159,45 +156,16 @@ class Controller:
     reconstruction: Reconstruction | None = None
 
 
-@dataclass(frozen=True)
-class RobustPlant:
-    """Lifted two-channel design plant (performance + uncertainty).
-
-    Inputs are ordered [w1 stack, w2 stack, u], outputs [z1 stack,
-    z2 stack, y]; each stack has width 2N.
-    """
-
-    sys: StateSpace
-    N: int
-    h: float
-    W2: StateSpace
-    delay_registers: int
-    n_ctrl: int = 2
-    n_meas: int = 2
-
-    @property
-    def n_stack(self) -> int:
-        return 2 * self.N
-
-
 def build_robust_plant(spec: GeneralizedPlantSpec, W2: StateSpace,
-                       N: int) -> RobustPlant:
-    """Lift the two-channel robust design plant at fast-rate factor N."""
-    core = assemble_robust_core(spec, W2)
-    lp = lift_core(core, N, spec.h)
-    # lift_core interleaves (w1_j, w2_j) per substep; regroup into
-    # contiguous channel stacks
-    perm_in = (
-        [4 * j + c for j in range(N) for c in (0, 1)]
-        + [4 * j + c for j in range(N) for c in (2, 3)]
-        + [4 * N, 4 * N + 1]
-    )
-    perm_out = perm_in
-    s = lp.sys
-    sys = StateSpace(s.A, s.B[:, perm_in], s.C[perm_out, :],
-                     s.D[np.ix_(perm_out, perm_in)], s.dt)
-    return RobustPlant(sys=sys, N=N, h=spec.h, W2=W2,
-                       delay_registers=lp.delay_registers)
+                       N: int) -> LiftedPlant:
+    """Lift the two-channel robust design plant at fast-rate factor N.
+
+    Inputs are [w1 stack, w2 stack, u], outputs [z1 stack, z2 stack, y];
+    each stack has width 2N.  The plant keeps W2, which a robust design
+    records so that it can be re-verified.
+    """
+    lp = lift_core(assemble_plant_core(spec, W2=W2), N, spec.h)
+    return replace(lp, W2=W2)
 
 
 # ---------------------------------------------------------------------------
@@ -248,50 +216,37 @@ def controller_from_q(q: QParam, h: float) -> StateSpace:
 # Affine closed-loop maps
 
 
-def _plant_blocks(sys: StateSpace, z_rows, w_cols, u_cols, y_rows):
-    return {
-        "T1": subsystem(sys, z_rows, w_cols),
-        "T2": subsystem(sys, z_rows, u_cols),
-        "T3": subsystem(sys, y_rows, w_cols),
-    }
+def youla_closed_loop_maps(lp: LiftedPlant) -> dict:
+    """Affine factors T(Q) = T1 + T2 Q T3 of each diagonal channel.
 
-
-def youla_closed_loop_maps(rp: RobustPlant) -> dict:
-    """Affine factors T(Q) = T1 + T2 Q T3 for both robust channels.
-
-    Valid because the u -> y block of the lifted plant is stable (all
-    continuous blocks and the delay channel are stable).
+    Returns {"G22": u -> y block, "channels": [{"T1", "T2", "T3"}, ...]},
+    one entry per (w_k, z_k) pair of the lifted plant.  Valid because
+    G22 is stable (all continuous blocks and the delay channel are
+    stable).
     """
-    n = rp.n_stack
-    u_cols = np.arange(2 * n, 2 * n + 2)
-    y_rows = np.arange(2 * n, 2 * n + 2)
-    G22 = subsystem(rp.sys, y_rows, u_cols)
+    u_cols = np.arange(lp.n_w, lp.n_w + lp.n_ctrl)
+    y_rows = np.arange(lp.n_z, lp.n_z + lp.n_meas)
+    G22 = subsystem(lp.sys, y_rows, u_cols)
     if not is_stable(G22):
         raise SynthesisError(
             "the u->y block of the lifted plant is unstable; the "
             "stable-plant Youla parametrization does not apply"
         )
-    return {
-        "z1w1": _plant_blocks(rp.sys, np.arange(0, n), np.arange(0, n),
-                              u_cols, y_rows),
-        "z2w2": _plant_blocks(rp.sys, np.arange(n, 2 * n),
-                              np.arange(n, 2 * n), u_cols, y_rows),
-        "G22": G22,
-    }
+    channels = [{"T1": subsystem(lp.sys, idx, idx),
+                 "T2": subsystem(lp.sys, idx, u_cols),
+                 "T3": subsystem(lp.sys, y_rows, idx)}
+                for idx in lp.channel_indices()]
+    return {"G22": G22, "channels": channels}
 
 
-def _nominal_maps(lp: LiftedPlant) -> dict:
-    nz, nw = lp.n_z, lp.n_w
-    u_cols = np.arange(nw, nw + lp.n_ctrl)
-    y_rows = np.arange(nz, nz + lp.n_meas)
-    G22 = subsystem(lp.sys, y_rows, u_cols)
-    if not is_stable(G22):
-        raise SynthesisError("unstable u->y block; Youla shortcut invalid")
-    return {
-        "zw": _plant_blocks(lp.sys, np.arange(nz), np.arange(nw),
-                            u_cols, y_rows),
-        "G22": G22,
-    }
+def _channel_norms(lp: LiftedPlant, K: StateSpace) -> list:
+    """Exact H-infinity norm of each diagonal channel of the closed loop,
+    all infinite when the loop is unstable."""
+    cl = lifted_closed_loop(lp, K)
+    channels = lp.channel_indices()
+    if not is_stable(cl):
+        return [math.inf] * len(channels)
+    return [hinf_norm(subsystem(cl, idx, idx), 1e-6) for idx in channels]
 
 
 def _grid_responses(block: dict, omegas) -> dict:
@@ -455,9 +410,12 @@ def _frequency_grid(h: float, grid_size: int) -> np.ndarray:
 
 def _nominal_grid(lp: LiftedPlant, grid_size: int):
     """G22 (stability-guarded), the grid and the affine grid responses."""
-    maps = _nominal_maps(lp)
+    maps = youla_closed_loop_maps(lp)
+    if len(maps["channels"]) != 1:
+        raise ValueError("nominal design expects a one-channel plant; "
+                         "use synthesize_robust")
     omegas = _frequency_grid(lp.h, grid_size)
-    return maps["G22"], omegas, _grid_responses(maps["zw"], omegas)
+    return maps["G22"], omegas, _grid_responses(maps["channels"][0], omegas)
 
 
 def _fingerprint(ch: dict) -> str:
@@ -521,11 +479,10 @@ def synthesize_nominal(lp: LiftedPlant, tol: float = 1e-3, n_q: int = 8,
         info = {**rec.info, "iterations": 0, "n_cuts": 0}
     qp = QParam(n_q=n_q, coeffs=rec.coeffs, base=G22)
     K = controller_from_q(qp, lp.h)
-    cl = lifted_closed_loop(lp, K)
-    if not is_stable(cl):
+    gamma, = _channel_norms(lp, K)
+    if math.isinf(gamma):
         raise SynthesisError("closed loop unstable after synthesis "
                              "(numerical failure)")
-    gamma = hinf_norm(cl, tol=1e-6)
     meta = {
         "n_q": n_q,
         "N": lp.N,
@@ -543,17 +500,7 @@ def synthesize_nominal(lp: LiftedPlant, tol: float = 1e-3, n_q: int = 8,
 # Robust design
 
 
-def _closed_channel_norms(rp: RobustPlant, K: StateSpace):
-    n = rp.n_stack
-    cl = interconnect("lower_lft", rp.sys, K, partition=(2 * n, 2 * n))
-    if not is_stable(cl):
-        return math.inf, math.inf, cl
-    t11 = subsystem(cl, np.arange(0, n), np.arange(0, n))
-    t22 = subsystem(cl, np.arange(n, 2 * n), np.arange(n, 2 * n))
-    return hinf_norm(t11, 1e-6), hinf_norm(t22, 1e-6), cl
-
-
-def synthesize_robust(rp: RobustPlant, n_q: int = 8, grid_size: int = 256,
+def synthesize_robust(rp: LiftedPlant, n_q: int = 8, grid_size: int = 256,
                       margin: float = 0.05, tol: float = 1e-3,
                       max_iter: int = 300) -> Controller:
     """Robust canceler: minimize the performance gain subject to the
@@ -562,15 +509,18 @@ def synthesize_robust(rp: RobustPlant, n_q: int = 8, grid_size: int = 256,
     The semi-infinite constraint is enforced on the frequency grid with a
     safety margin and then certified with the exact bisection norm; a
     failed certificate tightens the margin and re-solves (three attempts).
+    rp is a plant from ``build_robust_plant``; its W2 is recorded in
+    meta["W2"] as nested lists of floats, for ``verify_design``.
     """
     if not 0.0 < margin < 0.2:
         raise ValueError("margin must lie in (0, 0.2)")
     if n_q < 1:
         raise ValueError("n_q must be at least 1")
+    if rp.W2 is None:
+        raise ValueError("robust design needs a plant from build_robust_plant")
     maps = youla_closed_loop_maps(rp)
     omegas = _frequency_grid(rp.h, grid_size)
-    ch1 = _grid_responses(maps["z1w1"], omegas)
-    ch2 = _grid_responses(maps["z2w2"], omegas)
+    ch1, ch2 = (_grid_responses(ch, omegas) for ch in maps["channels"])
     zinv_pow = np.exp(-1j * np.outer(omegas * rp.h, np.arange(n_q)))
 
     # warm start: solve without the uncertainty constraint, then shrink the
@@ -592,7 +542,7 @@ def synthesize_robust(rp: RobustPlant, n_q: int = 8, grid_size: int = 256,
                                     x_init=(scale * Q_unc).reshape(-1))
         qp = QParam(n_q=n_q, coeffs=Q, base=maps["G22"])
         K = controller_from_q(qp, rp.h)
-        gamma1, gamma2, _ = _closed_channel_norms(rp, K)
+        gamma1, gamma2 = _channel_norms(rp, K)
         grid_gamma2 = float(np.max(_channel_gains(ch2, _q_response(zinv_pow, Q))))
         if gamma2 <= 1.0:
             meta = {
@@ -604,6 +554,7 @@ def synthesize_robust(rp: RobustPlant, n_q: int = 8, grid_size: int = 256,
                 "controller_stable": is_stable(K),
                 "attempts": attempt + 1,
                 "grid_gamma2": grid_gamma2,
+                "W2": {k: getattr(rp.W2, k).tolist() for k in "ABCD"},
                 **info,
             }
             return Controller(sys=K,
@@ -638,10 +589,14 @@ def verify_design(plant: GeneralizedPlantSpec, K: Controller,
     channel does not when the anti-alias filter is allpass (the sampler
     then sees the unstructured perturbation unfiltered and the lifted
     norm grows like sqrt(N)), so the small-gain certificate is re-checked
-    exactly at the design rate recorded in the controller metadata;
-    physical detour perturbations are covered separately by the
-    stability sweep.
+    exactly at the design rate and with the W2 recorded in the controller
+    metadata (ValueError when W2 is missing); physical detour
+    perturbations are covered separately by the stability sweep.
     """
+    robust = K.method == "robust_qparam"
+    if robust and "W2" not in K.meta:
+        raise ValueError("robust controller lacks meta['W2'], the "
+                         "uncertainty weight it was designed with")
     lp = fsfh_lift(plant, N_verify)
     cl = lifted_closed_loop(lp, K.sys)
     stable = is_stable(cl)
@@ -654,12 +609,12 @@ def verify_design(plant: GeneralizedPlantSpec, K: Controller,
     }
     gamma_v = hinf_norm(cl, 1e-6) if stable else math.inf
     report["gamma_verify"] = gamma_v
-    if K.method == "robust_qparam":
-        epsilon = K.meta.get("epsilon", 0.01)
+    if robust:
+        W2 = StateSpace(**{k: np.array(v, dtype=float)
+                           for k, v in K.meta["W2"].items()})
         N_design = K.meta.get("N", N_verify)
-        W2 = uncertainty_weight(plant.channel, epsilon)
         rp = build_robust_plant(plant, W2, N_design)
-        g1, g2, _ = _closed_channel_norms(rp, K.sys)
+        g1, g2 = _channel_norms(rp, K.sys)
         report["gamma1_design_rate"] = g1
         report["gamma2_design_rate"] = g2
         report["small_gain_certified"] = bool(g2 <= 1.0)

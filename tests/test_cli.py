@@ -202,3 +202,19 @@ def test_synthesis_error_exits_two(tmp_path, capsys, monkeypatch, command):
     err = capsys.readouterr().err
     assert err.strip() == ("synthesis infeasible: no FIR parameter met "
                            "the bound")
+
+
+@pytest.mark.parametrize("exc", [
+    RuntimeError("hinf_norm bisection did not converge"),
+    np.linalg.LinAlgError("resolvent singular"),
+])
+def test_numerical_failure_exits_three(tmp_path, capsys, monkeypatch, exc):
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("relaycancel.synthesis.hinf_norm", failing)
+    cfg_path = write_cfg(tmp_path, FAST_CONFIG)
+    rc = main(["design", "--config", cfg_path,
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    assert capsys.readouterr().err.strip() == f"numerical failure: {exc}"

