@@ -6,8 +6,9 @@ so reports are re-runnable.  Exit codes: 0 success, 1 configuration or
 I/O error, 2 infeasible synthesis (``SynthesisError``, reported as
 "synthesis infeasible: ..." by every command) or a failed experiment
 expectation, 3 internal numerical failure (a ``RuntimeError`` such as a
-norm bisection that does not converge, or a ``LinAlgError``; reported as
-"numerical failure: ...").
+norm bisection that does not converge, or a ``LinAlgError`` such as a
+singular resolvent, a singular algebraic loop or a matrix exponential
+with non-finite entries; reported as "numerical failure: ...").
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ __all__ = [
 # Eigenvalues closer than this to the stability boundary are treated as
 # unstable (conservative: avoids false stability claims).
 STABILITY_MARGIN = 1e-9
+
+logger = logging.getLogger(__name__)
 
 
 def _as_matrix(M, rows=None, cols=None) -> np.ndarray:
@@ -177,7 +180,8 @@ def zoh_discretize(sys: StateSpace, T: float) -> StateSpace:
     M[:n, n:] = sys.B
     E = expm(M * T)
     if not np.all(np.isfinite(E)):
-        raise ValueError("matrix exponential produced non-finite entries")
+        raise np.linalg.LinAlgError(
+            "matrix exponential produced non-finite entries")
     return StateSpace(E[:n, :n], E[:n, n:], sys.C, sys.D, dt=T)
 
 
@@ -211,7 +215,8 @@ def interconnect(plant: StateSpace, K: StateSpace, partition) -> StateSpace:
     loop = np.eye(n_u) - Dk @ D22
     cond = np.linalg.cond(loop)
     if not np.isfinite(cond) or cond > 1e12:
-        raise ValueError("singular algebraic loop: I - D22*Dk is not invertible")
+        raise np.linalg.LinAlgError(
+            "singular algebraic loop: I - D22*Dk is not invertible")
     Y = np.linalg.solve(loop, np.eye(n_u))  # (I - Dk D22)^-1
 
     # u = Y (Ck xk + Dk C2 x + Dk D21 w)
@@ -279,30 +284,37 @@ def frequency_response(sys: StateSpace, omega: float) -> np.ndarray:
     return sys.C @ X + sys.D
 
 
-def _sigma_max_grid(sys: StateSpace, n_grid: int) -> float:
-    """Largest singular value of the response over a [0, pi] theta grid."""
+def _sigma_max_grid(sys: StateSpace, n_grid: int) -> tuple[float, float]:
+    """Largest singular value over a [0, pi] theta grid and its theta."""
     thetas = np.unique(np.concatenate([
         np.linspace(0.0, np.pi, n_grid // 2),
         np.geomspace(1e-6, np.pi, n_grid // 2),
     ]))
-    best = 0.0
+    best, theta_best = 0.0, 0.0
     In = np.eye(sys.n_states)
     for th in thetas:
         z = np.exp(1j * th)
         G = sys.C @ np.linalg.solve(z * In - sys.A, sys.B) + sys.D
         s = np.linalg.svd(G, compute_uv=False)[0]
         if s > best:
-            best = float(s)
-    return best
+            best, theta_best = float(s), float(th)
+    return best, theta_best
 
 
 def _has_unit_circle_crossing(sys: StateSpace, gamma: float) -> bool:
-    """True when gamma is attained as a singular value of G(e^{j theta}).
+    """True when the pencil test finds gamma as a singular value of G(e^{j theta}).
 
     Builds the extended symplectic pencil of the bounded-real Riccati
-    equation with Q = C'C, S = C'D, R = D'D - gamma^2 I and checks for
-    generalized eigenvalues on the unit circle; a crossing at level gamma
-    is equivalent to such an eigenvalue.
+    equation with Q = C'C, S = C'D, R = D'D - gamma^2 I and looks for
+    generalized eigenvalues within 1e-8 of the unit circle.  In exact
+    arithmetic a crossing at level gamma is equivalent to such an
+    eigenvalue.  In floating point the test can miss crossings: on a
+    loop whose sigma_max(theta) is nearly flat it returns False below
+    the peak.  The lifted nominal closed loop at N=16 varies by only
+    6e-4 relative over theta, crosses 0.9995 x its peak near theta =
+    1.20, 1.37, 1.63 and 2.78 rad, and the closest pencil eigenvalue
+    is still 5.5e-3 off the circle.  On small well-conditioned systems
+    it finds every crossing.
     """
     from scipy.linalg import eig as geig
 
@@ -337,14 +349,43 @@ def _has_unit_circle_crossing(sys: StateSpace, gamma: float) -> bool:
     return bool(np.any(np.abs(np.abs(lam) - 1.0) < 1e-8))
 
 
+def _bisect(lo: float, hi: float, crossing, tol: float,
+            max_iter: int) -> tuple[float, float]:
+    """Halve [lo, hi] until it is at most tol wide; crossing(mid) moves lo."""
+    it = 0
+    while hi - lo > tol:
+        it += 1
+        if it > max_iter:
+            raise RuntimeError(
+                f"hinf_norm bisection did not converge within {max_iter} iterations"
+            )
+        mid = 0.5 * (lo + hi)
+        if crossing(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def hinf_norm(sys: StateSpace, tol: float = 1e-6, n_grid: int = 512,
               max_iter: int = 200) -> float:
     """H-infinity norm of a stable discrete-time system by bisection.
 
     The lower bracket is the largest singular value found on a frequency
-    grid; each bisection probe runs the bounded-real spectral test on the
-    associated symplectic pencil.  The result is within ``tol`` of the
-    true norm and never below the grid lower bound.
+    grid: an evaluation, so the norm is never below it.  Each bisection
+    probe runs the bounded-real pencil test of
+    ``_has_unit_circle_crossing``, so the upper end is only as good as
+    that test: where it finds every crossing the result is within
+    ``tol`` of the true norm, but on a loop with a flat peak it misses
+    crossings below the peak and the bisection never lifts its lower
+    bracket off the grid maximum, which then sets the result.
+
+    Above the grid maximum a level is crossed exactly when it lies below
+    the norm (Boyd & Balakrishnan, Systems & Control Letters 15, 1990).
+    So the bisection's path of all "no crossing" answers is replayed in
+    floats and settled by one probe at its lowest level; only when that
+    probe finds a crossing does the full bisection run.  Both ways return
+    the same float.
     """
     if not sys.is_discrete:
         raise ValueError("hinf_norm is implemented for discrete-time systems")
@@ -358,25 +399,31 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6, n_grid: int = 512,
     if np.allclose(sys.B, 0) or np.allclose(sys.C, 0):
         return float(sv_D)
 
-    lo = max(_sigma_max_grid(sys, n_grid), sv_D * (1.0 + 1e-12))
+    grid_max, theta_max = _sigma_max_grid(sys, n_grid)
+    lo = max(grid_max, sv_D * (1.0 + 1e-12))
     if lo == 0.0:
         return 0.0
     hi = lo * 10.0 + sv_D + 1.0
-    # widen if the initial upper bracket is still attained somewhere
-    grow = 0
-    while _has_unit_circle_crossing(sys, hi) and grow < 40:
-        hi *= 10.0
-        grow += 1
-    it = 0
-    while hi - lo > tol:
-        it += 1
-        if it > max_iter:
-            raise RuntimeError(
-                f"hinf_norm bisection did not converge within {max_iter} iterations"
-            )
-        mid = 0.5 * (lo + hi)
-        if _has_unit_circle_crossing(sys, mid):
-            lo = mid
-        else:
-            hi = mid
+    probes = 0
+
+    def crossing(level: float) -> bool:
+        nonlocal probes
+        probes += 1
+        return _has_unit_circle_crossing(sys, level)
+
+    _, top = _bisect(lo, hi, lambda level: False, tol, max_iter)
+    if not crossing(top):
+        hi = top
+    else:
+        # widen if the initial upper bracket is still attained somewhere
+        grow = 0
+        while crossing(hi) and grow < 40:
+            hi *= 10.0
+            grow += 1
+        lo, hi = _bisect(lo, hi, crossing, tol, max_iter)
+    logger.debug(
+        "hinf_norm: %d states, grid max %.10g at theta %.6g, bracket "
+        "[%.10g, %.10g], %d pencil eigensolves",
+        sys.n_states, grid_max, theta_max, lo, hi, probes,
+    )
     return float(max(0.5 * (lo + hi), lo))

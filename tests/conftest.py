@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from relaycancel.relay import CouplingChannel, RelayParams, scalar_block
+
+# Property tests draw the same examples on every run, so the suite stays
+# deterministic; numerical kernels have no meaningful per-example deadline.
+settings.register_profile("relaycancel", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("relaycancel")
 
 
 def make_example_params(a2=1000.0):

@@ -218,3 +218,15 @@ def test_numerical_failure_exits_three(tmp_path, capsys, monkeypatch, exc):
                "--out", str(tmp_path / "r.json")])
     assert rc == 3
     assert capsys.readouterr().err.strip() == f"numerical failure: {exc}"
+
+
+def test_non_finite_discretization_exits_three(tmp_path, capsys, monkeypatch):
+    # lti raises LinAlgError, not a plain ValueError that would exit 1
+    monkeypatch.setattr("relaycancel.lti.expm",
+                        lambda M: np.full_like(M, np.nan))
+    cfg_path = write_cfg(tmp_path, FAST_CONFIG)
+    rc = main(["design", "--config", cfg_path,
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    assert capsys.readouterr().err.strip() == (
+        "numerical failure: matrix exponential produced non-finite entries")

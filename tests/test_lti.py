@@ -1,8 +1,14 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from relaycancel import lti
 from relaycancel.lti import (
     StateSpace,
+    _has_unit_circle_crossing,
     frequency_response,
     from_tf,
     hinf_norm,
@@ -135,7 +141,7 @@ def test_lower_lft_matches_pointwise_oracle():
 def test_lower_lft_singular_loop():
     plant = StateSpace.static(np.array([[0.0, 1.0], [1.0, 1.0]]), dt=1.0)
     K = StateSpace.static(np.array([[1.0]]), dt=1.0)
-    with pytest.raises(ValueError, match="algebraic loop"):
+    with pytest.raises(np.linalg.LinAlgError, match="algebraic loop"):
         interconnect(plant, K, partition=(1, 1))
 
 
@@ -229,3 +235,184 @@ def test_hinf_norm_rejects_continuous():
     sys = StateSpace([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
     with pytest.raises(ValueError, match="discrete"):
         hinf_norm(sys)
+
+
+# ---------------------------------------------------------------------------
+# hinf_norm against the plain bisection
+
+
+def _reference_sigma_max_grid(sys, n_grid):
+    """Largest singular value of the response over a [0, pi] theta grid."""
+    thetas = np.unique(np.concatenate([
+        np.linspace(0.0, np.pi, n_grid // 2),
+        np.geomspace(1e-6, np.pi, n_grid // 2),
+    ]))
+    best = 0.0
+    In = np.eye(sys.n_states)
+    for th in thetas:
+        z = np.exp(1j * th)
+        G = sys.C @ np.linalg.solve(z * In - sys.A, sys.B) + sys.D
+        s = np.linalg.svd(G, compute_uv=False)[0]
+        if s > best:
+            best = float(s)
+    return best
+
+
+def reference_hinf_norm(sys, tol=1e-6, n_grid=512, max_iter=200):
+    """The bisection that probes every level, kept as the reference."""
+    if not sys.is_discrete:
+        raise ValueError("hinf_norm is implemented for discrete-time systems")
+    if not is_stable(sys):
+        raise ValueError("hinf_norm requires a stable system")
+    if sys.n_inputs == 0 or sys.n_outputs == 0:
+        return 0.0
+    sv_D = np.linalg.svd(sys.D, compute_uv=False)[0] if sys.D.size else 0.0
+    if sys.n_states == 0:
+        return float(sv_D)
+    if np.allclose(sys.B, 0) or np.allclose(sys.C, 0):
+        return float(sv_D)
+
+    lo = max(_reference_sigma_max_grid(sys, n_grid), sv_D * (1.0 + 1e-12))
+    if lo == 0.0:
+        return 0.0
+    hi = lo * 10.0 + sv_D + 1.0
+    # widen if the initial upper bracket is still attained somewhere
+    grow = 0
+    while _has_unit_circle_crossing(sys, hi) and grow < 40:
+        hi *= 10.0
+        grow += 1
+    it = 0
+    while hi - lo > tol:
+        it += 1
+        if it > max_iter:
+            raise RuntimeError(
+                f"hinf_norm bisection did not converge within {max_iter} iterations"
+            )
+        mid = 0.5 * (lo + hi)
+        if _has_unit_circle_crossing(sys, mid):
+            lo = mid
+        else:
+            hi = mid
+    return float(max(0.5 * (lo + hi), lo))
+
+
+@st.composite
+def stable_discrete_systems(draw, kinds=("random", "d_dominated",
+                                         "near_circle", "peak_zero",
+                                         "peak_pi")):
+    """Small stable discrete systems of one of five kinds.
+
+    ``peak_zero``: positive diagonal A, entrywise non-negative B, C, D, so
+    every entry of G is largest in modulus at theta = 0 and so is
+    sigma_max.  ``peak_pi``: the mirror image with negative poles and
+    D <= 0, peak at theta = pi.
+    """
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 2))
+    p = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = rng.standard_normal((n, m))
+    C = rng.standard_normal((p, n))
+    D = rng.standard_normal((p, m))
+    if kind in ("peak_zero", "peak_pi"):
+        sign = 1.0 if kind == "peak_zero" else -1.0
+        A = sign * np.diag(rng.uniform(0.3, 0.95, n))
+        B, C, D = np.abs(B), np.abs(C), sign * np.abs(D)
+    else:
+        radius = {"random": rng.uniform(0.1, 0.95),
+                  "d_dominated": rng.uniform(0.1, 0.8),
+                  "near_circle": rng.uniform(0.99, 0.999)}[kind]
+        A = rng.standard_normal((n, n))
+        A *= radius / np.max(np.abs(np.linalg.eigvals(A)))
+        if kind == "d_dominated":
+            D *= 30.0
+    return StateSpace(A, B, C, D, dt=1.0)
+
+
+def _count_probes(monkeypatch):
+    calls = []
+
+    def counting(sys, gamma):
+        calls.append(gamma)
+        return _has_unit_circle_crossing(sys, gamma)
+
+    monkeypatch.setattr(lti, "_has_unit_circle_crossing", counting)
+    return calls
+
+
+def _sigma_max(sys, thetas):
+    In = np.eye(sys.n_states)
+    return np.array([
+        np.linalg.svd(sys.C @ np.linalg.solve(np.exp(1j * th) * In - sys.A,
+                                              sys.B) + sys.D,
+                      compute_uv=False)[0]
+        for th in thetas
+    ])
+
+
+@settings(max_examples=60)
+@given(stable_discrete_systems())
+def test_hinf_norm_equals_the_plain_bisection(sys):
+    assert hinf_norm(sys) == reference_hinf_norm(sys)
+
+
+@settings(max_examples=20)
+@given(stable_discrete_systems(kinds=("peak_zero", "peak_pi")))
+def test_hinf_norm_spends_one_eigensolve_when_the_grid_holds_the_peak(sys):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_probes(mp)
+        assert hinf_norm(sys) == reference_hinf_norm(sys)
+    assert len(calls) == 1
+
+
+def test_hinf_norm_falls_back_to_bisection_between_grid_points(monkeypatch):
+    # a resonance of half-width ~1e-3 rad midway between two grid points
+    # 0.0123 rad apart, so the grid maximum is far below the norm
+    theta0 = 200.5 * np.pi / 255
+    r = 0.999
+    c, s = np.cos(theta0), np.sin(theta0)
+    sys = StateSpace(r * np.array([[c, -s], [s, c]]), [[1.0], [0.0]],
+                     [[1.0 - r, 0.0]], [[0.0]], dt=1.0)
+    calls = _count_probes(monkeypatch)
+    tol = 1e-6
+    val = hinf_norm(sys, tol)
+    assert len(calls) > 1
+    assert val == reference_hinf_norm(sys, tol)
+
+    thetas = np.linspace(theta0 - 1e-2, theta0 + 1e-2, 20001)
+    coarse = _sigma_max(sys, thetas)
+    th = thetas[np.argmax(coarse)]
+    dense_max = _sigma_max(sys, np.linspace(th - 2e-6, th + 2e-6, 4001)).max()
+    assert lti._sigma_max_grid(sys, 512)[0] < 0.9 * dense_max
+    assert dense_max - tol / 2 <= val <= dense_max + tol
+
+
+def test_hinf_norm_logs_one_debug_line(caplog):
+    sys = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], dt=1.0)
+    with caplog.at_level(logging.DEBUG, logger="relaycancel.lti"):
+        val = hinf_norm(sys)
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage().startswith(
+        "hinf_norm: 1 states, grid max 2 at theta 0, bracket [2, ")
+    assert record.getMessage().endswith("], 1 pencil eigensolves")
+    assert val == pytest.approx(2.0, abs=1e-6)
+
+
+def test_hinf_norm_iteration_cap_raises():
+    sys = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], dt=1.0)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        hinf_norm(sys, tol=1e-12, max_iter=3)
+
+
+@settings(max_examples=40)
+@given(stable_discrete_systems(kinds=("random",)))
+def test_crossing_test_brackets_the_dense_grid_peak(sys):
+    assume(np.max(np.abs(np.linalg.eigvals(sys.A))) < 0.8)
+    sigma = _sigma_max(sys, np.linspace(0.0, np.pi, 2048))
+    peak = sigma.max()
+    # 0.99 x the peak is crossed only where sigma_max dips below it
+    assume(sigma.min() < 0.98 * peak)
+    assert _has_unit_circle_crossing(sys, 0.99 * peak)
+    assert not _has_unit_circle_crossing(sys, 1.01 * peak)
