@@ -235,19 +235,25 @@ def write_controller(K: Controller, path: Path):
                                    default_flow_style=None, sort_keys=True))
 
 
+# libyaml's parser builds the same objects as the pure-Python one (the
+# scalar constructors are shared) and reads a controller several times
+# faster; PyYAML built without libyaml has only the latter
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def read_controller(path) -> Controller:
     try:
-        return controller_from_dict(yaml.safe_load(Path(path).read_text()))
+        return controller_from_dict(
+            yaml.load(Path(path).read_text(), Loader=_SAFE_LOADER))
     except (OSError, yaml.YAMLError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read controller {path}: {exc}") from exc
 
 
 def write_trace_csv(trace, path: Path):
     cols = ["t", "v_I", "v_Q", "u_I", "u_Q", "err_I", "err_Q"]
-    rows = [",".join(cols)]
+    row = ",".join(["%.12g"] * len(cols))
     data = np.vstack([trace.t, trace.v, trace.u, trace.err])
-    for j in range(data.shape[1]):
-        rows.append(",".join(f"{x:.12g}" for x in data[:, j]))
+    rows = [",".join(cols)] + [row % tuple(r) for r in data.T.tolist()]
     path.write_text("\n".join(rows) + "\n")
 
 
@@ -317,7 +323,8 @@ def cmd_simulate(config: str, controller: str, out_prefix: str,
     sim_cfg = SimConfig(
         params=params, channel=channel, K=K,
         duration=cfg["sim"]["duration"],
-        oversample=oversample or cfg["sim"]["oversample"],
+        oversample=(oversample if oversample is not None
+                    else cfg["sim"]["oversample"]),
         input=_input_spec(cfg),
         seed=seed if seed is not None else cfg["sim"]["seed"],
     )

@@ -17,7 +17,7 @@ assembled here maps (disturbance w, held controller output u) to
 where W shapes the admissible inputs, F is the receive-side anti-alias
 filter and P the transmit-side post filter.  Delays are kept symbolic
 (never rationally approximated); they are resolved exactly on the fast
-grid during lifting or by sample buffers in simulation.
+grid during lifting, or read from past controller holds in simulation.
 
 All blocks are 2x2 (I/Q pair); scalar transfer functions are promoted to
 scalar * I2.  Everything here is a pure function of immutable inputs.

@@ -1,19 +1,25 @@
 """Fine-grid hybrid simulation of the closed-loop relay station.
 
-The continuous blocks are advanced by their exact zero-order-hold
-discretization at dt = h / oversample (every input is held constant over
-each fine step), path delays are fine-grid circular buffers applying
-their gain and I/Q rotation, and the digital canceler runs at the slow
-rate: the measurement is read at t = k h, the controller output is held
-over [k h, (k+1) h).  This stepping is exact for the piecewise-constant
-interconnection structure and keeps the simulator bit-consistent with the
-FSFH lifting.
+The fine grid has dt = h / oversample, and every input of the continuous
+blocks is held constant over each fine step, so the exact zero-order-hold
+discretization at dt describes them exactly.  The simulator does not
+step that grid one sample at a time: it lifts the delay-free core over
+one sampling period (``lifting.lift_core``, the FSFH lifting the design
+uses) and steps once per period.  The core's fast inputs are the shaped
+input v and one delayed-signal slot per coupling path; its held input is
+the controller output u.  Every path delays the held u, so a path of d
+fine steps shows substep j of period k the hold u[k + floor((j - d)/N)]
+(zero before t = 0), read by index from the record of past holds.  The
+digital canceler runs at the slow rate: the measurement is read at
+t = k h from the previous hold and the delayed slots, and the new
+controller output is held over [k h, (k+1) h).  One matrix product then
+forms the fine-grid trace of every period.
 
 The module also provides the input generators used by the experiments
-and a passband oracle that modulates a baseband signal onto the carrier,
-pushes it through the delay channel at an RF-rate grid, demodulates and
-low-pass filters; its output validates the baseband equivalence
-gain * rotation * u(t - L) numerically.
+(lifted the same way) and a passband oracle that modulates a baseband
+signal onto the carrier, pushes it through the delay channel at an
+RF-rate grid, demodulates and low-pass filters; its output validates the
+baseband equivalence gain * rotation * u(t - L) numerically.
 """
 
 from __future__ import annotations
@@ -23,8 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import butter, sosfilt
 
-from .lti import StateSpace, zoh_discretize
+from .lifting import lift_core
+from .lti import StateSpace
 from .relay import (
+    CoreSystem,
     CouplingChannel,
     RelayParams,
     assemble_plant_core,
@@ -107,6 +115,8 @@ class SimulationTrace:
 
     l2_err is the L2 norm of the error and max_abs_err_tail its largest
     Euclidean I/Q norm ||err(t)||_2 over the last half of the run.
+    diverged_at_s is the first fine-grid time whose error sample is
+    non-finite or beyond the divergence threshold, None if there is none.
     """
 
     t: np.ndarray
@@ -116,19 +126,42 @@ class SimulationTrace:
     diverged: bool
     l2_err: float
     max_abs_err_tail: float
+    diverged_at_s: float | None = None
 
 
-def _filter_fine(block: StateSpace, raw: np.ndarray, dt: float) -> np.ndarray:
-    """Drive a continuous block with a piecewise-constant fine-grid signal."""
-    d = zoh_discretize(block, dt)
+def _stack_periods(signal: np.ndarray, N: int, n_per: int) -> np.ndarray:
+    """2 x T fine-grid signal -> n_per x 2N FSFH stacks, zero-padded."""
+    padded = np.zeros((2, n_per * N))
+    padded[:, :signal.shape[1]] = signal
+    return padded.T.reshape(n_per, 2 * N)
+
+
+def _unstack_periods(stacks: np.ndarray, T: int) -> np.ndarray:
+    """Inverse of _stack_periods, truncated to the first T samples."""
+    return stacks.reshape(-1, 2).T[:, :T]
+
+
+def _filter_fine(block: StateSpace, raw: np.ndarray, N: int,
+                 h: float) -> np.ndarray:
+    """Drive a continuous block with a piecewise-constant fine-grid signal.
+
+    The grid has N steps per period h; the block is lifted over one
+    period and stepped once per period.
+    """
+    core = CoreSystem(block, n_ext=2, n_ctrl=0, n_perf=2, n_meas=0,
+                      chains=())
+    lifted = lift_core(core, N, h).sys
     T = raw.shape[1]
-    out = np.empty_like(raw)
-    x = np.zeros(d.n_states)
-    A, B, C, D = d.A, d.B, d.C, d.D
-    for j in range(T):
-        out[:, j] = C @ x + D @ raw[:, j]
-        x = A @ x + B @ raw[:, j]
-    return out
+    n_per = -(-T // N)
+    w = _stack_periods(raw, N, n_per)
+    x_w = w @ lifted.B.T
+    X = np.empty((n_per, lifted.n_states))
+    x = np.zeros(lifted.n_states)
+    for k in range(n_per):
+        X[k] = x
+        x = lifted.A @ x + x_w[k]
+    out = np.hstack([X, w]) @ np.hstack([lifted.C, lifted.D]).T
+    return _unstack_periods(out, T)
 
 
 def generate_input(spec: InputSpec, params: RelayParams, duration: float,
@@ -153,77 +186,108 @@ def generate_input(spec: InputSpec, params: RelayParams, duration: float,
         if raw.shape != (2, T):
             raise ValueError(f"custom samples must be 2 x {T}, got {raw.shape}")
     if spec.filter == "through_P":
-        return _filter_fine(params.P, raw, dt)
+        return _filter_fine(params.P, raw, N_sim, params.h)
     if spec.filter == "through_W":
-        return _filter_fine(params.W, raw, dt)
+        return _filter_fine(params.W, raw, N_sim, params.h)
     return raw
 
 
+def _period_map(core: CoreSystem, N: int, h: float) -> StateSpace:
+    """Lift the simulation core over one period.
+
+    The core's inputs [v, u, delayed slots] are reordered to
+    [v, delayed slots, u], so that v and the slots are fast inputs and u
+    the held one: the lifted inputs are [v stack, one stack per slot, u]
+    and its outputs [z stack, y].
+    """
+    n_slots = 2 * len(core.chains)
+    order = np.r_[0:2, 4:4 + n_slots, 2:4]
+    sys = core.sys
+    period_core = CoreSystem(
+        StateSpace(sys.A, sys.B[:, order], sys.C, sys.D[:, order]),
+        n_ext=2 + n_slots, n_ctrl=2, n_perf=2, n_meas=2, chains=())
+    return lift_core(period_core, N, h).sys
+
+
 def simulate_closed_loop(cfg: SimConfig) -> SimulationTrace:
-    """Step the hybrid loop on the fine grid.
+    """Run the hybrid loop one sampling period per step.
 
     Divergence (any error sample beyond DIVERGENCE_FACTOR times the
     input peak, or a non-finite state) is reported through the trace
-    flag, never as an exception.
+    flag and diverged_at_s, never as an exception.
     """
     params = cfg.params
-    N_sim = cfg.oversample
-    dt = params.h / N_sim
+    N = cfg.oversample
+    dt = params.h / N
     K = getattr(cfg.K, "sys", cfg.K)
     if not K.is_discrete or abs(K.dt - params.h) > 1e-12 * params.h:
         raise ValueError("controller period must equal the sampling period h")
 
     spec = build_perturbed_plant(params, cfg.channel)
     core = assemble_plant_core(spec, external_input=True)
-    cd = zoh_discretize(core.sys, dt)
-    lengths = [delay_steps(L, N_sim, params.h) for L, _ in core.chains]
+    delays = [delay_steps(L, N, params.h) for L, _ in core.chains]
+    lifted = _period_map(core, N, params.h)
 
-    v = generate_input(cfg.input, params, cfg.duration, N_sim, cfg.seed)
+    v = generate_input(cfg.input, params, cfg.duration, N, cfg.seed)
     T = v.shape[1]
     t = np.arange(T) * dt
     peak = float(np.max(np.abs(v))) if v.size else 0.0
     threshold = DIVERGENCE_FACTOR * max(peak, 1.0)
+    n_per = -(-T // N)
+    v_stack = _stack_periods(v, N, n_per)
 
-    n_paths = len(lengths)
-    bufs = [np.zeros((d, 2)) for d in lengths]
-    heads = [0] * n_paths
-    x = np.zeros(core.sys.n_states)
-    xK = np.zeros(K.n_states)
-    hold_u = np.zeros(2)
-    err = np.zeros((2, T))
+    # Held input pairs of the lifted map: the N substeps of each delayed
+    # slot, then u.  Pair p of period k reads the hold u[k + offs[p]], and
+    # the hold history U keeps q zero rows for the holds before t = 0.
+    # The measurement reads the substep-0 pairs before u[k] is computed,
+    # so it takes the previous hold where offs says the current one.
+    offs = np.concatenate(
+        [(np.arange(N) - d) // N for d in delays] + [[0]])
+    y_pairs = np.r_[np.arange(len(delays)) * N, len(delays) * N]
+    y_offs = np.minimum(offs[y_pairs], -1)
+    q = int(-y_offs.min())
+    U = np.zeros((q + n_per, 2))
 
-    A, B, C, D = cd.A, cd.B, cd.C, cd.D
-    Cz, Cy = C[:2], C[2:]
-    Dz, Dy = D[:2], D[2:]
+    n_v = 2 * N
+    A = lifted.A
+    B_held = lifted.B[:, n_v:]
+    C_z, C_y = lifted.C[:n_v], lifted.C[n_v:]
+    D_z_held = lifted.D[:n_v, n_v:]
+    D_y_held = lifted.D[n_v:, n_v:].reshape(2, -1, 2)[:, y_pairs]
+    D_y_held = D_y_held.reshape(2, -1)
     AK, BK, CK, DK = K.A, K.B, K.C, K.D
 
+    X = np.empty((n_per + 1, A.shape[0]))
+    x = np.zeros(A.shape[0])
+    xK = np.zeros(K.n_states)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(T):
-            dly = [bufs[i][heads[i]] if lengths[i] else hold_u
-                   for i in range(n_paths)]
-            if j % N_sim == 0:
-                vin_y = np.concatenate([v[:, j], hold_u] + dly)
-                y = Cy @ x + Dy @ vin_y
-                hold_u = CK @ xK + DK @ y
-                xK = AK @ xK + BK @ y
-                # the new hold value takes effect immediately at t = k h
-                dly = [bufs[i][heads[i]] if lengths[i] else hold_u
-                       for i in range(n_paths)]
-            vin = np.concatenate([v[:, j], hold_u] + dly)
-            err[:, j] = Cz @ x + Dz @ vin
-            x = A @ x + B @ vin
-            for i in range(n_paths):
-                if lengths[i]:
-                    bufs[i][heads[i]] = hold_u
-                    heads[i] = (heads[i] + 1) % lengths[i]
+        x_v = v_stack @ lifted.B[:, :n_v].T
+        y_v = v_stack @ lifted.D[n_v:, :n_v].T
+        for k in range(n_per):
+            X[k] = x
+            y = C_y @ x + y_v[k] + D_y_held @ U[q + k + y_offs].ravel()
+            U[q + k] = CK @ xK + DK @ y
+            xK = AK @ xK + BK @ y
+            x = A @ x + x_v[k] + B_held @ U[q + k + offs].ravel()
+        X[n_per] = x
 
-    u = v - err
-    finite = np.isfinite(err).all()
-    diverged = bool(not finite or np.any(np.abs(err) > threshold)
-                    or not np.isfinite(x).all())
+        # z = v - P u, and v reaches z only through a unit feedthrough, so
+        # the canceler output is minus z without the v columns
+        held = U[q + np.arange(n_per)[:, None] + offs].reshape(n_per,
+                                                              2 * offs.size)
+        u_stack = -(np.hstack([X[:n_per], held])
+                    @ np.hstack([C_z, D_z_held]).T)
+        u = _unstack_periods(u_stack, T)
+        err = v - u
+        bad = (~np.isfinite(err) | (np.abs(err) > threshold)).any(axis=0)
+
+    first_bad = np.flatnonzero(bad)
+    diverged_at = float(t[first_bad[0]]) if first_bad.size else None
+    diverged = diverged_at is not None or not np.isfinite(X).all()
     l2_err, max_tail = compute_trace_stats(t, err)
     return SimulationTrace(t=t, v=v, u=u, err=err, diverged=diverged,
-                           l2_err=l2_err, max_abs_err_tail=max_tail)
+                           l2_err=l2_err, max_abs_err_tail=max_tail,
+                           diverged_at_s=diverged_at)
 
 
 def compute_trace_stats(t: np.ndarray, err: np.ndarray):
@@ -247,6 +311,7 @@ def metrics(trace: SimulationTrace, gamma: float | None = None) -> dict:
         "l2_err": trace.l2_err,
         "max_abs_err_tail": trace.max_abs_err_tail,
         "diverged": trace.diverged,
+        "diverged_at_s": trace.diverged_at_s,
     }
     if gamma is not None:
         out["bound_ratio"] = trace.l2_err / gamma

@@ -46,6 +46,7 @@ from relaycancel.sim import (
 from relaycancel.cli import cmd_reproduce_paper
 
 from conftest import make_example_params
+from test_sim import assert_matches_reference
 
 RECT_INPUT = InputSpec(kind="random_rect", period=4.0, filter="through_P")
 FIG_SEED = 20260809
@@ -249,6 +250,27 @@ def test_criterion_4_robust_reproduction(robust_design):
            f"runtime={elapsed:.0f}s")
 
 
+@pytest.mark.parametrize("design, perturbed, oversample, diverges", [
+    ("nominal_design", False, 64, False),
+    ("lowgain_design", True, 80, True),  # criterion 3's run
+    ("robust_design", True, 80, False),
+], ids=["fig9", "fig10", "fig11"])
+def test_figure_runs_match_fine_stepping(request, design, perturbed,
+                                         oversample, diverges):
+    d = request.getfixturevalue(design)
+    cfg = SimConfig(params=d["params"],
+                    channel=PERTURBED if perturbed else d["channel"],
+                    K=d["K"], duration=100.0, oversample=oversample,
+                    input=RECT_INPUT, seed=FIG_SEED)
+    trace = simulate_closed_loop(cfg)
+    assert_matches_reference(trace, cfg)
+    # a diverging run records when it left the bound, a stable one does not
+    if diverges:
+        assert 0.0 < trace.diverged_at_s < cfg.duration
+    else:
+        assert trace.diverged_at_s is None
+
+
 # ---------------------------------------------------------------------------
 # criterion 5: FSFH refinement convergence
 
@@ -365,9 +387,9 @@ def test_criterion_6_numerical_oracles(example_params):
     chan = CouplingChannel(r=0.2, L=1.000025)
     dt = 1.0 / 32
     T = int(4.0 / dt)
-    from relaycancel.sim import _filter_fine
-
-    u = _filter_fine(params.W, 3.0 * rng.standard_normal((2, T)), dt)
+    u = generate_input(InputSpec(kind="custom_samples", filter="through_W",
+                                 samples=3.0 * rng.standard_normal((2, T))),
+                       params, 4.0, 32, seed=0)
     out = passband_oracle(u, params, chan, N_rf=1280000, dt=dt)
     R = rotation_matrix(params.f, chan.L)
     dsh = int(round(chan.L / dt))  # 25 us off-grid remainder is negligible

@@ -15,8 +15,10 @@ from relaycancel.cli import (
     read_controller,
     resolve_config_path,
     write_controller,
+    write_trace_csv,
 )
 from relaycancel.lti import StateSpace
+from relaycancel.sim import SimulationTrace
 from relaycancel.synthesis import Controller, SynthesisError
 
 
@@ -104,6 +106,67 @@ def test_controller_round_trip(tmp_path):
     assert K2.meta["n_q"] == 4
 
 
+def test_controller_loaders_agree(tmp_path):
+    # read_controller takes libyaml's parser when PyYAML has it; both
+    # parsers must give the same controller, extreme floats included
+    rng = np.random.default_rng(5)
+    A = 0.3 * rng.standard_normal((4, 4))
+    A[0, :3] = [1e-300, -0.0, 5e-324]
+    sys = StateSpace(A, rng.standard_normal((4, 2)),
+                     rng.standard_normal((2, 4)), -1e300 * np.eye(2), dt=1.0)
+    w2 = 0.11 * np.eye(2)
+    meta = {"n_q": 8, "iterations": 17, "controller_stable": True,
+            "W2": {"A": [], "B": [], "C": [],
+                   "D": [[float(x) for x in row] for row in w2]}}
+    K = Controller(sys=sys, gamma_achieved={"gamma1": 0.7850230412487348,
+                                            "gamma2": 0.95},
+                   method="robust_qparam", meta=meta)
+    path = tmp_path / "k.controller.yaml"
+    write_controller(K, path)
+    text = path.read_text()
+    if yaml.__with_libyaml__:
+        assert cli._SAFE_LOADER is yaml.CSafeLoader
+    fast = read_controller(path)
+    slow = cli.controller_from_dict(yaml.load(text, Loader=yaml.SafeLoader))
+    for name in "ABCD":
+        a, b = getattr(fast.sys, name), getattr(slow.sys, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert a.tobytes() == getattr(sys, name).tobytes()
+    assert fast.sys.dt == slow.sys.dt == 1.0
+    assert fast.gamma_achieved == slow.gamma_achieved == K.gamma_achieved
+    assert fast.method == slow.method == "robust_qparam"
+    assert fast.meta == slow.meta == meta
+
+
+def reference_write_trace_csv(trace, path):
+    cols = ["t", "v_I", "v_Q", "u_I", "u_Q", "err_I", "err_Q"]
+    rows = [",".join(cols)]
+    data = np.vstack([trace.t, trace.v, trace.u, trace.err])
+    for j in range(data.shape[1]):
+        rows.append(",".join(f"{x:.12g}" for x in data[:, j]))
+    path.write_text("\n".join(rows) + "\n")
+
+
+def test_trace_csv_matches_per_cell_formatting(tmp_path):
+    rng = np.random.default_rng(9)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300,
+               5e-324, 1e300, 0.1, 123456789012.5, 1.0 / 3.0]
+    n = 64
+    t = np.arange(n) / 16.0
+    v = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-20, 20, (2, n))
+    v[0, :len(special)] = special
+    u = v[::-1].copy()
+    u[1, -len(special):] = special
+    trace = SimulationTrace(t=t, v=v, u=u, err=v - u, diverged=True,
+                            l2_err=np.nan, max_abs_err_tail=np.nan)
+    write_trace_csv(trace, tmp_path / "new.csv")
+    reference_write_trace_csv(trace, tmp_path / "old.csv")
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert b"nan" in new and b"-inf" in new and b"-0," in new
+    assert b"1e-300" in new
+
+
 def test_read_controller_bad_file(tmp_path):
     path = tmp_path / "junk.yaml"
     path.write_text("not: [a, controller")
@@ -129,6 +192,7 @@ def test_design_simulate_flow(tmp_path):
     csv1 = (tmp_path / "run.csv").read_bytes()
     m = json.loads((tmp_path / "run.metrics.json").read_text())
     assert m["metrics"]["diverged"] is False
+    assert m["metrics"]["diverged_at_s"] is None
     # determinism: identical bytes on a re-run
     assert cmd_simulate(cfg_path, ctrl, str(out_prefix)) == 0
     assert (tmp_path / "run.csv").read_bytes() == csv1
@@ -170,6 +234,23 @@ def test_seed_override_changes_trace(tmp_path):
     cmd_simulate(cfg_path, ctrl, str(tmp_path / "a"))
     cmd_simulate(cfg_path, ctrl, str(tmp_path / "b"), seed=123)
     assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
+
+
+def test_simulate_rejects_oversample_zero(tmp_path, capsys):
+    # an explicit 0 reaches SimConfig's check instead of the config's 64
+    cfg_path = write_cfg(tmp_path, FAST_CONFIG)
+    ctrl = tmp_path / "zero.controller.yaml"
+    write_controller(Controller(sys=StateSpace.static(np.zeros((2, 2)),
+                                                      dt=1.0),
+                                gamma_achieved=None, method="nominal_hinf"),
+                     ctrl)
+    argv = ["simulate", "--config", cfg_path, "--controller", str(ctrl),
+            "--out", str(tmp_path / "run")]
+    assert main(argv + ["--oversample", "0"]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "error: oversample must be at least 8")
+    assert not (tmp_path / "run.csv").exists()
+    assert main(argv) == 0
 
 
 def test_verify_command(tmp_path):

@@ -1,15 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from relaycancel.lti import StateSpace
+from relaycancel.lti import StateSpace, zoh_discretize
 from relaycancel.relay import (
     CouplingChannel,
+    RelayParams,
+    assemble_plant_core,
     build_generalized_plant,
+    build_perturbed_plant,
+    delay_steps,
     rotation_matrix,
+    scalar_block,
 )
 from relaycancel.lifting import fsfh_lift, lifted_closed_loop
 from relaycancel.synthesis import synthesize_nominal
 from relaycancel.sim import (
+    DIVERGENCE_FACTOR,
     InputSpec,
     SimConfig,
     compute_trace_stats,
@@ -22,6 +31,100 @@ from relaycancel.sim import (
 from conftest import make_example_params
 
 K_ZERO = StateSpace.static(np.zeros((2, 2)), dt=1.0)
+
+
+# ---------------------------------------------------------------------------
+# reference: the loop stepped once per fine step, with circular buffers for
+# the path delays (the simulator's earlier implementation, kept as oracle)
+
+
+def reference_filter(block, raw, dt):
+    """Drive a continuous block with a piecewise-constant fine-grid signal."""
+    d = zoh_discretize(block, dt)
+    T = raw.shape[1]
+    out = np.empty_like(raw)
+    x = np.zeros(d.n_states)
+    A, B, C, D = d.A, d.B, d.C, d.D
+    for j in range(T):
+        out[:, j] = C @ x + D @ raw[:, j]
+        x = A @ x + B @ raw[:, j]
+    return out
+
+
+def reference_input(spec, params, duration, N_sim, seed):
+    raw = generate_input(replace(spec, filter="none"), params, duration,
+                         N_sim, seed)
+    if spec.filter == "none":
+        return raw
+    block = params.P if spec.filter == "through_P" else params.W
+    return reference_filter(block, raw, params.h / N_sim)
+
+
+def reference_simulate(cfg):
+    """Step the hybrid loop on the fine grid; returns (v, u, err, diverged)."""
+    params = cfg.params
+    N_sim = cfg.oversample
+    dt = params.h / N_sim
+    K = getattr(cfg.K, "sys", cfg.K)
+
+    spec = build_perturbed_plant(params, cfg.channel)
+    core = assemble_plant_core(spec, external_input=True)
+    cd = zoh_discretize(core.sys, dt)
+    lengths = [delay_steps(L, N_sim, params.h) for L, _ in core.chains]
+
+    v = reference_input(cfg.input, params, cfg.duration, N_sim, cfg.seed)
+    T = v.shape[1]
+    peak = float(np.max(np.abs(v))) if v.size else 0.0
+    threshold = DIVERGENCE_FACTOR * max(peak, 1.0)
+
+    n_paths = len(lengths)
+    bufs = [np.zeros((d, 2)) for d in lengths]
+    heads = [0] * n_paths
+    x = np.zeros(core.sys.n_states)
+    xK = np.zeros(K.n_states)
+    hold_u = np.zeros(2)
+    err = np.zeros((2, T))
+
+    A, B, C, D = cd.A, cd.B, cd.C, cd.D
+    Cz, Cy = C[:2], C[2:]
+    Dz, Dy = D[:2], D[2:]
+    AK, BK, CK, DK = K.A, K.B, K.C, K.D
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(T):
+            dly = [bufs[i][heads[i]] if lengths[i] else hold_u
+                   for i in range(n_paths)]
+            if j % N_sim == 0:
+                vin_y = np.concatenate([v[:, j], hold_u] + dly)
+                y = Cy @ x + Dy @ vin_y
+                hold_u = CK @ xK + DK @ y
+                xK = AK @ xK + BK @ y
+                # the new hold value takes effect immediately at t = k h
+                dly = [bufs[i][heads[i]] if lengths[i] else hold_u
+                       for i in range(n_paths)]
+            vin = np.concatenate([v[:, j], hold_u] + dly)
+            err[:, j] = Cz @ x + Dz @ vin
+            x = A @ x + B @ vin
+            for i in range(n_paths):
+                if lengths[i]:
+                    bufs[i][heads[i]] = hold_u
+                    heads[i] = (heads[i] + 1) % lengths[i]
+
+    u = v - err
+    finite = np.isfinite(err).all()
+    diverged = bool(not finite or np.any(np.abs(err) > threshold)
+                    or not np.isfinite(x).all())
+    return v, u, err, diverged
+
+
+def assert_matches_reference(trace, cfg):
+    """Period stepping agrees with fine stepping to rounding."""
+    v, u, err, diverged = reference_simulate(cfg)
+    tol = 1e-10 * np.max(np.abs(err))
+    assert trace.diverged == diverged
+    assert np.max(np.abs(trace.v - v)) <= tol
+    assert np.max(np.abs(trace.err - err)) <= tol
+    assert np.max(np.abs(trace.u - u)) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +210,8 @@ def test_divergence_flag(example_params, example_channel):
                     duration=100.0, oversample=16, seed=2)
     trace = simulate_closed_loop(cfg)
     assert trace.diverged
+    assert 0.0 <= trace.diverged_at_s < cfg.duration
+    assert metrics(trace)["diverged_at_s"] == trace.diverged_at_s
 
 
 def test_off_grid_delay_rejected(example_params):
@@ -164,9 +269,9 @@ def test_simulation_matches_lifted_closed_loop(example_params, example_channel):
     rng = np.random.default_rng(41)
     periods = 12
     w = rng.standard_normal((2, periods * N))
-    from relaycancel.sim import _filter_fine
-
-    v = _filter_fine(example_params.W, w, 1.0 / N)
+    v = generate_input(InputSpec(kind="custom_samples", filter="through_W",
+                                 samples=w),
+                       example_params, float(periods), N, seed=0)
     cfg = SimConfig(params=example_params, channel=example_channel, K=K,
                     duration=float(periods), oversample=N,
                     input=InputSpec(kind="custom_samples", filter="none",
@@ -182,6 +287,50 @@ def test_simulation_matches_lifted_closed_loop(example_params, example_channel):
         err_lift[:, k * N:(k + 1) * N] = out.reshape(N, 2).T
         x = cl.A @ x + cl.B @ w_stack
     assert np.max(np.abs(trace.err - err_lift)) < 1e-6
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), N=st.sampled_from([8, 12, 16]),
+       kind=st.sampled_from(["random_rect", "unit_norm_l2",
+                             "custom_samples"]),
+       filt=st.sampled_from(["none", "through_P", "through_W"]),
+       n_extra=st.integers(0, 2), short_delay=st.booleans(),
+       dynamic_F=st.booleans(), feedthrough_P=st.booleans())
+def test_period_stepping_matches_fine_stepping(seed, N, kind, filt, n_extra,
+                                               short_delay, dynamic_F,
+                                               feedthrough_P):
+    rng = np.random.default_rng(seed)
+    F = (scalar_block([1.0], [rng.uniform(0.05, 0.5), 1.0]) if dynamic_F
+         else scalar_block([1.0], [1.0]))
+    tau_P = rng.uniform(0.001, 0.3)
+    P = scalar_block([rng.uniform(0.2, 1.0) * tau_P, 1.0] if feedthrough_P
+                     else [1.0], [tau_P, 1.0])
+    params = RelayParams(h=1.0, f=rng.uniform(1.0, 100.0), a1=1.0,
+                         a2=rng.uniform(0.0, 200.0),
+                         W=scalar_block([1.0], [rng.uniform(0.5, 3.0), 1.0]),
+                         F=F, P=P)
+    # on-grid delays: the nominal one within one period when short_delay
+    d0 = int(rng.integers(1, N)) if short_delay else int(rng.integers(N, 3 * N))
+    extra = tuple((rng.uniform(0.001, 0.05),
+                   (d0 + int(rng.integers(1, 2 * N))) / N)
+                  for _ in range(n_extra))
+    channel = CouplingChannel(r=rng.uniform(0.05, 0.5), L=d0 / N,
+                              extra_paths=extra)
+    n_K = int(rng.integers(0, 4))
+    A_K = rng.standard_normal((n_K, n_K))
+    if n_K:
+        A_K *= 0.6 / max(np.max(np.abs(np.linalg.eigvals(A_K))), 1e-3)
+    gain = 10.0 ** rng.uniform(-3.0, -0.5)  # loops that settle and diverge
+    K = StateSpace(A_K, rng.standard_normal((n_K, 2)),
+                   gain * rng.standard_normal((2, n_K)),
+                   gain * rng.standard_normal((2, 2)), dt=1.0)
+    T = int(rng.integers(N + 1, 6 * N))  # rarely whole periods
+    spec = InputSpec(kind=kind, period=int(rng.integers(1, 2 * N)) / N,
+                     filter=filt,
+                     samples=rng.standard_normal((2, T)))
+    cfg = SimConfig(params=params, channel=channel, K=K, duration=T / N,
+                    oversample=N, input=spec, seed=seed)
+    assert_matches_reference(simulate_closed_loop(cfg), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +363,9 @@ def test_passband_oracle_matches_baseband_formula(example_params):
     dt = 1.0 / 40
     rng = np.random.default_rng(53)
     T = int(4.0 / dt)
-    from relaycancel.sim import _filter_fine
-
-    u = _filter_fine(params.W, 3.0 * rng.standard_normal((2, T)), dt)
+    u = generate_input(InputSpec(kind="custom_samples", filter="through_W",
+                                 samples=3.0 * rng.standard_normal((2, T))),
+                       params, 4.0, 40, seed=0)
     N_rf = 1600000  # delay 1.000025 needs 40 RF steps per fine step
     out = passband_oracle(u, params, channel, N_rf=N_rf, dt=dt)
 
