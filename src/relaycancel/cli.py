@@ -170,10 +170,16 @@ def resolve_config_path(name: str) -> Path:
     raise ConfigError(f"config {name!r} not found (no such file or bundled config)")
 
 
+# libyaml's parser builds the same objects as the pure-Python one (the
+# scalar constructors are shared) and reads a config or a controller
+# several times faster; PyYAML built without libyaml has only the latter
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(name: str) -> dict:
     path = resolve_config_path(name)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_SAFE_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     return effective_config(raw)
@@ -235,12 +241,6 @@ def write_controller(K: Controller, path: Path):
                                    default_flow_style=None, sort_keys=True))
 
 
-# libyaml's parser builds the same objects as the pure-Python one (the
-# scalar constructors are shared) and reads a controller several times
-# faster; PyYAML built without libyaml has only the latter
-_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 def read_controller(path) -> Controller:
     try:
         return controller_from_dict(
@@ -251,10 +251,10 @@ def read_controller(path) -> Controller:
 
 def write_trace_csv(trace, path: Path):
     cols = ["t", "v_I", "v_Q", "u_I", "u_Q", "err_I", "err_Q"]
-    row = ",".join(["%.12g"] * len(cols))
+    row = ",".join(["%.12g"] * len(cols)) + "\n"
     data = np.vstack([trace.t, trace.v, trace.u, trace.err])
-    rows = [",".join(cols)] + [row % tuple(r) for r in data.T.tolist()]
-    path.write_text("\n".join(rows) + "\n")
+    body = row * data.shape[1] % tuple(data.T.ravel().tolist())
+    path.write_text(",".join(cols) + "\n" + body)
 
 
 def _write_json(obj: dict, path: Path):

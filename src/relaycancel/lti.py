@@ -313,8 +313,10 @@ def _has_unit_circle_crossing(sys: StateSpace, gamma: float) -> bool:
     the peak.  The lifted nominal closed loop at N=16 varies by only
     6e-4 relative over theta, crosses 0.9995 x its peak near theta =
     1.20, 1.37, 1.63 and 2.78 rad, and the closest pencil eigenvalue
-    is still 5.5e-3 off the circle.  On small well-conditioned systems
-    it finds every crossing.
+    is still 5.5e-3 off the circle.  On that loop's 17-state balanced
+    truncation it finds crossings at (1 - 1e-12) x the grid maximum and
+    none at (1 + 1e-12) x.  On small well-conditioned systems it finds
+    every crossing.
     """
     from scipy.linalg import eig as geig
 
@@ -367,12 +369,74 @@ def _bisect(lo: float, hi: float, crossing, tol: float,
     return lo, hi
 
 
+def _gramian_factor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Z with Z Z' = sum_k A^k B B' (A')^k, by the squared Smith iteration.
+
+    Each step doubles the number of terms summed, [Z, A^(2^k) Z], and
+    folds the block back to at most n columns by a QR factorization.
+    Working on the factor keeps its small singular values accurate to
+    about eps x its norm; a square root of the Gramian itself, formed in
+    floating point, is accurate only to about sqrt(eps) there.  Raises
+    LinAlgError on non-finite values or when A^(2^k) has not fallen
+    below 1e-16 after 64 steps (2^64 terms, which only a spectral radius
+    of 1 to working precision needs).
+    """
+    Z, Ak = B, A
+    for _ in range(64):
+        with np.errstate(over="ignore", invalid="ignore"):
+            Z = np.linalg.qr(np.hstack([Z, Ak @ Z]).T, mode="r").T
+            Ak = Ak @ Ak
+        if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(Ak))):
+            raise np.linalg.LinAlgError("Gramian factor is not finite")
+        if np.linalg.norm(Ak) < 1e-16:
+            return Z
+    raise np.linalg.LinAlgError("Gramian series did not converge")
+
+
+def _balanced_truncation(sys: StateSpace) -> tuple[StateSpace, float]:
+    """Square-root balanced truncation of a stable discrete system.
+
+    Keeps the Hankel singular values above 1e-12 x the largest (Enns
+    1984) and returns the reduced system with the bound 2 x (sum of the
+    dropped ones) on the H-infinity norm of the error (Al-Saggaf &
+    Franklin, IEEE TAC 32, 1987).  Returns ``sys`` itself and 0.0 when
+    nothing would be cut, when a Gramian factor cannot be formed, or
+    when the truncation is not stable.
+    """
+    try:
+        Lp = _gramian_factor(sys.A, sys.B)
+        Lq = _gramian_factor(sys.A.T, sys.C.T)
+    except np.linalg.LinAlgError:
+        return sys, 0.0
+    U, hsv, Vt = np.linalg.svd(Lq.T @ Lp)
+    r = int(np.count_nonzero(hsv > 1e-12 * hsv[0]))
+    if not 0 < r < sys.n_states:
+        return sys, 0.0
+    scale = 1.0 / np.sqrt(hsv[:r])
+    right = (Lp @ Vt[:r].T) * scale             # n x r
+    left = (U[:, :r] * scale).T @ Lq.T          # r x n, left @ right = I
+    reduced = StateSpace(left @ sys.A @ right, left @ sys.B, sys.C @ right,
+                         sys.D, sys.dt)
+    if not is_stable(reduced):
+        return sys, 0.0
+    return reduced, float(2.0 * np.sum(hsv[r:]))
+
+
 def hinf_norm(sys: StateSpace, tol: float = 1e-6, n_grid: int = 512,
               max_iter: int = 200) -> float:
     """H-infinity norm of a stable discrete-time system by bisection.
 
+    The grid, the replay and the pencil probe below all run on the
+    balanced truncation of ``sys`` (``_balanced_truncation``), and the
+    truncation's error bound, twice the sum of the dropped Hankel
+    singular values, is added to the result.  The lifted loops carry
+    many states the input hardly reaches or the output hardly sees: the
+    122-state nominal loop at N=32 keeps 17, with a bound below 1e-13.
+    A system with nothing to cut is used as it is.
+
     The lower bracket is the largest singular value found on a frequency
-    grid: an evaluation, so the norm is never below it.  Each bisection
+    grid: an evaluation, so the norm of the truncation is never below it
+    (nor the norm of ``sys`` below it minus the bound).  Each bisection
     probe runs the bounded-real pencil test of
     ``_has_unit_circle_crossing``, so the upper end is only as good as
     that test: where it finds every crossing the result is within
@@ -399,10 +463,12 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6, n_grid: int = 512,
     if np.allclose(sys.B, 0) or np.allclose(sys.C, 0):
         return float(sv_D)
 
+    n_full = sys.n_states
+    sys, tail = _balanced_truncation(sys)
     grid_max, theta_max = _sigma_max_grid(sys, n_grid)
     lo = max(grid_max, sv_D * (1.0 + 1e-12))
     if lo == 0.0:
-        return 0.0
+        return tail
     hi = lo * 10.0 + sv_D + 1.0
     probes = 0
 
@@ -422,8 +488,8 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6, n_grid: int = 512,
             grow += 1
         lo, hi = _bisect(lo, hi, crossing, tol, max_iter)
     logger.debug(
-        "hinf_norm: %d states, grid max %.10g at theta %.6g, bracket "
-        "[%.10g, %.10g], %d pencil eigensolves",
-        sys.n_states, grid_max, theta_max, lo, hi, probes,
+        "hinf_norm: %d states -> %d (tail %.2g), grid max %.10g at theta "
+        "%.6g, bracket [%.10g, %.10g], %d pencil eigensolves",
+        n_full, sys.n_states, tail, grid_max, theta_max, lo, hi, probes,
     )
-    return float(max(0.5 * (lo + hi), lo))
+    return float(max(0.5 * (lo + hi), lo) + tail)

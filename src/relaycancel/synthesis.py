@@ -16,11 +16,15 @@ grid (largest-singular-value constraints are approximated from below by
 linear cuts generated from singular vectors, and the LP relaxations are
 solved with HiGHS); the achieved norms are then evaluated with the
 bisection norm ``lti.hinf_norm``, which is what the returned gamma values
-report.  Its lower bound is a 512-point grid evaluation; its upper bound
-is only as good as the symplectic-pencil crossing test, which misses
-crossings on flat-peaked lifted loops such as the nominal closed loop at
-N=16; there the reported gamma is the grid maximum plus less than half
-the bisection tolerance.
+report.  It works on the balanced truncation of each loop (17 of the 90
+states of the nominal closed loop at N=16) and adds the truncation's
+error bound, below 1e-13 there.  Its lower bound is a 512-point grid
+evaluation of the truncation; its upper bound is only as good as the
+symplectic-pencil crossing test.  That test misses crossings on the
+flat-peaked full loop at N=16 but finds them within 1e-12 relative of
+the grid maximum on its truncation, so the nominal gamma is the grid
+maximum plus the bound plus less than half the bisection tolerance, and
+the test backs it.
 
 The nominal objective holds no coupling term (T1 = W, T2 = -P, T3 = F W
 in the stable-plant form), so its FIR parameter Q* is designed once by

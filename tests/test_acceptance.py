@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from relaycancel import lti
 from relaycancel.lti import StateSpace, is_stable, zoh_discretize
 from relaycancel.relay import (
     CouplingChannel,
@@ -283,6 +284,29 @@ def test_criterion_5_fsfh_convergence(nominal_design):
     ok = rel < 0.02
     report("5 (norm change 16->32 below 2%)", ok,
            f"gamma_16={g16:.6f} gamma_32={g32:.6f} rel change={rel:.5f}")
+
+
+def test_norm_of_the_truncated_loop(nominal_design, monkeypatch):
+    # the N=16 closed loop has 90 states and few Hankel singular values
+    # above 1e-12 of the largest; its norm moves by far less than 1e-9
+    cl = lifted_closed_loop(nominal_design["lp"], nominal_design["K"].sys)
+    reduced, tail = lti._balanced_truncation(cl)
+    assert reduced.n_states <= 40 < cl.n_states
+    assert 0.0 < tail < 1e-12
+    gamma = lti.hinf_norm(cl, 1e-6)
+
+    def failing(A, B):
+        raise np.linalg.LinAlgError("no Gramian")
+
+    monkeypatch.setattr(lti, "_gramian_factor", failing)
+    full = lti.hinf_norm(cl, 1e-6)
+    assert abs(gamma - full) <= 1e-9 * full
+    # the pencil test misses crossings on the flat full loop but
+    # resolves the peak of the truncation
+    peak = lti._sigma_max_grid(reduced, 512)[0]
+    assert not lti._has_unit_circle_crossing(cl, 0.999 * peak)
+    assert lti._has_unit_circle_crossing(reduced, (1.0 - 1e-6) * peak)
+    assert not lti._has_unit_circle_crossing(reduced, (1.0 + 1e-6) * peak)
 
 
 def test_fsfh_monotone_refinement(nominal_design):

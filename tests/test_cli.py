@@ -54,6 +54,14 @@ def test_bundled_configs_resolve_and_validate():
         assert cfg["design"]["mode"] in ("nominal", "robust")
 
 
+def test_config_loaders_agree():
+    # load_config parses with libyaml when PyYAML has it
+    for name in ("nominal_60db", "nominal_40db", "robust_40db"):
+        text = cli.resolve_config_path(name).read_text()
+        assert (yaml.load(text, Loader=cli._SAFE_LOADER)
+                == yaml.load(text, Loader=yaml.SafeLoader))
+
+
 def test_config_round_trip(tmp_path):
     cfg = load_config("nominal_60db")
     path = tmp_path / "echo.yaml"
