@@ -9,12 +9,17 @@ expectation, 3 internal numerical failure (a ``RuntimeError`` such as a
 norm bisection that does not converge, or a ``LinAlgError`` such as a
 singular resolvent, a singular algebraic loop or a matrix exponential
 with non-finite entries; reported as "numerical failure: ...").
+``-v/--log-level LEVEL`` (before the command) sets the level of the
+package's log records, which go to stderr; DEBUG shows, among others,
+one line per minimax (iterations, cuts, time in the sigma_max oracle and
+in HiGHS) and one per H-infinity norm.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
 from importlib import resources
@@ -447,11 +452,18 @@ def cmd_lift_check(config: str, out: str | None, n_list) -> int:
 # ---------------------------------------------------------------------------
 
 
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relaycancel",
         description="design and simulate digital coupling-wave cancelers",
     )
+    parser.add_argument("-v", "--log-level", default="WARNING",
+                        type=str.upper, choices=_LOG_LEVELS,
+                        help="level of the log records printed to stderr "
+                             "(default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="synthesize a canceler from a config")
@@ -484,6 +496,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("relaycancel").setLevel(args.log_level)
     try:
         if args.command == "design":
             return cmd_design(args.config, args.out)

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -271,6 +272,32 @@ def test_verify_command(tmp_path):
     assert rc == 0
     vr = json.loads((tmp_path / "verify.json").read_text())
     assert vr["closed_loop_stable"]
+
+
+@pytest.fixture
+def package_log_level():
+    logger = logging.getLogger("relaycancel")
+    level = logger.level
+    yield
+    logger.setLevel(level)
+
+
+def test_log_level_flag(tmp_path, caplog, capsys, package_log_level):
+    cfg_path = write_cfg(tmp_path, FAST_CONFIG)
+    argv = ["design", "--config", cfg_path, "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    assert not [r for r in caplog.records if r.levelno < logging.WARNING]
+    assert main(["-v", "debug"] + argv) == 0
+    [line] = [r.getMessage() for r in caplog.records
+              if r.name == "relaycancel.synthesis"]
+    assert line.startswith("minimax: ") and " oracle evaluations in " in line
+    caplog.clear()
+    assert main(["--log-level", "INFO"] + argv) == 0
+    assert not [r for r in caplog.records if r.levelno < logging.INFO]
+    with pytest.raises(SystemExit) as exc:
+        main(["--log-level", "LOUD"] + argv)
+    assert exc.value.code == 2
+    assert "invalid choice: 'LOUD'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["design", "reproduce-paper",

@@ -1,7 +1,11 @@
+import logging
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaycancel.cli import read_controller, write_controller
 from relaycancel.lti import (
@@ -17,6 +21,7 @@ from relaycancel.relay import (
     scalar_block,
     uncertainty_weight,
 )
+from relaycancel import synthesis
 from relaycancel.lifting import fsfh_lift, lifted_closed_loop
 from relaycancel.synthesis import (
     Controller,
@@ -270,6 +275,157 @@ def test_reconstruction_rejects_other_plants(reconstruction_a2_1000):
     with pytest.raises(ValueError, match="n_q=3"):
         synthesize_nominal(_small_lp(), **{**SMALL_DESIGN, "n_q": 3},
                            reconstruction=rec)
+
+
+# ---------------------------------------------------------------------------
+# the sigma_max oracle of the minimax
+
+
+def reference_channel_gains(ch, Qz):
+    """The batched-SVD oracle the secular equation replaced, verbatim."""
+    T = ch["T1"] + ch["T2"] @ (Qz @ ch["T3"])
+    return np.linalg.svd(T, compute_uv=False)[:, 0]
+
+
+def _cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _unitary(rng, n):
+    return np.linalg.qr(_cplx(rng, n, n))[0]
+
+
+CHANNEL_KINDS = ("random", "open_loop_zero", "zero_column",
+                 "parallel_columns", "repeated_lam", "zero_lam",
+                 "orthogonal_top")
+
+
+def _orthogonal_top_channel(rng, n, s, K=3):
+    """Responses in which T2 and T3 act on the first two coordinates of
+    a frame whose last coordinate is an isolated direction of T1 that no
+    Q reaches: W has no component along it.  It is the top eigenvector
+    of Lam when s > 1."""
+    T1, T2, T3 = (np.empty((K, n, n), complex), np.empty((K, n, 2), complex),
+                  np.empty((K, 2, n), complex))
+    for k in range(K):
+        Ul, Vr = _unitary(rng, n), _unitary(rng, n)
+        M = _cplx(rng, n, n)
+        M[:, -1] = 0.0
+        M[-1, :] = 0.0
+        M[-1, -1] = s * np.linalg.norm(M, 2)
+        T1[k] = Ul @ M @ Vr.conj().T
+        T2[k] = Ul[:, :2] @ _cplx(rng, 2, 2)
+        T3[k] = _cplx(rng, 2, 2) @ Vr[:, :2].conj().T
+    return {"T1": T1, "T2": T2, "T3": T3}
+
+
+@st.composite
+def affine_channels(draw):
+    """(channel responses, Q(z)) on a 3-point grid, N = 1..16, with the
+    degenerate structures the secular equation has to survive."""
+    N = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(CHANNEL_KINDS))
+    scale = draw(st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]))
+    q_scale = draw(st.sampled_from([0.1, 1.0, 10.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, K = 2 * N, 3
+    T1, T2 = _cplx(rng, K, n, n), _cplx(rng, K, n, 2)
+    T3, Qz = _cplx(rng, K, 2, n), q_scale * _cplx(rng, K, 2, 2)
+    if kind == "open_loop_zero":      # W = 0: the answer is sqrt(Lam_max)
+        T1[:] = 0.0
+        Qz[:] = 0.0
+    elif kind == "zero_column":       # rank-deficient T2 and T3
+        T2[:, :, 1] = 0.0
+        T3[:, 0, :] = 0.0
+    elif kind == "parallel_columns":
+        T2[:, :, 1] = (0.3 - 2j) * T2[:, :, 0]
+        T3[:, 1, :] = -1.7 * T3[:, 0, :]
+    elif kind == "repeated_lam":      # all singular values of T1 equal
+        T1 = np.stack([2.5 * _unitary(rng, n) for _ in range(K)])
+    elif kind == "zero_lam":
+        T1[:] = 0.0
+    elif kind == "orthogonal_top" and n >= 4:
+        s = draw(st.sampled_from([0.5, 3.0]))
+        T1, T2, T3 = _orthogonal_top_channel(rng, n, s).values()
+    return {"T1": scale * T1, "T2": scale * T2, "T3": T3}, Qz
+
+
+@settings(max_examples=150)
+@given(affine_channels())
+def test_secular_oracle_matches_the_svd(case):
+    ch, Qz = case
+    gains = synthesis._channel_gains(synthesis._prepare_oracle(ch), Qz)
+    expected = reference_channel_gains(ch, Qz)
+    assert np.all(np.isfinite(gains))
+    assert np.all(np.abs(gains - expected)
+                  <= 1e-13 * np.maximum(expected, 1.0))
+
+
+def test_secular_oracle_zero_update_is_exact():
+    # the uncertainty channel at Q = 0: T1 = 0 and W = 0, no NaN
+    rng = np.random.default_rng(2)
+    ch = {"T1": np.zeros((4, 6, 6), complex), "T2": _cplx(rng, 4, 6, 2),
+          "T3": _cplx(rng, 4, 2, 6)}
+    gains = synthesis._channel_gains(synthesis._prepare_oracle(ch),
+                                     np.zeros((4, 2, 2), complex))
+    assert np.array_equal(gains, np.zeros(4))
+
+
+def test_secular_oracle_root_above_an_unreached_top():
+    # Lam_max belongs to a direction W does not touch (its component
+    # there is rounding, below 1e-15 of ||W||); where the update pushes
+    # sigma_max^2 above Lam_max, Newton must not stall at that pole
+    rng = np.random.default_rng(4)
+    ch = _orthogonal_top_channel(rng, 8, 3.0, K=64)
+    Qz = _cplx(rng, 64, 2, 2)
+    prepared = synthesis._prepare_oracle(ch)
+    expected = reference_channel_gains(ch, Qz)
+    assert np.count_nonzero(expected ** 2 > 1.001 * prepared["lam_max"]) >= 5
+    gains = synthesis._channel_gains(prepared, Qz)
+    assert np.all(np.abs(gains - expected) <= 1e-13 * expected)
+
+
+def test_minimax_path_is_the_svd_oracle_path(monkeypatch):
+    lp = _small_lp()
+    fast = design_reconstruction(lp, **SMALL_DESIGN)
+    monkeypatch.setattr(synthesis, "_channel_gains", reference_channel_gains)
+    slow = design_reconstruction(lp, **SMALL_DESIGN)
+    assert fast.info["iterations"] == slow.info["iterations"]
+    assert fast.info["n_cuts"] == slow.info["n_cuts"]
+    assert np.max(np.abs(fast.coeffs - slow.coeffs)) <= 1e-12
+
+
+def test_minimax_logs_one_debug_line(caplog):
+    with caplog.at_level(logging.DEBUG, logger="relaycancel.synthesis"):
+        rec = design_reconstruction(_small_lp(), **SMALL_DESIGN)
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    match = re.fullmatch(r"minimax: (\d+) iterations, (\d+) cuts, (\d+) "
+                         r"oracle evaluations in \d+\.\d{3} s, (\d+) LPs "
+                         r"in \d+\.\d{3} s", record.getMessage())
+    assert match
+    iterations, cuts, evaluations, lps = map(int, match.groups())
+    assert iterations == lps == rec.info["iterations"]
+    assert cuts == rec.info["n_cuts"]
+    assert evaluations == iterations + 1  # the Q = 0 seed, then one per LP
+
+
+def test_solver_limits_travel_with_the_controller(small_lifted, tmp_path,
+                                                  caplog):
+    spec, lp = small_lifted
+    K = synthesize_nominal(lp, **SMALL_DESIGN)
+    assert K.meta["converged"] is True
+    assert 0.0 <= K.meta["gap"] <= SMALL_DESIGN["tol"]
+    path = tmp_path / "K.yaml"
+    write_controller(K, path)
+    meta = read_controller(path).meta
+    assert meta["converged"] is True and meta["gap"] == K.meta["gap"]
+    with caplog.at_level(logging.WARNING, logger="relaycancel.synthesis"):
+        capped = synthesize_nominal(lp, **{**SMALL_DESIGN, "max_iter": 2})
+    assert capped.meta["converged"] is False
+    assert capped.meta["gap"] > SMALL_DESIGN["tol"]
+    assert capped.meta["iterations"] == 2
+    assert "iteration cap (2)" in caplog.text
 
 
 # ---------------------------------------------------------------------------
