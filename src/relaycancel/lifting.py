@@ -20,10 +20,13 @@ Conventions (fixed; synthesis and simulation must agree):
 * performance outputs are sampled at the substep starts t = k h + j h/N,
   j = 0..N-1.
 
-Path delays are realized as chains of fast-rate unit-delay registers
-acting on signals that are piecewise constant on the fast grid, which is
-exact whenever L N / h is an integer.  Off-grid delays are a hard error:
-silently rounding them would corrupt the robustness analysis.
+Every path delays a signal that is piecewise constant on the fast grid
+(the held controller output, or a fast-held disturbance), so a delay of
+d = L N / h substeps is a shift by whole source samples: the lifted state
+keeps the past holds or fine samples that the delayed paths still read,
+and each substep reads its source sample by index.  That is exact
+whenever d is an integer.  Off-grid delays are a hard error: silently
+rounding them would corrupt the robustness analysis.
 
 The discrete l2 norm of the lifted system equals the L2-induced norm of
 its piecewise-constant interpretation directly; the substep length
@@ -75,9 +78,8 @@ class LiftedPlant:
     Inputs are [w stack (n_fast_in * N), u (n_ctrl)], outputs
     [z stack (n_fast_out * N), y (n_meas)], all at period h; each stack
     holds one I/Q pair's 2N fast samples after another, so channel k is
-    the k-th block of 2N inputs and outputs.  delay_registers counts the
-    fast-rate delay states that realize the path delays.  W2 is the
-    uncertainty weight of a robust design plant, None otherwise.
+    the k-th block of 2N inputs and outputs.  W2 is the uncertainty
+    weight of a robust design plant, None otherwise.
     """
 
     sys: StateSpace
@@ -87,7 +89,6 @@ class LiftedPlant:
     n_fast_out: int
     n_ctrl: int
     n_meas: int
-    delay_registers: int
     W2: StateSpace | None = None
 
     @property
@@ -105,107 +106,87 @@ class LiftedPlant:
                 for k in range(self.n_fast_in // 2)]
 
 
-def lift_core(core: CoreSystem, N: int, h: float,
-              state_cap: int = STATE_DIM_CAP) -> LiftedPlant:
-    """Lift a delay-free core with register chains over one period.
+def lift_core(core: CoreSystem, N: int, h: float) -> LiftedPlant:
+    """Lift a delay-free core and its delayed paths over one period.
 
     The core is discretized exactly at the substep h/N (all of its inputs
-    are piecewise constant on the fast grid by construction), the delay
-    chains are attached as shift registers at the fast rate and the N
-    substeps are stacked into one slow-rate step.
+    are piecewise constant on the fast grid by construction) and the N
+    substeps are stacked into one slow-rate step.  The lifted state is the
+    core state followed by a history of each delayed source, most recent
+    sample first, as deep as its longest path reaches back: ceil(d/N)
+    holds of u, or d fine samples of an external pair, for a delay of d
+    substeps.  Substep j of a path with delay d reads its source at fine
+    index k N + j - d, so the current hold or stack entry when j >= d and
+    a history entry otherwise.
     """
     if N < 1:
         raise ValueError("fast-rate factor N must be a positive integer")
-    tau = h / N
-    lengths = [delay_steps(L, N, h) for L, _ in core.chains]
-    n_c = core.sys.n_states
-    n_regs = 2 * sum(lengths)
-    n_f = n_c + n_regs
-    if n_f > state_cap:
+    paths = [(src, delay_steps(L, N, h)) for L, src in core.chains]
+    n_c, n_ext, n_perf = core.sys.n_states, core.n_ext, core.n_perf
+
+    def rate(src):
+        """Source samples per period: one hold of u, N of an external pair."""
+        return 1 if src == "ctrl" else N
+
+    depth = {}
+    for src, d in paths:
+        depth[src] = max(depth.get(src, 0), -(-d * rate(src) // N))
+    base, n_s = {}, n_c
+    for src, m in depth.items():
+        base[src], n_s = n_s, n_s + 2 * m
+    if n_s > STATE_DIM_CAP:
         raise ValueError(
-            f"lifted state dimension {n_f} exceeds the cap {state_cap}"
+            f"lifted state dimension {n_s} exceeds the cap {STATE_DIM_CAP}"
         )
+    # columns of the per-period map: [state, w stacks, u]; the fast pair
+    # at columns (rows) p, p+1 of substep j goes to stacked column (row)
+    # N p + 2 j
+    u_col = n_s + N * n_ext
+    n_cols = u_col + core.n_ctrl
 
-    cd = zoh_discretize(core.sys, tau)
-    n_ext, n_ctrl = core.n_ext, core.n_ctrl
-    n_perf, n_meas = core.n_perf, core.n_meas
-    nfi = n_ext + n_ctrl  # fast-step input width
+    def col(src, s):
+        """Column of the source's sample s of this period (s < 0: history)."""
+        if s < 0:
+            return base[src] - 2 * s - 2
+        return u_col if src == "ctrl" else n_s + N * src[1] + 2 * s
 
-    def source_cols(src):
-        if src == "ctrl":
-            return slice(n_ext, n_ext + n_ctrl)
-        _, j = src
-        return slice(j, j + 2)
-
-    # fast one-step system: state [x_core, chain registers], input
-    # [ext, u]; register block m of a chain holds its source value m
-    # substeps ago, so the tail is the delayed signal.
-    A_f = np.zeros((n_f, n_f))
-    B_f = np.zeros((n_f, nfi))
-    A_f[:n_c, :n_c] = cd.A
-    B_f[:n_c, :n_ext] = cd.B[:, :n_ext]
-    B_f[:n_c, n_ext:] = cd.B[:, n_ext:n_ext + n_ctrl]
-
-    C_fast = np.zeros((n_perf + n_meas, n_f))
-    D_fast = np.zeros((n_perf + n_meas, nfi))
-    C_fast[:, :n_c] = cd.C
-    D_fast[:, :n_ext] = cd.D[:, :n_ext]
-    D_fast[:, n_ext:] = cd.D[:, n_ext:n_ext + n_ctrl]
-
-    reg_base = n_c
-    for k, ((L, src), d) in enumerate(zip(core.chains, lengths)):
-        dly_cols = slice(n_ext + n_ctrl + 2 * k, n_ext + n_ctrl + 2 * k + 2)
-        if d == 0:
-            # degenerate chain: the delayed slot sees the source directly
-            B_f[:n_c, source_cols(src)] += cd.B[:, dly_cols]
-            D_fast[:, source_cols(src)] += cd.D[:, dly_cols]
-            continue
-        head = slice(reg_base, reg_base + 2)
-        tail = slice(reg_base + 2 * (d - 1), reg_base + 2 * d)
-        A_f[:n_c, tail] = cd.B[:, dly_cols]
-        C_fast[:, tail] += cd.D[:, dly_cols]
-        B_f[head, source_cols(src)] = np.eye(2)
-        for m in range(1, d):
-            dst = slice(reg_base + 2 * m, reg_base + 2 * m + 2)
-            srcm = slice(reg_base + 2 * (m - 1), reg_base + 2 * m)
-            A_f[dst, srcm] = np.eye(2)
-        reg_base += 2 * d
-
-    C_zf, C_yf = C_fast[:n_perf], C_fast[n_perf:]
-    D_zf, D_yf = D_fast[:n_perf], D_fast[n_perf:]
-
-    # stack N substeps: propagate the map (state0, stacked inputs) -> state;
-    # the fast pair at columns (rows) p, p+1 of substep j goes to stacked
-    # column (row) N p + 2 j
-    n_in_total = N * n_ext + n_ctrl
-    M = np.zeros((n_f, n_f + n_in_total))
-    M[:, :n_f] = np.eye(n_f)
+    # the core's input pairs [ext, u, delayed slots] as (source, delay)
+    reads = ([(("ext", p), 0) for p in range(0, n_ext, 2)]
+             + [("ctrl", 0)] * (core.n_ctrl // 2) + paths)
+    cd = zoh_discretize(core.sys, h / N)
+    eye2 = np.eye(2)
+    M = np.eye(n_c, n_cols)
     z_rows = []
-    y_rows = None
     for j in range(N):
-        P_j = np.zeros((nfi, n_f + n_in_total))
-        for p in range(0, n_ext, 2):
-            col = n_f + N * p + 2 * j
-            P_j[p:p + 2, col:col + 2] = np.eye(2)
-        P_j[n_ext:, n_f + N * n_ext:] = np.eye(n_ctrl)
-        z_rows.append(C_zf @ M + D_zf @ P_j)
+        P_j = np.zeros((cd.n_inputs, n_cols))
+        for i, (src, d) in enumerate(reads):
+            c = col(src, (j - d) * rate(src) // N)
+            P_j[2 * i:2 * i + 2, c:c + 2] = eye2
+        z_rows.append(cd.C[:n_perf] @ M + cd.D[:n_perf] @ P_j)
         if j == 0:
-            y_rows = C_yf @ M + D_yf @ P_j
-        M = A_f @ M + B_f @ P_j
+            y_rows = cd.C[n_perf:] @ M + cd.D[n_perf:] @ P_j
+        M = cd.A @ M + cd.B @ P_j
 
+    # history entry i of the next period is sample rate - 1 - i of this one
+    H = np.zeros((n_s - n_c, n_cols))
+    for src, m in depth.items():
+        for i in range(m):
+            c = col(src, rate(src) - 1 - i)
+            r = base[src] - n_c + 2 * i
+            H[r:r + 2, c:c + 2] = eye2
+    AB = np.vstack([M, H])
     z_stack = [z[p:p + 2] for p in range(0, n_perf, 2) for z in z_rows]
     CD = np.vstack(z_stack + [y_rows])
-    sys = StateSpace(M[:, :n_f], M[:, n_f:], CD[:, :n_f], CD[:, n_f:], dt=h)
+    sys = StateSpace(AB[:, :n_s], AB[:, n_s:], CD[:, :n_s], CD[:, n_s:],
+                     dt=h)
     return LiftedPlant(sys=sys, N=N, h=h, n_fast_in=n_ext,
-                       n_fast_out=n_perf, n_ctrl=n_ctrl, n_meas=n_meas,
-                       delay_registers=n_regs)
+                       n_fast_out=n_perf, n_ctrl=core.n_ctrl,
+                       n_meas=core.n_meas)
 
 
-def fsfh_lift(plant: GeneralizedPlantSpec, N: int,
-              state_cap: int = STATE_DIM_CAP) -> LiftedPlant:
+def fsfh_lift(plant: GeneralizedPlantSpec, N: int) -> LiftedPlant:
     """FSFH lifting of the design plant at fast-rate factor N."""
-    core = assemble_plant_core(plant)
-    return lift_core(core, N, plant.h, state_cap)
+    return lift_core(assemble_plant_core(plant), N, plant.h)
 
 
 def lifted_closed_loop(lp: LiftedPlant, K: StateSpace) -> StateSpace:

@@ -17,7 +17,7 @@ assembled here maps (disturbance w, held controller output u) to
 where W shapes the admissible inputs, F is the receive-side anti-alias
 filter and P the transmit-side post filter.  Delays are kept symbolic
 (never rationally approximated); they are resolved exactly on the fast
-grid during lifting, or read from past controller holds in simulation.
+grid during lifting, which the simulator shares.
 
 All blocks are 2x2 (I/Q pair); scalar transfer functions are promoted to
 scalar * I2.  Everything here is a pure function of immutable inputs.
@@ -268,21 +268,21 @@ def uncertainty_weight(channel: CouplingChannel,
 #
 # Delays commute with the LTI blocks, so each path's delay is moved onto a
 # signal that is piecewise constant on the fast grid (the held controller
-# output, or a fast-held disturbance).  A shift-register chain at the fast
-# rate then realizes the delay exactly, and the remaining continuous core
-# is delay-free.
+# output, or a fast-held disturbance).  A whole number of fast steps then
+# shifts it by whole samples, which lifting reads from a history of past
+# source values, and the remaining continuous core is delay-free.
 
 
 @dataclass(frozen=True)
 class CoreSystem:
-    """Delay-free continuous core plus its register chain wiring.
+    """Delay-free continuous core plus its delayed-path wiring.
 
     sys inputs are ordered [fast external inputs, controller hold u,
-    one delayed-signal slot per chain]; outputs are [fast performance
-    outputs, measurement y].  chains[k] = (delay_seconds, source) feeds
-    chain k, where source is "ctrl" (the held controller output) or
-    ("ext", j) (external fast input pair starting at column j); the chain
-    output drives delayed-signal slot k.
+    one delayed-signal slot per path]; outputs are [fast performance
+    outputs, measurement y].  chains[k] = (delay_seconds, source) drives
+    delayed-signal slot k with its source delayed by delay_seconds, where
+    source is "ctrl" (the held controller output) or ("ext", j) (external
+    fast input pair starting at column j).
     """
 
     sys: StateSpace
@@ -294,8 +294,8 @@ class CoreSystem:
 
 
 def delay_steps(L: float, N: int, h: float) -> int:
-    """Length of the register chain that delays by L on a grid of N steps
-    per period h; raises ValueError when L is off that grid."""
+    """Delay L in steps of a grid of N steps per period h; raises
+    ValueError when L is off that grid."""
     d = L * N / h
     d_round = round(d)
     if abs(d - d_round) > 1e-9 * max(1.0, abs(d)):
@@ -338,7 +338,7 @@ def assemble_core_blocks(W: StateSpace, F: StateSpace, P: StateSpace,
     is appended, so that closing w2 = Delta z2 with any ||Delta|| < 1
     reproduces every admissible channel perturbation.  Its parts go last:
     states x_Fz (F on P u) and x_W2, input w2 after w, output z2 after z,
-    and the delayed-w2 slot with its chain.
+    and the delayed-w2 slot.
     """
     M = len(paths)
     robust = W2 is not None

@@ -3,17 +3,15 @@
 The fine grid has dt = h / oversample, and every input of the continuous
 blocks is held constant over each fine step, so the exact zero-order-hold
 discretization at dt describes them exactly.  The simulator does not
-step that grid one sample at a time: it lifts the delay-free core over
-one sampling period (``lifting.lift_core``, the FSFH lifting the design
-uses) and steps once per period.  The core's fast inputs are the shaped
-input v and one delayed-signal slot per coupling path; its held input is
-the controller output u.  Every path delays the held u, so a path of d
-fine steps shows substep j of period k the hold u[k + floor((j - d)/N)]
-(zero before t = 0), read by index from the record of past holds.  The
-digital canceler runs at the slow rate: the measurement is read at
-t = k h from the previous hold and the delayed slots, and the new
-controller output is held over [k h, (k+1) h).  One matrix product then
-forms the fine-grid trace of every period.
+step that grid one sample at a time: it lifts the delay-free core of the
+perturbed plant with its delayed paths over one sampling period
+(``lifting.lift_core``, the FSFH lifting the design uses, whose state
+keeps the past holds the paths still read), closes the loop with
+``lifting.lifted_closed_loop`` and steps it once per period, driven by
+the stacked shaped input v.  The digital canceler thus runs at the slow
+rate: the measurement is read at t = k h and the new controller output
+is held over [k h, (k+1) h).  One matrix product then forms the
+fine-grid trace of every period.
 
 The module also provides the input generators used by the experiments
 (lifted the same way) and a passband oracle that modulates a baseband
@@ -24,12 +22,12 @@ baseband equivalence gain * rotation * u(t - L) numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.signal import butter, sosfilt
 
-from .lifting import lift_core
+from .lifting import lift_core, lifted_closed_loop
 from .lti import StateSpace
 from .relay import (
     CoreSystem,
@@ -37,7 +35,6 @@ from .relay import (
     RelayParams,
     assemble_plant_core,
     build_perturbed_plant,
-    delay_steps,
 )
 
 __all__ = [
@@ -129,8 +126,9 @@ class SimulationTrace:
     diverged_at_s: float | None = None
 
 
-def _stack_periods(signal: np.ndarray, N: int, n_per: int) -> np.ndarray:
-    """2 x T fine-grid signal -> n_per x 2N FSFH stacks, zero-padded."""
+def _stack_periods(signal: np.ndarray, N: int) -> np.ndarray:
+    """2 x T fine-grid signal -> ceil(T/N) x 2N FSFH stacks, zero-padded."""
+    n_per = -(-signal.shape[1] // N)
     padded = np.zeros((2, n_per * N))
     padded[:, :signal.shape[1]] = signal
     return padded.T.reshape(n_per, 2 * N)
@@ -139,6 +137,23 @@ def _stack_periods(signal: np.ndarray, N: int, n_per: int) -> np.ndarray:
 def _unstack_periods(stacks: np.ndarray, T: int) -> np.ndarray:
     """Inverse of _stack_periods, truncated to the first T samples."""
     return stacks.reshape(-1, 2).T[:, :T]
+
+
+def _step_periods(sys: StateSpace, w: np.ndarray):
+    """Drive a lifted system with one input row per period.
+
+    Returns the states before each period and after the last one, and
+    the output rows.
+    """
+    n_per = w.shape[0]
+    x_w = w @ sys.B.T
+    X = np.empty((n_per + 1, sys.n_states))
+    x = np.zeros(sys.n_states)
+    for k in range(n_per):
+        X[k] = x
+        x = sys.A @ x + x_w[k]
+    X[n_per] = x
+    return X, np.hstack([X[:n_per], w]) @ np.hstack([sys.C, sys.D]).T
 
 
 def _filter_fine(block: StateSpace, raw: np.ndarray, N: int,
@@ -150,18 +165,8 @@ def _filter_fine(block: StateSpace, raw: np.ndarray, N: int,
     """
     core = CoreSystem(block, n_ext=2, n_ctrl=0, n_perf=2, n_meas=0,
                       chains=())
-    lifted = lift_core(core, N, h).sys
-    T = raw.shape[1]
-    n_per = -(-T // N)
-    w = _stack_periods(raw, N, n_per)
-    x_w = w @ lifted.B.T
-    X = np.empty((n_per, lifted.n_states))
-    x = np.zeros(lifted.n_states)
-    for k in range(n_per):
-        X[k] = x
-        x = lifted.A @ x + x_w[k]
-    out = np.hstack([X, w]) @ np.hstack([lifted.C, lifted.D]).T
-    return _unstack_periods(out, T)
+    _, out = _step_periods(lift_core(core, N, h).sys, _stack_periods(raw, N))
+    return _unstack_periods(out, raw.shape[1])
 
 
 def generate_input(spec: InputSpec, params: RelayParams, duration: float,
@@ -185,28 +190,10 @@ def generate_input(spec: InputSpec, params: RelayParams, duration: float,
         raw = np.asarray(spec.samples, dtype=float)
         if raw.shape != (2, T):
             raise ValueError(f"custom samples must be 2 x {T}, got {raw.shape}")
-    if spec.filter == "through_P":
-        return _filter_fine(params.P, raw, N_sim, params.h)
-    if spec.filter == "through_W":
-        return _filter_fine(params.W, raw, N_sim, params.h)
-    return raw
-
-
-def _period_map(core: CoreSystem, N: int, h: float) -> StateSpace:
-    """Lift the simulation core over one period.
-
-    The core's inputs [v, u, delayed slots] are reordered to
-    [v, delayed slots, u], so that v and the slots are fast inputs and u
-    the held one: the lifted inputs are [v stack, one stack per slot, u]
-    and its outputs [z stack, y].
-    """
-    n_slots = 2 * len(core.chains)
-    order = np.r_[0:2, 4:4 + n_slots, 2:4]
-    sys = core.sys
-    period_core = CoreSystem(
-        StateSpace(sys.A, sys.B[:, order], sys.C, sys.D[:, order]),
-        n_ext=2 + n_slots, n_ctrl=2, n_perf=2, n_meas=2, chains=())
-    return lift_core(period_core, N, h).sys
+    if spec.filter == "none":
+        return raw
+    block = params.P if spec.filter == "through_P" else params.W
+    return _filter_fine(block, raw, N_sim, params.h)
 
 
 def simulate_closed_loop(cfg: SimConfig) -> SimulationTrace:
@@ -225,59 +212,21 @@ def simulate_closed_loop(cfg: SimConfig) -> SimulationTrace:
 
     spec = build_perturbed_plant(params, cfg.channel)
     core = assemble_plant_core(spec, external_input=True)
-    delays = [delay_steps(L, N, params.h) for L, _ in core.chains]
-    lifted = _period_map(core, N, params.h)
+    # z = v - P u, and v reaches z only through a unit feedthrough; without
+    # it the loop's output is minus the canceler output P u
+    D = core.sys.D.copy()
+    D[:2, :2] = 0.0
+    core = replace(core, sys=replace(core.sys, D=D))
+    loop = lifted_closed_loop(lift_core(core, N, params.h), K)
 
     v = generate_input(cfg.input, params, cfg.duration, N, cfg.seed)
     T = v.shape[1]
     t = np.arange(T) * dt
     peak = float(np.max(np.abs(v))) if v.size else 0.0
     threshold = DIVERGENCE_FACTOR * max(peak, 1.0)
-    n_per = -(-T // N)
-    v_stack = _stack_periods(v, N, n_per)
-
-    # Held input pairs of the lifted map: the N substeps of each delayed
-    # slot, then u.  Pair p of period k reads the hold u[k + offs[p]], and
-    # the hold history U keeps q zero rows for the holds before t = 0.
-    # The measurement reads the substep-0 pairs before u[k] is computed,
-    # so it takes the previous hold where offs says the current one.
-    offs = np.concatenate(
-        [(np.arange(N) - d) // N for d in delays] + [[0]])
-    y_pairs = np.r_[np.arange(len(delays)) * N, len(delays) * N]
-    y_offs = np.minimum(offs[y_pairs], -1)
-    q = int(-y_offs.min())
-    U = np.zeros((q + n_per, 2))
-
-    n_v = 2 * N
-    A = lifted.A
-    B_held = lifted.B[:, n_v:]
-    C_z, C_y = lifted.C[:n_v], lifted.C[n_v:]
-    D_z_held = lifted.D[:n_v, n_v:]
-    D_y_held = lifted.D[n_v:, n_v:].reshape(2, -1, 2)[:, y_pairs]
-    D_y_held = D_y_held.reshape(2, -1)
-    AK, BK, CK, DK = K.A, K.B, K.C, K.D
-
-    X = np.empty((n_per + 1, A.shape[0]))
-    x = np.zeros(A.shape[0])
-    xK = np.zeros(K.n_states)
     with np.errstate(over="ignore", invalid="ignore"):
-        x_v = v_stack @ lifted.B[:, :n_v].T
-        y_v = v_stack @ lifted.D[n_v:, :n_v].T
-        for k in range(n_per):
-            X[k] = x
-            y = C_y @ x + y_v[k] + D_y_held @ U[q + k + y_offs].ravel()
-            U[q + k] = CK @ xK + DK @ y
-            xK = AK @ xK + BK @ y
-            x = A @ x + x_v[k] + B_held @ U[q + k + offs].ravel()
-        X[n_per] = x
-
-        # z = v - P u, and v reaches z only through a unit feedthrough, so
-        # the canceler output is minus z without the v columns
-        held = U[q + np.arange(n_per)[:, None] + offs].reshape(n_per,
-                                                              2 * offs.size)
-        u_stack = -(np.hstack([X[:n_per], held])
-                    @ np.hstack([C_z, D_z_held]).T)
-        u = _unstack_periods(u_stack, T)
+        X, out = _step_periods(loop, _stack_periods(v, N))
+        u = -_unstack_periods(out, T)
         err = v - u
         bad = (~np.isfinite(err) | (np.abs(err) > threshold)).any(axis=0)
 

@@ -23,7 +23,7 @@ Q.  That is an exact characterization of the largest eigenvalue of
 diag(Lam) + W^H W, so the oracle differs from the SVD by rounding only
 (``_channel_gains``).  The achieved norms are then evaluated with the
 bisection norm ``lti.hinf_norm``, which is what the returned gamma values
-report.  It works on the balanced truncation of each loop (17 of the 90
+report.  It works on the balanced truncation of each loop (17 of the 30
 states of the nominal closed loop at N=16) and adds the truncation's
 error bound, below 1e-13 there.  Its lower bound is a 512-point grid
 evaluation of the truncation; its upper bound is only as good as the

@@ -287,11 +287,11 @@ def test_criterion_5_fsfh_convergence(nominal_design):
 
 
 def test_norm_of_the_truncated_loop(nominal_design, monkeypatch):
-    # the N=16 closed loop has 90 states and few Hankel singular values
+    # the N=16 closed loop has 30 states and 17 Hankel singular values
     # above 1e-12 of the largest; its norm moves by far less than 1e-9
     cl = lifted_closed_loop(nominal_design["lp"], nominal_design["K"].sys)
     reduced, tail = lti._balanced_truncation(cl)
-    assert reduced.n_states <= 40 < cl.n_states
+    assert reduced.n_states == 17 < cl.n_states == 30
     assert 0.0 < tail < 1e-12
     gamma = lti.hinf_norm(cl, 1e-6)
 

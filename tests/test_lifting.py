@@ -18,8 +18,10 @@ from relaycancel.relay import (
     build_generalized_plant,
     build_perturbed_plant,
     scalar_block,
+    uncertainty_weight,
 )
 from relaycancel.lifting import (
+    STATE_DIM_CAP,
     fsfh_lift,
     lift_core,
     lifted_closed_loop,
@@ -30,7 +32,7 @@ from relaycancel.lifting import (
 def oracle_fine_sim(core, N, h, w_fine, u_slow):
     """Sequential fine-grid simulation with explicit delay history.
 
-    Independent of the register/stacking construction: delayed signals
+    Independent of the history/stacking construction: delayed signals
     are looked up from stored source histories.
     """
     tau = h / N
@@ -63,7 +65,11 @@ def oracle_fine_sim(core, N, h, w_fine, u_slow):
 
 
 def lifted_drive(lp, w_fine, u_slow):
-    """Drive the lifted plant with the stacked input sequence."""
+    """Drive the lifted plant with the stacked input sequence.
+
+    The stacks are pair-major: each I/Q pair's N fast samples follow one
+    another, for the inputs and the outputs alike.
+    """
     N = lp.N
     n_periods = w_fine.shape[1] // N
     sys = lp.sys
@@ -71,13 +77,22 @@ def lifted_drive(lp, w_fine, u_slow):
     z = np.zeros((lp.n_fast_out, n_periods * N))
     y = np.zeros((lp.n_meas, n_periods))
     for k in range(n_periods):
-        w_stack = w_fine[:, k * N:(k + 1) * N].T.reshape(-1)
+        period = slice(k * N, (k + 1) * N)
+        w_stack = np.concatenate([w_fine[p:p + 2, period].T.reshape(-1)
+                                  for p in range(0, lp.n_fast_in, 2)])
         vin = np.concatenate([w_stack, u_slow[:, k]])
         out = sys.C @ x + sys.D @ vin
-        z[:, k * N:(k + 1) * N] = out[:lp.n_z].reshape(N, lp.n_fast_out).T
+        for p in range(0, lp.n_fast_out, 2):
+            z[p:p + 2, period] = out[N * p:N * (p + 2)].reshape(N, 2).T
         y[:, k] = out[lp.n_z:]
         x = sys.A @ x + sys.B @ vin
     return z, y
+
+
+def history_bound(core, N, h):
+    """Core states plus one I/Q pair per delay substep of every path."""
+    return core.sys.n_states + 2 * sum(round(L * N / h)
+                                       for L, _ in core.chains)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +108,6 @@ def test_static_plant_lifts_to_replicated_gain():
     for N in (1, 3, 5):
         lp = lift_core(core, N, 1.0)
         assert lp.sys.n_states == 0
-        assert lp.delay_registers == 0
         # z_j = w_j - 2 u, y = w_0 + 6 u
         D = lp.sys.D
         for j in range(N):
@@ -110,7 +124,8 @@ def test_static_plant_lifts_to_replicated_gain():
 def test_example_lift_dimensions_and_stability(example_params, example_channel):
     spec = build_generalized_plant(example_params, example_channel)
     lp = fsfh_lift(spec, 16)
-    assert lp.delay_registers == 32
+    # the delay L = h is one past hold of u
+    assert lp.sys.n_states == assemble_plant_core(spec).sys.n_states + 2
     assert lp.sys.n_inputs == 2 * 16 + 2
     assert lp.sys.n_outputs == 2 * 16 + 2
     assert is_stable(lp.sys)
@@ -121,14 +136,18 @@ def test_off_grid_delay_is_hard_error(example_params):
     spec = build_perturbed_plant(example_params, channel)
     with pytest.raises(ValueError, match="not on FSFH grid"):
         fsfh_lift(spec, 16)
-    lp = fsfh_lift(spec, 20)  # 1.1 * 20 = 22 registers + 20 nominal
-    assert lp.delay_registers == 2 * (20 + 22)
+    lp = fsfh_lift(spec, 20)  # 22 substeps reach two holds back
+    assert lp.sys.n_states == assemble_plant_core(spec).sys.n_states + 4
 
 
 def test_state_cap_guard(example_params, example_channel):
+    # the w2 path of the robust plant keeps L N / h fine samples
     spec = build_generalized_plant(example_params, example_channel)
+    core = assemble_plant_core(spec, W2=uncertainty_weight(example_channel))
+    assert history_bound(core, 256, 1.0) < STATE_DIM_CAP
+    lift_core(core, 256, 1.0)
     with pytest.raises(ValueError, match="cap"):
-        fsfh_lift(spec, 64, state_cap=100)
+        lift_core(core, STATE_DIM_CAP // 2, 1.0)
 
 
 def test_lift_matches_fine_grid_oracle():
@@ -142,6 +161,7 @@ def test_lift_matches_fine_grid_oracle():
     core = assemble_core_blocks(W, F, P, paths)
     N, h, periods = 4, 1.0, 7
     lp = lift_core(core, N, h)
+    assert lp.sys.n_states <= history_bound(core, N, h)
     w_fine = rng.standard_normal((2, N * periods))
     u_slow = rng.standard_normal((2, periods))
     z_orc, y_orc = oracle_fine_sim(core, N, h, w_fine, u_slow)
@@ -157,12 +177,36 @@ def test_lift_exactness_multi_path(example_params):
     N, h, periods = 8, 1.0, 5
     rng = np.random.default_rng(55)
     lp = lift_core(core, N, h)
+    assert lp.sys.n_states <= history_bound(core, N, h)
     w_fine = rng.standard_normal((2, N * periods))
     u_slow = rng.standard_normal((2, periods))
     z_orc, y_orc = oracle_fine_sim(core, N, h, w_fine, u_slow)
     z_lift, y_lift = lifted_drive(lp, w_fine, u_slow)
     assert np.max(np.abs(z_orc - z_lift)) < 1e-9
     assert np.max(np.abs(y_orc - y_lift)) < 1e-9
+
+
+@pytest.mark.parametrize("L", [0.25, 0.75, 1.0, 1.25, 2.5])
+def test_lift_of_a_delayed_fast_source_matches_oracle(L):
+    # the w2 path delays a fast-held input: d < N, d = N, d > N and two
+    # periods at N = 4
+    rng = np.random.default_rng(int(100 * L))
+    W = scalar_block([0.8], [1.3, 1.0])
+    F = scalar_block([1.0, 2.0], [0.7, 3.0])
+    P = scalar_block([0.5], [0.2, 1.0])
+    W2 = scalar_block([0.3], [0.5, 1.0])
+    paths = (CouplingPath(alpha=1.7, L=L, rot=np.array([[0.0, 1.0],
+                                                        [-1.0, 0.0]])),)
+    core = assemble_core_blocks(W, F, P, paths, W2)
+    N, h, periods = 4, 1.0, 6
+    lp = lift_core(core, N, h)
+    assert lp.sys.n_states <= history_bound(core, N, h)
+    w_fine = rng.standard_normal((4, N * periods))
+    u_slow = rng.standard_normal((2, periods))
+    z_orc, y_orc = oracle_fine_sim(core, N, h, w_fine, u_slow)
+    z_lift, y_lift = lifted_drive(lp, w_fine, u_slow)
+    assert np.max(np.abs(z_orc - z_lift)) < 1e-12
+    assert np.max(np.abs(y_orc - y_lift)) < 1e-12
 
 
 def test_lift_is_linear_in_input_weight(example_params, example_channel):
