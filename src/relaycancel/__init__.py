@@ -20,10 +20,15 @@ from .relay import (
     scalar_block,
     uncertainty_weight,
 )
-from .lifting import LiftedPlant, fsfh_lift, lifted_closed_loop, sampled_data_norm
+from .lifting import (
+    LiftedPlant,
+    closed_loop_norms,
+    fsfh_lift,
+    lifted_closed_loop,
+    sampled_data_norm,
+)
 from .synthesis import (
     Controller,
-    QParam,
     Reconstruction,
     SynthesisError,
     build_robust_plant,
@@ -32,7 +37,6 @@ from .synthesis import (
     synthesize_nominal,
     synthesize_robust,
     verify_design,
-    youla_closed_loop_maps,
 )
 from .sim import (
     InputSpec,

@@ -9,6 +9,10 @@ expectation, 3 internal numerical failure (a ``RuntimeError`` such as a
 norm bisection that does not converge, or a ``LinAlgError`` such as a
 singular resolvent, a singular algebraic loop or a matrix exponential
 with non-finite entries; reported as "numerical failure: ...").
+``simulate --out PREFIX`` appends ``.csv`` and ``.metrics.json`` to the
+prefix, dots and all.  ``verify`` adds, for a robust design on a channel
+with detours, the perturbation sweep's case counts and its smallest
+spectral margin.
 ``-v/--log-level LEVEL`` (before the command) sets the level of the
 package's log records, which go to stderr; DEBUG shows, among others,
 one line per minimax (iterations, cuts, time in the sigma_max oracle and
@@ -28,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .lti import StateSpace, is_stable
+from .lti import StateSpace
 from .relay import (
     CouplingChannel,
     RelayParams,
@@ -98,16 +102,6 @@ def _check_keys(section: dict, allowed, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _tf_block(entry, where: str) -> StateSpace:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where} must be a num/den mapping")
-    _check_keys(entry, {"num", "den"}, where)
-    try:
-        return scalar_block(entry["num"], entry["den"])
-    except KeyError as exc:
-        raise ConfigError(f"{where} needs both num and den") from exc
-
-
 def effective_config(raw: dict) -> dict:
     """Validate a raw config mapping and fill in the defaults."""
     if not isinstance(raw, dict):
@@ -125,11 +119,13 @@ def effective_config(raw: dict) -> dict:
     for key in ("h", "f", "a1", "a2"):
         relay[key] = float(relay[key])
     for key in ("W", "F", "P"):
-        blk = dict(relay[key])
-        _check_keys(blk, {"num", "den"}, f"relay.{key}")
-        blk["num"] = [float(x) for x in blk["num"]]
-        blk["den"] = [float(x) for x in blk["den"]]
-        relay[key] = blk
+        blk, where = relay[key], f"relay.{key}"
+        if not isinstance(blk, dict):
+            raise ConfigError(f"{where} must be a num/den mapping")
+        _check_keys(blk, {"num", "den"}, where)
+        if {"num", "den"} - blk.keys():
+            raise ConfigError(f"{where} needs both num and den")
+        relay[key] = {k: [float(x) for x in blk[k]] for k in ("num", "den")}
 
     channel = dict(raw["channel"])
     _check_keys(channel, {"r", "L", "extra_paths"}, "channel")
@@ -194,9 +190,8 @@ def config_objects(cfg: dict):
     relay = cfg["relay"]
     params = RelayParams(
         h=relay["h"], f=relay["f"], a1=relay["a1"], a2=relay["a2"],
-        W=_tf_block(relay["W"], "relay.W"),
-        F=_tf_block(relay["F"], "relay.F"),
-        P=_tf_block(relay["P"], "relay.P"),
+        **{k: scalar_block(relay[k]["num"], relay[k]["den"])
+           for k in ("W", "F", "P")},
     )
     ch = cfg["channel"]
     channel = CouplingChannel(
@@ -307,7 +302,7 @@ def cmd_design(config: str, out: str) -> int:
         "controller": controller_to_dict(K),
         "gamma_achieved": K.gamma_achieved,
         "method": K.method,
-        "controller_stable": bool(is_stable(K.sys)),
+        "controller_stable": K.meta["controller_stable"],
         "verification": report_verify,
         "timings_s": {"design": t_design, "verify": t_verify},
         "controller_file": str(ctrl_path),
@@ -339,11 +334,12 @@ def cmd_simulate(config: str, controller: str, out_prefix: str,
              if isinstance(K.gamma_achieved, float)
              and sim_cfg.input.kind == "unit_norm_l2" else None)
     m = metrics(trace, gamma=gamma)
-    prefix = Path(out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = prefix.with_suffix(".csv")
+    # suffixes are appended, so a dotted prefix such as runs/v1.2 is kept
+    csv_path = Path(f"{out_prefix}.csv")
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, csv_path)
-    _write_json({"config": cfg, "metrics": m}, prefix.with_suffix(".metrics.json"))
+    _write_json({"config": cfg, "metrics": m},
+                Path(f"{out_prefix}.metrics.json"))
     print(f"trace written to {csv_path}; diverged={m['diverged']}")
     return 0
 
@@ -362,6 +358,7 @@ def cmd_verify(config: str, controller: str, out: str | None = None) -> int:
             "n_cases": sweep["n_cases"],
             "all_stable": sweep["all_stable"],
             "n_unstable": sweep["n_unstable"],
+            "min_spectral_margin": sweep["min_spectral_margin"],
         }
     if out:
         _write_json(report, Path(out))

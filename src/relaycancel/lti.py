@@ -43,6 +43,9 @@ __all__ = [
 # unstable (conservative: avoids false stability claims).
 STABILITY_MARGIN = 1e-9
 
+# Points of the theta grid that gives hinf_norm its lower bracket.
+_HINF_GRID = 512
+
 logger = logging.getLogger(__name__)
 
 
@@ -422,7 +425,7 @@ def _balanced_truncation(sys: StateSpace) -> tuple[StateSpace, float]:
     return reduced, float(2.0 * np.sum(hsv[r:]))
 
 
-def hinf_norm(sys: StateSpace, tol: float = 1e-6, n_grid: int = 512,
+def hinf_norm(sys: StateSpace, tol: float = 1e-6,
               max_iter: int = 200) -> float:
     """H-infinity norm of a stable discrete-time system by bisection.
 
@@ -435,12 +438,12 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6, n_grid: int = 512,
     below 1e-13.
     A system with nothing to cut is used as it is.
 
-    The lower bracket is the largest singular value found on a frequency
-    grid: an evaluation, so the norm of the truncation is never below it
-    (nor the norm of ``sys`` below it minus the bound).  Each bisection
-    probe runs the bounded-real pencil test of
-    ``_has_unit_circle_crossing``, so the upper end is only as good as
-    that test: where it finds every crossing the result is within
+    The lower bracket is the largest singular value found on a
+    ``_HINF_GRID``-point frequency grid: an evaluation, so the norm of
+    the truncation is never below it (nor the norm of ``sys`` below it
+    minus the bound).  Each bisection probe runs the bounded-real pencil
+    test of ``_has_unit_circle_crossing``, so the upper end is only as
+    good as that test: where it finds every crossing the result is within
     ``tol`` of the true norm, but on a loop with a flat peak it misses
     crossings below the peak and the bisection never lifts its lower
     bracket off the grid maximum, which then sets the result.
@@ -466,7 +469,7 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6, n_grid: int = 512,
 
     n_full = sys.n_states
     sys, tail = _balanced_truncation(sys)
-    grid_max, theta_max = _sigma_max_grid(sys, n_grid)
+    grid_max, theta_max = _sigma_max_grid(sys, _HINF_GRID)
     lo = max(grid_max, sv_D * (1.0 + 1e-12))
     if lo == 0.0:
         return tail

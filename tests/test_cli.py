@@ -91,6 +91,22 @@ def test_defaults_are_filled():
     assert eff["sim"]["input"]["kind"] == "random_rect"
 
 
+@pytest.mark.parametrize("key, entry, message", [
+    ("W", 5, "relay.W must be a num/den mapping"),
+    ("F", [1.0, 2.0], "relay.F must be a num/den mapping"),
+    ("P", {"num": [1.0]}, "relay.P needs both num and den"),
+    ("W", {"den": [2.0, 1.0]}, "relay.W needs both num and den"),
+])
+def test_bad_transfer_function_entry_exits_one(tmp_path, capsys, key, entry,
+                                               message):
+    cfg = json.loads(json.dumps(FAST_CONFIG))
+    cfg["relay"][key] = entry
+    rc = main(["design", "--config", write_cfg(tmp_path, cfg),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 def test_missing_config_is_error():
     with pytest.raises(ConfigError, match="not found"):
         resolve_config_path("no_such_config_anywhere")
@@ -262,6 +278,23 @@ def test_simulate_rejects_oversample_zero(tmp_path, capsys):
     assert main(argv) == 0
 
 
+def test_simulate_keeps_a_dotted_prefix(tmp_path):
+    # runs/v1.2 and runs/v1.3 are two runs, not both runs/v1
+    cfg_path = write_cfg(tmp_path, FAST_CONFIG)
+    ctrl = tmp_path / "zero.controller.yaml"
+    write_controller(Controller(sys=StateSpace.static(np.zeros((2, 2)),
+                                                      dt=1.0),
+                                gamma_achieved=None, method="nominal_hinf"),
+                     ctrl)
+    runs = tmp_path / "runs"
+    for seed, prefix in ((1, "v1.2"), (2, "v1.3")):
+        assert cmd_simulate(cfg_path, str(ctrl), str(runs / prefix),
+                            seed=seed) == 0
+    assert sorted(p.name for p in runs.iterdir()) == [
+        "v1.2.csv", "v1.2.metrics.json", "v1.3.csv", "v1.3.metrics.json"]
+    assert (runs / "v1.2.csv").read_bytes() != (runs / "v1.3.csv").read_bytes()
+
+
 def test_verify_command(tmp_path):
     cfg_path = write_cfg(tmp_path, FAST_CONFIG)
     report_path = tmp_path / "report.json"
@@ -328,7 +361,7 @@ def test_numerical_failure_exits_three(tmp_path, capsys, monkeypatch, exc):
     def failing(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr("relaycancel.synthesis.hinf_norm", failing)
+    monkeypatch.setattr("relaycancel.lifting.hinf_norm", failing)
     cfg_path = write_cfg(tmp_path, FAST_CONFIG)
     rc = main(["design", "--config", cfg_path,
                "--out", str(tmp_path / "r.json")])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relaycancel import lifting
 from relaycancel.lti import (
     StateSpace,
     frequency_response,
@@ -22,6 +23,7 @@ from relaycancel.relay import (
 )
 from relaycancel.lifting import (
     STATE_DIM_CAP,
+    closed_loop_norms,
     fsfh_lift,
     lift_core,
     lifted_closed_loop,
@@ -281,3 +283,44 @@ def test_sampled_data_norm_reports_inf_for_unstable(example_params,
     cl = lifted_closed_loop(fsfh_lift(spec, 4), K_bad)
     radius = np.max(np.abs(np.linalg.eigvals(cl.A)))
     assert f"(spectral radius {radius:.6f})" in caplog.text
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(lifting, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lifting, name, counted)
+    return calls
+
+
+def test_closed_loop_norms_unstable_loop_is_one_eigensolve(
+        example_params, example_channel, monkeypatch):
+    lp = fsfh_lift(build_generalized_plant(example_params, example_channel),
+                   4)
+    K_bad = StateSpace.static(0.1 * np.eye(2), dt=1.0)
+    margins = _count_calls(monkeypatch, "stability_margin")
+    norms = _count_calls(monkeypatch, "hinf_norm")
+    margin, gammas = closed_loop_norms(lp, K_bad)
+    assert gammas == [np.inf]
+    assert len(margins) == 1 and not norms
+    assert margin == 1.0 - np.max(np.abs(np.linalg.eigvals(
+        lifted_closed_loop(lp, K_bad).A)))
+
+
+def test_closed_loop_norms_per_channel(example_params):
+    # the robust plant has two channels; each norm is that diagonal
+    # block's bisection norm
+    channel = CouplingChannel(0.2, 1.0, extra_paths=((0.02, 1.25),))
+    spec = build_generalized_plant(example_params, channel)
+    core = assemble_plant_core(spec, W2=uncertainty_weight(channel, 0.01))
+    rp = lift_core(core, 4, spec.h)
+    K0 = StateSpace.static(np.zeros((2, 2)), dt=1.0)
+    margin, gammas = closed_loop_norms(rp, K0)
+    cl = lifted_closed_loop(rp, K0)
+    assert margin > 0.0 and len(gammas) == 2
+    for gamma, idx in zip(gammas, rp.channel_indices()):
+        assert gamma == hinf_norm(subsystem(cl, idx, idx), 1e-6)

@@ -25,7 +25,7 @@ from relaycancel import synthesis
 from relaycancel.lifting import fsfh_lift, lifted_closed_loop
 from relaycancel.synthesis import (
     Controller,
-    QParam,
+    SynthesisError,
     build_robust_plant,
     controller_from_q,
     design_reconstruction,
@@ -34,7 +34,6 @@ from relaycancel.synthesis import (
     synthesize_nominal,
     synthesize_robust,
     verify_design,
-    youla_closed_loop_maps,
 )
 
 from conftest import make_example_params
@@ -68,23 +67,35 @@ def test_fir_system_response():
         assert np.linalg.norm(frequency_response(q, th) - expected) < 1e-12
 
 
+def _g22(lp):
+    """The u -> y block of a lifted plant."""
+    return subsystem(lp.sys, np.arange(lp.n_z, lp.n_z + lp.n_meas),
+                     np.arange(lp.n_w, lp.n_w + lp.n_ctrl))
+
+
 def test_controller_from_q_pointwise(small_lifted):
     spec, lp = small_lifted
-    maps = youla_closed_loop_maps(lp)
+    G22 = _g22(lp)
     rng = np.random.default_rng(7)
     coeffs = 0.2 * rng.standard_normal((3, 2, 2))
-    qp = QParam(n_q=3, coeffs=coeffs, base=maps["G22"])
-    K = controller_from_q(qp, lp.h)
+    K = controller_from_q(coeffs, G22)
     qsys = fir_system(coeffs, lp.h)
     for om in rng.uniform(0.0, np.pi, size=8):
         Qf = frequency_response(qsys, om)
-        Gf = frequency_response(maps["G22"], om)
+        Gf = frequency_response(G22, om)
         expected = Qf @ np.linalg.solve(np.eye(2) + Gf @ Qf, np.eye(2))
         assert np.linalg.norm(frequency_response(K, om) - expected) < 1e-9
 
 
+def test_controller_from_q_rejects_a_singular_loop():
+    # I + D_Q D_G22 = 0: K = Q (I + G22 Q)^{-1} does not exist
+    G22 = StateSpace.static(np.eye(2), dt=1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="singular algebraic"):
+        controller_from_q(-np.eye(2)[None], G22)
+
+
 # ---------------------------------------------------------------------------
-# the robust lifted plant and youla_closed_loop_maps
+# the robust lifted plant and the affine grid responses of the minimax
 
 
 def test_robust_plant_extends_the_nominal_plant(small_robust):
@@ -109,76 +120,77 @@ def test_nominal_design_rejects_two_channel_plant(small_robust):
 
 
 
-def test_youla_maps_open_loop_at_zero_q(small_robust):
-    spec, rp = small_robust
-    maps = youla_closed_loop_maps(rp)
-    K0 = StateSpace.static(np.zeros((2, 2)), dt=rp.h)
-    n = 2 * rp.N
-    cl = lifted_closed_loop(rp, K0)
-    for om in (0.1, 1.0, 2.5):
-        T11 = frequency_response(maps["channels"][0]["T1"], om)
-        actual = frequency_response(cl, om)[:n, :n]
-        assert np.linalg.norm(T11 - actual) < 1e-10
+@pytest.fixture(scope="module")
+def both_plants(small_lifted, small_robust):
+    """The nominal (one-channel) and robust (two-channel) lifted plants."""
+    return small_lifted[1], small_robust[1]
 
 
-def test_youla_affine_matches_lft(small_robust):
+def _q_at(coeffs, om, h):
+    return sum(c * np.exp(-1j * om * h * m) for m, c in enumerate(coeffs))
+
+
+def test_youla_maps_open_loop_at_zero_q(both_plants):
+    # T1 of every channel is that channel of the loop closed by K = 0
+    oms = np.array([0.1, 1.0, 2.5])
+    for lp in both_plants:
+        K0 = StateSpace.static(np.zeros((2, 2)), dt=lp.h)
+        cl = lifted_closed_loop(lp, K0)
+        chans = synthesis._grid_responses(lp, oms)
+        assert len(chans) == len(lp.channel_indices())
+        for j, om in enumerate(oms):
+            full = frequency_response(cl, om)
+            for ch, idx in zip(chans, lp.channel_indices()):
+                block = full[np.ix_(idx, idx)]
+                assert np.linalg.norm(ch["T1"][j] - block) < 1e-10
+
+
+def test_youla_affine_matches_lft(both_plants):
     # affine formula vs direct LFT of K(Q) with the plant
-    spec, rp = small_robust
-    maps = youla_closed_loop_maps(rp)
     rng = np.random.default_rng(11)
-    coeffs = 0.05 * rng.standard_normal((4, 2, 2))
-    qp = QParam(n_q=4, coeffs=coeffs, base=maps["G22"])
-    K = controller_from_q(qp, rp.h)
-    qsys = fir_system(coeffs, rp.h)
-    n = 2 * rp.N
-    cl = lifted_closed_loop(rp, K)
-    assert len(maps["channels"]) == 2
-    for om in rng.uniform(0.0, np.pi, size=10):
-        Qf = frequency_response(qsys, om)
-        full = frequency_response(cl, om)
-        for k, ch in enumerate(maps["channels"]):
-            T1 = frequency_response(ch["T1"], om)
-            T2 = frequency_response(ch["T2"], om)
-            T3 = frequency_response(ch["T3"], om)
-            affine = T1 + T2 @ Qf @ T3
-            block = full[k * n:(k + 1) * n, k * n:(k + 1) * n]
-            assert np.linalg.norm(affine - block) < 1e-8
+    oms = rng.uniform(0.0, np.pi, size=10)
+    for lp in both_plants:
+        coeffs = 0.05 * rng.standard_normal((4, 2, 2))
+        cl = lifted_closed_loop(lp, controller_from_q(coeffs, _g22(lp)))
+        chans = synthesis._grid_responses(lp, oms)
+        for j, om in enumerate(oms):
+            Qf = _q_at(coeffs, om, lp.h)
+            full = frequency_response(cl, om)
+            for ch, idx in zip(chans, lp.channel_indices()):
+                affine = ch["T1"][j] + ch["T2"][j] @ Qf @ ch["T3"][j]
+                assert np.linalg.norm(affine - full[np.ix_(idx, idx)]) < 1e-8
 
 
-def test_youla_maps_scale_linearly(small_robust):
-    spec, rp = small_robust
-    maps = youla_closed_loop_maps(rp)
+def test_youla_maps_scale_linearly(both_plants):
     rng = np.random.default_rng(13)
     coeffs = 0.1 * rng.standard_normal((2, 2, 2))
-    for om in (0.2, 0.9, 2.9):
-        for ch in maps["channels"]:
-            T2 = frequency_response(ch["T2"], om)
-            T3 = frequency_response(ch["T3"], om)
-            qf = sum(coeffs[m] * np.exp(-1j * om * rp.h * m) for m in range(2))
-            once = T2 @ qf @ T3
-            twice = T2 @ (2.0 * qf) @ T3
-            assert np.linalg.norm(twice - 2.0 * once) < 1e-12
+    oms = np.array([0.2, 0.9, 2.9])
+    for lp in both_plants:
+        for ch in synthesis._grid_responses(lp, oms):
+            for j, om in enumerate(oms):
+                qf = _q_at(coeffs, om, lp.h)
+                once = ch["T2"][j] @ qf @ ch["T3"][j]
+                twice = ch["T2"][j] @ (2.0 * qf) @ ch["T3"][j]
+                assert np.linalg.norm(twice - 2.0 * once) < 1e-12
 
 
-def test_youla_affinity_in_q(small_robust):
-    spec, rp = small_robust
-    maps = youla_closed_loop_maps(rp)
+def test_youla_affinity_in_q(both_plants):
     rng = np.random.default_rng(17)
     Q1 = rng.standard_normal((3, 2, 2))
     Q2 = rng.standard_normal((3, 2, 2))
     lam = 0.3
-    for om in (0.15, 1.2):
-        T1 = frequency_response(maps["channels"][0]["T1"], om)
-        T2 = frequency_response(maps["channels"][0]["T2"], om)
-        T3 = frequency_response(maps["channels"][0]["T3"], om)
+    oms = np.array([0.15, 1.2])
+    for lp in both_plants:
+        ch = synthesis._grid_responses(lp, oms)[0]
+        for j, om in enumerate(oms):
+            T1, T2, T3 = (ch[key][j] for key in ("T1", "T2", "T3"))
 
-        def tmap(Q):
-            qf = sum(Q[m] * np.exp(-1j * om * rp.h * m) for m in range(3))
-            return T1 + T2 @ qf @ T3
+            def tmap(Q):
+                return T1 + T2 @ _q_at(Q, om, lp.h) @ T3
 
-        blend = tmap(lam * Q1 + (1 - lam) * Q2)
-        combo = lam * tmap(Q1) + (1 - lam) * tmap(Q2)
-        assert np.linalg.norm(blend - combo) < 1e-10
+            blend = tmap(lam * Q1 + (1 - lam) * Q2)
+            combo = lam * tmap(Q1) + (1 - lam) * tmap(Q2)
+            assert np.linalg.norm(blend - combo) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +225,9 @@ def test_nominal_small_design_properties(small_lifted):
     assert K.gamma_achieved >= grid_max - 1e-6
     assert K.meta["controller_stable"] == is_stable(K.sys)
     # never worse than the open loop (Q = 0, T = T1) on the design grid
-    T1 = youla_closed_loop_maps(lp)["channels"][0]["T1"]
-    open_gain = max(
-        np.linalg.svd(frequency_response(T1, om), compute_uv=False)[0]
-        for om in np.geomspace(1e-3 / lp.h, np.pi / lp.h, 64)
-    )
+    [ch] = synthesis._grid_responses(
+        lp, np.geomspace(1e-3 / lp.h, np.pi / lp.h, 64))
+    open_gain = np.linalg.svd(ch["T1"], compute_uv=False)[:, 0].max()
     assert K.meta["grid_objective"] <= open_gain
 
 
@@ -472,6 +482,35 @@ def test_robust_rejects_bad_margin(small_robust):
         synthesize_robust(rp, n_q=4, margin=0.5)
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"n_q": 0}, "n_q must be at least 1"),
+    ({"grid_size": 0}, "grid_size must be at least 1"),
+    ({"tol": 0.0}, "tol must be positive"),
+])
+def test_designs_reject_bad_settings_before_any_work(
+        small_lifted, small_robust, monkeypatch, setting, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("design work started")
+
+    monkeypatch.setattr(synthesis, "_grid_responses", no_work)
+    monkeypatch.setattr(synthesis, "_solve_minimax", no_work)
+    kwargs = {"n_q": 2, "grid_size": 16, "tol": 1e-3, **setting}
+    for design, plant in ((synthesize_nominal, small_lifted[1]),
+                          (design_reconstruction, small_lifted[1]),
+                          (synthesize_robust, small_robust[1])):
+        with pytest.raises(ValueError, match=message):
+            design(plant, **kwargs)
+
+
+def test_design_rejects_an_unstable_u_to_y_block(small_lifted):
+    spec, lp = small_lifted
+    A = lp.sys.A.copy()
+    A[0, 0] = 1.5  # the first core state now diverges
+    unstable = replace(lp, sys=replace(lp.sys, A=A))
+    with pytest.raises(SynthesisError, match="u->y block"):
+        synthesize_nominal(unstable, n_q=2, grid_size=16)
+
+
 # ---------------------------------------------------------------------------
 # verify_design and the robustness sweep
 
@@ -532,6 +571,8 @@ def test_robust_sweep_flags_unstable_cases(small_robust):
                        gamma_achieved=0.0, method="nominal_hinf")
     sweep = robust_stability_sweep(spec, K_bad, n_cases=10, seed=3, N=4)
     assert not sweep["all_stable"]
+    assert sweep["min_spectral_margin"] == min(
+        f["spectral_margin"] for f in sweep["failures"])
 
 
 def test_robust_sweep_passes_for_robust_controller(small_robust):
@@ -539,3 +580,4 @@ def test_robust_sweep_passes_for_robust_controller(small_robust):
     K = synthesize_robust(rp, n_q=4, grid_size=96, margin=0.05, max_iter=150)
     sweep = robust_stability_sweep(spec, K, n_cases=20, seed=5, N=4)
     assert sweep["all_stable"], sweep["failures"]
+    assert 0.0 < sweep["min_spectral_margin"] < 1.0
