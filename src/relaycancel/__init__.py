@@ -3,7 +3,6 @@ single-frequency full-duplex relay stations."""
 
 from .lti import (
     StateSpace,
-    frequency_response,
     hinf_norm,
     interconnect,
     is_stable,
@@ -15,7 +14,6 @@ from .relay import (
     RelayParams,
     build_generalized_plant,
     build_perturbed_plant,
-    error_system_response,
     rotation_matrix,
     scalar_block,
     uncertainty_weight,
@@ -29,10 +27,8 @@ from .lifting import (
 )
 from .synthesis import (
     Controller,
-    Reconstruction,
     SynthesisError,
     build_robust_plant,
-    design_reconstruction,
     robust_stability_sweep,
     synthesize_nominal,
     synthesize_robust,
@@ -44,7 +40,6 @@ from .sim import (
     SimulationTrace,
     generate_input,
     metrics,
-    passband_oracle,
     simulate_closed_loop,
 )
 

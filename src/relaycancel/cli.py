@@ -10,9 +10,11 @@ norm bisection that does not converge, or a ``LinAlgError`` such as a
 singular resolvent, a singular algebraic loop or a matrix exponential
 with non-finite entries; reported as "numerical failure: ...").
 ``simulate --out PREFIX`` appends ``.csv`` and ``.metrics.json`` to the
-prefix, dots and all.  ``verify`` adds, for a robust design on a channel
-with detours, the perturbation sweep's case counts and its smallest
-spectral margin.
+prefix, dots and all; ``design --out REPORT`` writes the controller to
+REPORT with ``.controller.yaml`` in place of a trailing ``.json``, or
+appended when there is none.  ``verify`` adds, for a robust design on a
+channel with detours, the perturbation sweep's case counts and its
+smallest spectral margin.
 ``-v/--log-level LEVEL`` (before the command) sets the level of the
 package's log records, which go to stderr; DEBUG shows, among others,
 one line per minimax (iterations, cuts, time in the sigma_max oracle and
@@ -102,6 +104,37 @@ def _check_keys(section: dict, allowed, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _mapping(value, where: str) -> dict:
+    """A copy of a config mapping; an empty YAML section (None) is {}."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a mapping, got {value!r}")
+    return dict(value)
+
+
+def _convert(section: dict, keys, kind, where: str):
+    """Convert section[key] to kind (float or int) in place, per key."""
+    for key in keys:
+        if key not in section:
+            raise ConfigError(f"{where} is missing {key!r}")
+        try:
+            section[key] = kind(section[key])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}.{key} must be a number, got "
+                              f"{section[key]!r}") from None
+
+
+def _float_list(value, where: str) -> list:
+    try:
+        if isinstance(value, list) and value:
+            return [float(x) for x in value]
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{where} must be a non-empty list of numbers, got "
+                      f"{value!r}")
+
+
 def effective_config(raw: dict) -> dict:
     """Validate a raw config mapping and fill in the defaults."""
     if not isinstance(raw, dict):
@@ -111,13 +144,12 @@ def effective_config(raw: dict) -> dict:
         if section not in raw:
             raise ConfigError(f"missing config section {section!r}")
 
-    relay = dict(raw["relay"])
+    relay = _mapping(raw["relay"], "relay")
     _check_keys(relay, {"h", "f", "a1", "a2", "W", "F", "P"}, "relay")
     for key in ("h", "f", "a1", "a2", "W", "F", "P"):
         if key not in relay:
             raise ConfigError(f"relay section is missing {key!r}")
-    for key in ("h", "f", "a1", "a2"):
-        relay[key] = float(relay[key])
+    _convert(relay, ("h", "f", "a1", "a2"), float, "relay")
     for key in ("W", "F", "P"):
         blk, where = relay[key], f"relay.{key}"
         if not isinstance(blk, dict):
@@ -125,36 +157,39 @@ def effective_config(raw: dict) -> dict:
         _check_keys(blk, {"num", "den"}, where)
         if {"num", "den"} - blk.keys():
             raise ConfigError(f"{where} needs both num and den")
-        relay[key] = {k: [float(x) for x in blk[k]] for k in ("num", "den")}
+        relay[key] = {k: _float_list(blk[k], f"{where}.{k}")
+                      for k in ("num", "den")}
 
-    channel = dict(raw["channel"])
+    channel = _mapping(raw["channel"], "channel")
     _check_keys(channel, {"r", "L", "extra_paths"}, "channel")
-    channel["r"] = float(channel["r"])
-    channel["L"] = float(channel["L"])
+    _convert(channel, ("r", "L"), float, "channel")
+    paths = channel.get("extra_paths") or []
+    if not isinstance(paths, list):
+        raise ConfigError("channel.extra_paths must be a list of r/L "
+                          f"mappings, got {paths!r}")
     extras = []
-    for i, p in enumerate(channel.get("extra_paths", []) or []):
-        _check_keys(p, {"r", "L"}, f"channel.extra_paths[{i}]")
-        extras.append({"r": float(p["r"]), "L": float(p["L"])})
+    for i, p in enumerate(paths):
+        where = f"channel.extra_paths[{i}]"
+        p = _mapping(p, where)
+        _check_keys(p, {"r", "L"}, where)
+        _convert(p, ("r", "L"), float, where)
+        extras.append(p)
     channel["extra_paths"] = extras
 
-    design = {**_DESIGN_DEFAULTS, **(raw.get("design") or {})}
+    design = {**_DESIGN_DEFAULTS, **_mapping(raw.get("design"), "design")}
     _check_keys(design, _DESIGN_DEFAULTS, "design")
     if design["mode"] not in ("nominal", "robust"):
         raise ConfigError("design.mode must be nominal or robust")
-    design["N"] = int(design["N"])
-    design["n_q"] = int(design["n_q"])
-    design["grid_size"] = int(design["grid_size"])
-    for key in ("margin", "epsilon", "tol"):
-        design[key] = float(design[key])
+    _convert(design, ("N", "n_q", "grid_size"), int, "design")
+    _convert(design, ("margin", "epsilon", "tol"), float, "design")
 
-    sim = {**_SIM_DEFAULTS, **(raw.get("sim") or {})}
+    sim = {**_SIM_DEFAULTS, **_mapping(raw.get("sim"), "sim")}
     _check_keys(sim, set(_SIM_DEFAULTS) | {"input"}, "sim")
-    sim["duration"] = float(sim["duration"])
-    sim["oversample"] = int(sim["oversample"])
-    sim["seed"] = int(sim["seed"])
-    inp = {**_INPUT_DEFAULTS, **(sim.get("input") or {})}
+    _convert(sim, ("duration",), float, "sim")
+    _convert(sim, ("oversample", "seed"), int, "sim")
+    inp = {**_INPUT_DEFAULTS, **_mapping(sim.get("input"), "sim.input")}
     _check_keys(inp, _INPUT_DEFAULTS, "sim.input")
-    inp["period"] = float(inp["period"])
+    _convert(inp, ("period",), float, "sim.input")
     sim["input"] = inp
 
     return {"relay": relay, "channel": channel, "design": design, "sim": sim}
@@ -265,11 +300,11 @@ def _write_json(obj: dict, path: Path):
 # commands
 
 
-def _design(cfg: dict, reconstruction=None):
+def _design(cfg: dict, reuse=None):
     """Design the canceler a config asks for.
 
-    A nominal design reuses ``reconstruction`` (the Q* of an earlier
-    nominal design) when given; synthesize_nominal checks that it fits.
+    A nominal design reuses the Q* of ``reuse`` (an earlier nominal
+    design) when given; synthesize_nominal checks that it fits.
     """
     params, channel = config_objects(cfg)
     spec = build_generalized_plant(params, channel)
@@ -278,7 +313,7 @@ def _design(cfg: dict, reconstruction=None):
         lp = fsfh_lift(spec, d["N"])
         K = synthesize_nominal(lp, tol=d["tol"], n_q=d["n_q"],
                                grid_size=d["grid_size"],
-                               reconstruction=reconstruction)
+                               reuse=reuse)
     else:
         W2 = uncertainty_weight(channel, d["epsilon"])
         rp = build_robust_plant(spec, W2, d["N"])
@@ -296,7 +331,8 @@ def cmd_design(config: str, out: str) -> int:
     report_verify = verify_design(spec, K, N_verify=2 * cfg["design"]["N"])
     t_verify = time.perf_counter() - t0
     out_path = Path(out)
-    ctrl_path = out_path.with_suffix(".controller.yaml")
+    # only a .json suffix is replaced, so runs/v1.2 keeps its dot
+    ctrl_path = Path(f"{out.removesuffix('.json')}.controller.yaml")
     report = {
         "config": cfg,
         "controller": controller_to_dict(K),
@@ -392,11 +428,10 @@ def cmd_reproduce_paper(out_dir: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     summary = {"criteria": {}}
     failures = []
-    reconstruction = None
+    K = None
     for fig, config, perturbed, oversample, expected, failure in _EXPERIMENTS:
         cfg = load_config(config)
-        spec, K = _design(cfg, reconstruction=reconstruction)
-        reconstruction = K.reconstruction
+        spec, K = _design(cfg, reuse=K)
         params, channel = config_objects(cfg)
         trace = simulate_closed_loop(SimConfig(
             params=params,

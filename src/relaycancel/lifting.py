@@ -80,7 +80,7 @@ class LiftedPlant:
     """Discrete generalized plant produced by FSFH lifting.
 
     Inputs are [w stack (n_fast_in * N), u (n_ctrl)], outputs
-    [z stack (n_fast_out * N), y (n_meas)], all at period h; each stack
+    [z stack (n_fast_in * N), y (n_ctrl)], all at period h; each stack
     holds one I/Q pair's 2N fast samples after another, so channel k is
     the k-th block of 2N inputs and outputs.  W2 is the uncertainty
     weight of a robust design plant, None otherwise.
@@ -90,18 +90,15 @@ class LiftedPlant:
     N: int
     h: float
     n_fast_in: int
-    n_fast_out: int
     n_ctrl: int
-    n_meas: int
     W2: StateSpace | None = None
 
     @property
     def n_w(self) -> int:
+        """Width of the w stack, and of the z stack."""
         return self.n_fast_in * self.N
 
-    @property
-    def n_z(self) -> int:
-        return self.n_fast_out * self.N
+    n_z = n_w
 
     def channel_indices(self) -> list:
         """Stack indices of each channel, the same for w_k and z_k."""
@@ -126,7 +123,7 @@ def lift_core(core: CoreSystem, N: int, h: float) -> LiftedPlant:
     if N < 1:
         raise ValueError("fast-rate factor N must be a positive integer")
     paths = [(src, delay_steps(L, N, h)) for L, src in core.chains]
-    n_c, n_ext, n_perf = core.sys.n_states, core.n_ext, core.n_perf
+    n_c, n_ext = core.sys.n_states, core.n_ext
 
     def rate(src):
         """Source samples per period: one hold of u, N of an external pair."""
@@ -166,9 +163,9 @@ def lift_core(core: CoreSystem, N: int, h: float) -> LiftedPlant:
         for i, (src, d) in enumerate(reads):
             c = col(src, (j - d) * rate(src) // N)
             P_j[2 * i:2 * i + 2, c:c + 2] = eye2
-        z_rows.append(cd.C[:n_perf] @ M + cd.D[:n_perf] @ P_j)
+        z_rows.append(cd.C[:n_ext] @ M + cd.D[:n_ext] @ P_j)
         if j == 0:
-            y_rows = cd.C[n_perf:] @ M + cd.D[n_perf:] @ P_j
+            y_rows = cd.C[n_ext:] @ M + cd.D[n_ext:] @ P_j
         M = cd.A @ M + cd.B @ P_j
 
     # history entry i of the next period is sample rate - 1 - i of this one
@@ -179,13 +176,12 @@ def lift_core(core: CoreSystem, N: int, h: float) -> LiftedPlant:
             r = base[src] - n_c + 2 * i
             H[r:r + 2, c:c + 2] = eye2
     AB = np.vstack([M, H])
-    z_stack = [z[p:p + 2] for p in range(0, n_perf, 2) for z in z_rows]
+    z_stack = [z[p:p + 2] for p in range(0, n_ext, 2) for z in z_rows]
     CD = np.vstack(z_stack + [y_rows])
     sys = StateSpace(AB[:, :n_s], AB[:, n_s:], CD[:, :n_s], CD[:, n_s:],
                      dt=h)
     return LiftedPlant(sys=sys, N=N, h=h, n_fast_in=n_ext,
-                       n_fast_out=n_perf, n_ctrl=core.n_ctrl,
-                       n_meas=core.n_meas)
+                       n_ctrl=core.n_ctrl)
 
 
 def fsfh_lift(plant: GeneralizedPlantSpec, N: int) -> LiftedPlant:

@@ -2,10 +2,11 @@
 
 This module is the numerical substrate for the rest of the package:
 construction, interconnection, zero-order-hold discretization, stability
-tests, frequency responses and the discrete-time H-infinity norm.  All
-systems are stored as dense real matrices; the orders encountered here
-(tens of states after lifting) are small enough that dense linear
-algebra is both simpler and fast.
+tests and the discrete-time H-infinity norm, whose grid is the only place
+the package evaluates frequency responses (pointwise responses are a
+test oracle, ``tests/oracles.py``).  All systems are stored as dense real
+matrices; the orders encountered here (tens of states after lifting) are
+small enough that dense linear algebra is both simpler and fast.
 
 A system is
 
@@ -34,7 +35,6 @@ __all__ = [
     "is_stable",
     "stability_margin",
     "hinf_norm",
-    "frequency_response",
     "subsystem",
     "from_tf",
 ]
@@ -266,25 +266,6 @@ def is_stable(sys: StateSpace, margin: float = STABILITY_MARGIN) -> bool:
     marginal eigenvalues count as unstable.
     """
     return stability_margin(sys) > margin
-
-
-def frequency_response(sys: StateSpace, omega: float) -> np.ndarray:
-    """Evaluate the transfer matrix at real frequency omega [rad/s].
-
-    Continuous: C (jw I - A)^-1 B + D.  Discrete: the same with
-    z = exp(j w dt) in place of jw.
-    """
-    if sys.n_states == 0:
-        return sys.D.astype(complex)
-    z = np.exp(1j * omega * sys.dt) if sys.is_discrete else 1j * omega
-    M = z * np.eye(sys.n_states) - sys.A
-    try:
-        X = np.linalg.solve(M, sys.B)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"resolvent singular at omega={omega}"
-        ) from exc
-    return sys.C @ X + sys.D
 
 
 def _sigma_max_grid(sys: StateSpace, n_grid: int) -> tuple[float, float]:

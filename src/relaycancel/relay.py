@@ -17,7 +17,10 @@ assembled here maps (disturbance w, held controller output u) to
 where W shapes the admissible inputs, F is the receive-side anti-alias
 filter and P the transmit-side post filter.  Delays are kept symbolic
 (never rationally approximated); they are resolved exactly on the fast
-grid during lifting, which the simulator shares.
+grid during lifting, which the simulator shares.  The plant's frequency
+response with delays as exact phases, and the relative perturbation of
+the detour paths, are test oracles (``tests/oracles.py``), not library
+functions.
 
 All blocks are 2x2 (I/Q pair); scalar transfer functions are promoted to
 scalar * I2.  Everything here is a pure function of immutable inputs.
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from .lti import StateSpace, frequency_response, from_tf, is_stable
+from .lti import StateSpace, from_tf, is_stable
 
 __all__ = [
     "RelayParams",
@@ -42,8 +45,6 @@ __all__ = [
     "scalar_block",
     "build_generalized_plant",
     "build_perturbed_plant",
-    "plant_frequency_response",
-    "error_system_response",
     "uncertainty_weight",
     "assemble_plant_core",
     "assemble_core_blocks",
@@ -214,41 +215,6 @@ def build_perturbed_plant(params: RelayParams,
                                 paths=tuple(paths))
 
 
-def plant_frequency_response(spec: GeneralizedPlantSpec,
-                             omega: float) -> np.ndarray:
-    """4x4 response of the assembled plant, delays applied as phases.
-
-    Rows are (z, y), columns (w, u); the delay of each path contributes
-    the scalar phase e^{-j omega L_i} times its rotation.
-    """
-    Wf = frequency_response(spec.params.W, omega)
-    Ff = frequency_response(spec.params.F, omega)
-    Pf = frequency_response(spec.params.P, omega)
-    coupling = np.zeros((2, 2), dtype=complex)
-    for path in spec.paths:
-        coupling += path.alpha * np.exp(-1j * omega * path.L) * path.rot @ Ff @ Pf
-    top = np.hstack([Wf, -Pf])
-    bottom = np.hstack([Ff @ Wf, coupling])
-    return np.vstack([top, bottom])
-
-
-def error_system_response(channel: CouplingChannel, omega: float,
-                          f: float) -> np.ndarray:
-    """Relative channel perturbation seen by the nominal path at omega.
-
-    Each detour path contributes (r_i / r) e^{-j (L_i - L) omega} times
-    the rotation for the differential delay L_i - L.  Requires at least
-    one detour path.
-    """
-    if not channel.extra_paths:
-        raise ValueError("error_system_response requires at least one extra path")
-    E = np.zeros((2, 2), dtype=complex)
-    for ri, Li in channel.extra_paths:
-        dL = Li - channel.L
-        E += (ri / channel.r) * np.exp(-1j * dL * omega) * rotation_matrix(f, dL)
-    return E
-
-
 def uncertainty_weight(channel: CouplingChannel,
                        epsilon: float = 0.01) -> StateSpace:
     """Static multiplicative-uncertainty weight covering the detours.
@@ -277,9 +243,10 @@ def uncertainty_weight(channel: CouplingChannel,
 class CoreSystem:
     """Delay-free continuous core plus its delayed-path wiring.
 
-    sys inputs are ordered [fast external inputs, controller hold u,
-    one delayed-signal slot per path]; outputs are [fast performance
-    outputs, measurement y].  chains[k] = (delay_seconds, source) drives
+    sys inputs are ordered [fast external inputs (n_ext), controller hold
+    u (n_ctrl), one delayed-signal slot per path]; outputs are [fast
+    performance outputs (n_ext, one per external input), measurement y
+    (n_ctrl)].  chains[k] = (delay_seconds, source) drives
     delayed-signal slot k with its source delayed by delay_seconds, where
     source is "ctrl" (the held controller output) or ("ext", j) (external
     fast input pair starting at column j).
@@ -288,8 +255,6 @@ class CoreSystem:
     sys: StateSpace
     n_ext: int
     n_ctrl: int
-    n_perf: int
-    n_meas: int
     chains: tuple
 
 
@@ -423,4 +388,4 @@ def assemble_core_blocks(W: StateSpace, F: StateSpace, P: StateSpace,
         D[ry, n_in - 2:] = paths[0].alpha * paths[0].rot
         chains += ((paths[0].L, ("ext", 2)),)
     return CoreSystem(StateSpace(A, B, C, D), n_ext=n_ext, n_ctrl=2,
-                      n_perf=n_ext, n_meas=2, chains=chains)
+                      chains=chains)

@@ -13,11 +13,8 @@ rate: the measurement is read at t = k h and the new controller output
 is held over [k h, (k+1) h).  One matrix product then forms the
 fine-grid trace of every period.
 
-The module also provides the input generators used by the experiments
-(lifted the same way) and a passband oracle that modulates a baseband
-signal onto the carrier, pushes it through the delay channel at an
-RF-rate grid, demodulates and low-pass filters; its output validates the
-baseband equivalence gain * rotation * u(t - L) numerically.
+The module also provides the input generators used by the experiments,
+lifted the same way.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.signal import butter, sosfilt
 
 from .lifting import lift_core, lifted_closed_loop
 from .lti import StateSpace
@@ -43,7 +39,6 @@ __all__ = [
     "SimulationTrace",
     "generate_input",
     "simulate_closed_loop",
-    "passband_oracle",
     "metrics",
 ]
 
@@ -163,8 +158,7 @@ def _filter_fine(block: StateSpace, raw: np.ndarray, N: int,
     The grid has N steps per period h; the block is lifted over one
     period and stepped once per period.
     """
-    core = CoreSystem(block, n_ext=2, n_ctrl=0, n_perf=2, n_meas=0,
-                      chains=())
+    core = CoreSystem(block, n_ext=2, n_ctrl=0, chains=())
     _, out = _step_periods(lift_core(core, N, h).sys, _stack_periods(raw, N))
     return _unstack_periods(out, raw.shape[1])
 
@@ -265,52 +259,3 @@ def metrics(trace: SimulationTrace, gamma: float | None = None) -> dict:
     if gamma is not None:
         out["bound_ratio"] = trace.l2_err / gamma
     return out
-
-
-def passband_oracle(u: np.ndarray, params: RelayParams,
-                    channel: CouplingChannel, N_rf: int,
-                    dt: float) -> np.ndarray:
-    """Numerical passband round trip of the nominal coupling path.
-
-    Modulates u onto the quadrature carriers at frequency f, applies the
-    amplifier gains, attenuation and delay on an RF-rate grid of N_rf
-    steps per sampling period, demodulates by carrier multiplication and
-    an 8th-order low-pass at f/10, and returns the baseband result on the
-    input grid.  Up to the filter transient this reproduces
-    gain * rotation * u(t - L).
-    """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2 or u.shape[0] != 2:
-        raise ValueError("u must be a 2 x T array")
-    f, h = params.f, params.h
-    if N_rf < 16 * f * h:
-        raise ValueError(
-            f"carrier under-resolved: need N_rf >= {16 * f * h:.0f}"
-        )
-    ratio = N_rf * dt / h
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ValueError("RF grid must refine the baseband grid")
-    R = int(round(ratio))
-    d_rf = channel.L * N_rf / h
-    if abs(d_rf - round(d_rf)) > 1e-9 * max(1.0, d_rf):
-        raise ValueError("delay not on the RF grid")
-    d_rf = int(round(d_rf))
-
-    T = u.shape[1]
-    rf_dt = h / N_rf
-    t_rf = np.arange(T * R) * rf_dt
-    t_base = np.arange(T) * dt
-    uI = np.interp(t_rf, t_base, u[0])
-    uQ = np.interp(t_rf, t_base, u[1])
-    carrier_c = np.cos(2.0 * np.pi * f * t_rf)
-    carrier_s = np.sin(2.0 * np.pi * f * t_rf)
-
-    tx = uI * carrier_c - uQ * carrier_s
-    rx = np.zeros_like(tx)
-    gain = params.a1 * params.a2 * channel.r
-    rx[d_rf:] = gain * tx[:len(tx) - d_rf]
-
-    sos = butter(8, (f / 10.0) / (0.5 / rf_dt), output="sos")
-    bI = sosfilt(sos, 2.0 * rx * carrier_c)
-    bQ = sosfilt(sos, -2.0 * rx * carrier_s)
-    return np.vstack([bI[::R], bQ[::R]])

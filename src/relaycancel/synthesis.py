@@ -37,10 +37,10 @@ the grid maximum plus the bound plus less than half the bisection
 tolerance, and the test backs it.
 
 The nominal objective holds no coupling term (T1 = W, T2 = -P, T3 = F W
-in the stable-plant form), so its FIR parameter Q* is designed once by
-``design_reconstruction`` and can be wrapped around the G22 of any plant
-whose affine grid responses are bitwise equal: ``synthesize_nominal``
-takes such a reconstruction through ``reconstruction=``.
+in the stable-plant form), so its FIR parameter Q* fits every plant whose
+affine grid responses are bitwise equal.  A nominal design records Q* in
+its meta with the SHA-256 of those responses, and ``synthesize_nominal``
+wraps it around another plant's G22 when given that design as ``reuse=``.
 
 The robust design adds the uncertainty channel as a hard constraint
 (grid gain of T_z2w2 at most 1 - margin, followed by the bisection-norm
@@ -83,10 +83,8 @@ from .relay import (
 
 __all__ = [
     "Controller",
-    "Reconstruction",
     "SynthesisError",
     "build_robust_plant",
-    "design_reconstruction",
     "synthesize_nominal",
     "synthesize_robust",
     "verify_design",
@@ -103,46 +101,6 @@ class SynthesisError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Reconstruction:
-    """Nominal FIR parameter Q*, found once and reusable across plants.
-
-    ``fingerprint`` is the SHA-256 of the T1/T2/T3 grid responses the
-    minimax ran on; a plant whose responses hash the same, at the same
-    design settings, has the same Q*.  ``info`` is the solver report.
-    """
-
-    coeffs: np.ndarray  # (n_q, 2, 2)
-    info: dict
-    fingerprint: str
-    n_q: int
-    N: int
-    h: float
-    grid_size: int
-    tol: float
-    max_iter: int
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def check(self, fingerprint: str, N: int, h: float, n_q: int,
-              grid_size: int, tol: float, max_iter: int):
-        """Raise ValueError unless a design at these settings, on grid
-        responses with this fingerprint, would give the same Q*."""
-        wanted = {"N": N, "h": h, "n_q": n_q, "grid_size": grid_size,
-                  "tol": tol, "max_iter": max_iter}
-        wrong = [f"{k}={v!r} (reconstruction: {getattr(self, k)!r})"
-                 for k, v in wanted.items() if getattr(self, k) != v]
-        if wrong:
-            raise ValueError("reconstruction was designed at other settings: "
-                             + ", ".join(wrong))
-        if fingerprint != self.fingerprint:
-            raise ValueError("reconstruction does not fit this plant: its "
-                             "T1/T2/T3 grid responses differ")
-
-
-@dataclass(frozen=True)
 class Controller:
     """Synthesized digital canceler with its achieved norms.
 
@@ -150,15 +108,14 @@ class Controller:
     gamma1 (performance) and gamma2 (uncertainty channel) for robust
     ones.  The controller itself need not be stable, only the closed
     loop; its own stability is recorded in meta["controller_stable"].
-    A nominal design carries its reconstruction, which can be passed to
-    ``synthesize_nominal`` for another plant.
+    A nominal design records its FIR parameter in meta["q"], so it can be
+    passed to ``synthesize_nominal`` as ``reuse=`` for another plant.
     """
 
     sys: StateSpace
     gamma_achieved: object
     method: str
     meta: dict = field(default_factory=dict)
-    reconstruction: Reconstruction | None = None
 
 
 def build_robust_plant(spec: GeneralizedPlantSpec, W2: StateSpace,
@@ -217,7 +174,7 @@ def controller_from_q(coeffs: np.ndarray, G22: StateSpace) -> StateSpace:
 def _ports(lp: LiftedPlant):
     """Columns of u and rows of y in the lifted plant."""
     return (np.arange(lp.n_w, lp.n_w + lp.n_ctrl),
-            np.arange(lp.n_z, lp.n_z + lp.n_meas))
+            np.arange(lp.n_z, lp.n_z + lp.n_ctrl))
 
 
 def _grid_responses(lp: LiftedPlant, omegas) -> list:
@@ -564,33 +521,23 @@ def _fingerprint(ch: dict) -> str:
     return digest.hexdigest()
 
 
-def _reconstruct(lp: LiftedPlant, zinv_pow: np.ndarray, ch: dict,
-                 tol: float, n_q: int, grid_size: int,
-                 max_iter: int) -> Reconstruction:
-    Q, info = _solve_minimax(_prepare_oracle(ch), zinv_pow, n_q,
-                             rel_tol=tol, max_iter=max_iter)
-    return Reconstruction(coeffs=Q, info=info, fingerprint=_fingerprint(ch),
-                          n_q=n_q, N=lp.N, h=lp.h, grid_size=grid_size,
-                          tol=tol, max_iter=max_iter)
-
-
-def design_reconstruction(lp: LiftedPlant, tol: float = 1e-3, n_q: int = 8,
-                          grid_size: int = 256,
-                          max_iter: int = 300) -> Reconstruction:
-    """Solve the nominal grid minimax for the FIR parameter Q*.
-
-    The objective T1 + T2 Q T3 holds no coupling term, so the result fits
-    every plant with the same W, F, P, h and N; ``synthesize_nominal``
-    checks that fit bitwise before it reuses Q*.
-    """
-    _, zinv_pow, ch = _nominal_grid(lp, n_q, grid_size, tol)
-    return _reconstruct(lp, zinv_pow, ch, tol, n_q, grid_size, max_iter)
+def _check_reuse(meta: dict, fingerprint: str, settings: dict):
+    """Raise ValueError unless a design at these settings, on grid
+    responses with this fingerprint, would give the Q* in ``meta`` (a
+    robust design's meta lacks h and max_iter, so it never passes)."""
+    wrong = [f"{k}={v!r} (reconstruction: {meta.get(k)!r})"
+             for k, v in settings.items() if meta.get(k) != v]
+    if wrong:
+        raise ValueError("reconstruction was designed at other settings: "
+                         + ", ".join(wrong))
+    if fingerprint != meta.get("grid_fingerprint"):
+        raise ValueError("reconstruction does not fit this plant: its "
+                         "T1/T2/T3 grid responses differ")
 
 
 def synthesize_nominal(lp: LiftedPlant, tol: float = 1e-3, n_q: int = 8,
                        grid_size: int = 256, max_iter: int = 300,
-                       reconstruction: Reconstruction | None = None
-                       ) -> Controller:
+                       reuse: Controller | None = None) -> Controller:
     """Minimize the lifted closed-loop H-infinity norm over FIR-Q cancelers.
 
     The returned gamma is the bisection norm of the achieved closed loop
@@ -598,38 +545,34 @@ def synthesize_nominal(lp: LiftedPlant, tol: float = 1e-3, n_q: int = 8,
     upper end rests on).  The closed loop is internally stable by
     construction because the plant is stable and Q is stable.
 
-    Without ``reconstruction`` the minimax is solved here.  With one, its
-    Q* is wrapped around this plant's G22 instead, after checking that
-    this plant's affine grid responses and the design settings match
-    (ValueError otherwise); the result is bitwise that of a fresh design.
-    meta["iterations"] and meta["n_cuts"] count the minimax work done by
-    this call, so both are 0 when a reconstruction is reused.
+    Without ``reuse`` the minimax is solved here.  With an earlier nominal
+    design, its Q* (meta["q"]) is wrapped around this plant's G22 instead,
+    after checking that this plant's affine grid responses and the design
+    settings match (ValueError otherwise); the result is bitwise that of a
+    fresh design.  meta["iterations"] and meta["n_cuts"] count the minimax
+    work done by this call, so both are 0 when Q* is reused.
     """
     G22, zinv_pow, ch = _nominal_grid(lp, n_q, grid_size, tol)
-    if reconstruction is None:
-        rec = _reconstruct(lp, zinv_pow, ch, tol, n_q, grid_size, max_iter)
-        info = rec.info
+    settings = {"n_q": n_q, "N": lp.N, "h": lp.h, "grid_size": grid_size,
+                "tol": tol, "max_iter": max_iter}
+    if reuse is None:
+        Q, info = _solve_minimax(_prepare_oracle(ch), zinv_pow, n_q,
+                                 rel_tol=tol, max_iter=max_iter)
+        meta = {**settings, **info, "q": Q.tolist(),
+                "grid_fingerprint": _fingerprint(ch)}
     else:
-        reconstruction.check(_fingerprint(ch), N=lp.N, h=lp.h, n_q=n_q,
-                             grid_size=grid_size, tol=tol, max_iter=max_iter)
-        rec = reconstruction
-        info = {**rec.info, "iterations": 0, "n_cuts": 0}
-    K = controller_from_q(rec.coeffs, G22)
+        _check_reuse(reuse.meta, _fingerprint(ch), settings)
+        Q = np.asarray(reuse.meta["q"])
+        meta = {**reuse.meta, "iterations": 0, "n_cuts": 0}
+    K = controller_from_q(Q, G22)
     _, (gamma,) = closed_loop_norms(lp, K)
     if math.isinf(gamma):
         raise SynthesisError("closed loop unstable after synthesis "
                              "(numerical failure)")
-    meta = {
-        "n_q": n_q,
-        "N": lp.N,
-        "grid_size": grid_size,
-        "tol": tol,
-        "controller_stable": is_stable(K),
-        "reconstruction_reused": reconstruction is not None,
-        **info,
-    }
+    meta["controller_stable"] = is_stable(K)
+    meta["reconstruction_reused"] = reuse is not None
     return Controller(sys=K, gamma_achieved=gamma, method="nominal_hinf",
-                      meta=meta, reconstruction=rec)
+                      meta=meta)
 
 
 # ---------------------------------------------------------------------------

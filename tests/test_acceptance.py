@@ -20,7 +20,6 @@ from relaycancel.relay import (
     CouplingPath,
     assemble_core_blocks,
     build_generalized_plant,
-    error_system_response,
     rotation_matrix,
     scalar_block,
     uncertainty_weight,
@@ -31,6 +30,7 @@ from relaycancel.lifting import (
     lifted_closed_loop,
     sampled_data_norm,
 )
+from relaycancel import cli, synthesis
 from relaycancel.synthesis import (
     build_robust_plant,
     robust_stability_sweep,
@@ -41,12 +41,12 @@ from relaycancel.sim import (
     InputSpec,
     SimConfig,
     generate_input,
-    passband_oracle,
     simulate_closed_loop,
 )
 from relaycancel.cli import cmd_reproduce_paper
 
 from conftest import make_example_params
+from oracles import error_system_response, passband_oracle
 from test_sim import assert_matches_reference
 
 RECT_INPUT = InputSpec(kind="random_rect", period=4.0, filter="through_P")
@@ -75,13 +75,13 @@ def nominal_design():
 @pytest.fixture(scope="module")
 def lowgain_design(nominal_design):
     # as in reproduce-paper: the transmit gain leaves Q* unchanged, so the
-    # 60 dB design's reconstruction is reused (and checked to fit)
+    # 60 dB design's Q* is reused (and checked to fit)
     params = make_example_params(a2=100.0)
     channel = CouplingChannel(r=0.2, L=1.0)
     spec = build_generalized_plant(params, channel)
     K = synthesize_nominal(fsfh_lift(spec, 16), tol=1e-3, n_q=8,
                            grid_size=256,
-                           reconstruction=nominal_design["K"].reconstruction)
+                           reuse=nominal_design["K"])
     return {"params": params, "channel": channel, "spec": spec, "K": K}
 
 
@@ -433,11 +433,29 @@ def test_criterion_6_numerical_oracles(example_params):
 # criterion 7: determinism of the reproduction pipeline
 
 
-def test_criterion_7_reproduction_determinism(tmp_path):
+def test_criterion_7_reproduction_determinism(tmp_path, monkeypatch):
+    # minimax solves per design: fig9 one, fig10 none (it reuses fig9's
+    # Q*), fig11 two (the warm start and one constrained attempt)
+    solves, per_design = [], []
+
+    def counted_minimax(*args, **kwargs):
+        solves.append(1)
+        return solve_minimax(*args, **kwargs)
+
+    def counted_design(*args, **kwargs):
+        before = len(solves)
+        result = design(*args, **kwargs)
+        per_design.append(len(solves) - before)
+        return result
+
+    solve_minimax, design = synthesis._solve_minimax, cli._design
+    monkeypatch.setattr(synthesis, "_solve_minimax", counted_minimax)
+    monkeypatch.setattr(cli, "_design", counted_design)
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
     rc1 = cmd_reproduce_paper(str(out1))
     rc2 = cmd_reproduce_paper(str(out2))
+    assert per_design == [1, 0, 2] * 2
     same = all(
         (out1 / name).read_bytes() == (out2 / name).read_bytes()
         for name in ("fig9.csv", "fig10.csv", "fig11.csv")

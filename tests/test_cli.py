@@ -107,6 +107,34 @@ def test_bad_transfer_function_entry_exits_one(tmp_path, capsys, key, entry,
     assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("relay", "W"), {"num": 5, "den": [1, 1]},
+     "relay.W.num must be a non-empty list of numbers, got 5"),
+    (("relay", "P"), {"num": [], "den": [1, 1]},
+     "relay.P.num must be a non-empty list of numbers, got []"),
+    (("channel", "extra_paths"), [0.02],
+     "channel.extra_paths[0] must be a mapping, got 0.02"),
+    (("channel", "extra_paths"), 5,
+     "channel.extra_paths must be a list of r/L mappings, got 5"),
+    (("relay",), 5, "relay must be a mapping, got 5"),
+    (("design",), 5, "design must be a mapping, got 5"),
+    (("sim", "input"), 5, "sim.input must be a mapping, got 5"),
+    (("relay", "h"), [1.0], "relay.h must be a number, got [1.0]"),
+], ids=["W.num", "P.num_empty", "extra_path", "extra_paths", "relay",
+        "design", "sim.input", "relay.h"])
+def test_malformed_config_shape_exits_one(tmp_path, capsys, path, value,
+                                          message):
+    cfg = json.loads(json.dumps(FAST_CONFIG))
+    section = cfg
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    rc = main(["design", "--config", write_cfg(tmp_path, cfg),
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 def test_missing_config_is_error():
     with pytest.raises(ConfigError, match="not found"):
         resolve_config_path("no_such_config_anywhere")
@@ -293,6 +321,23 @@ def test_simulate_keeps_a_dotted_prefix(tmp_path):
     assert sorted(p.name for p in runs.iterdir()) == [
         "v1.2.csv", "v1.2.metrics.json", "v1.3.csv", "v1.3.metrics.json"]
     assert (runs / "v1.2.csv").read_bytes() != (runs / "v1.3.csv").read_bytes()
+
+
+def test_design_keeps_a_dotted_out(tmp_path):
+    # runs/v1.2 and runs/v1.3 get a controller file each; only a .json
+    # suffix is replaced
+    cfg_path = write_cfg(tmp_path, FAST_CONFIG)
+    runs = tmp_path / "runs"
+    for name in ("v1.2", "v1.3", "report.json"):
+        assert cmd_design(cfg_path, str(runs / name)) == 0
+    assert sorted(p.name for p in runs.iterdir()) == [
+        "report.controller.yaml", "report.json",
+        "v1.2", "v1.2.controller.yaml", "v1.3", "v1.3.controller.yaml"]
+    for name, ctrl in (("v1.2", "v1.2.controller.yaml"),
+                       ("v1.3", "v1.3.controller.yaml"),
+                       ("report.json", "report.controller.yaml")):
+        report = json.loads((runs / name).read_text())
+        assert report["controller_file"] == str(runs / ctrl)
 
 
 def test_verify_command(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from relaycancel import lifting
 from relaycancel.lti import (
     StateSpace,
-    frequency_response,
     hinf_norm,
     is_stable,
     subsystem,
@@ -30,6 +29,8 @@ from relaycancel.lifting import (
     sampled_data_norm,
 )
 
+from oracles import frequency_response
+
 
 def oracle_fine_sim(core, N, h, w_fine, u_slow):
     """Sequential fine-grid simulation with explicit delay history.
@@ -40,7 +41,7 @@ def oracle_fine_sim(core, N, h, w_fine, u_slow):
     tau = h / N
     cd = zoh_discretize(core.sys, tau)
     n_steps = w_fine.shape[1]
-    n_perf, n_meas = core.n_perf, core.n_meas
+    n_perf = core.n_ext  # one performance output per external input
     x = np.zeros(core.sys.n_states)
     lengths = [round(L * N / h) for L, _ in core.chains]
     histories = [[] for _ in core.chains]
@@ -76,15 +77,15 @@ def lifted_drive(lp, w_fine, u_slow):
     n_periods = w_fine.shape[1] // N
     sys = lp.sys
     x = np.zeros(sys.n_states)
-    z = np.zeros((lp.n_fast_out, n_periods * N))
-    y = np.zeros((lp.n_meas, n_periods))
+    z = np.zeros((lp.n_fast_in, n_periods * N))
+    y = np.zeros((lp.n_ctrl, n_periods))
     for k in range(n_periods):
         period = slice(k * N, (k + 1) * N)
         w_stack = np.concatenate([w_fine[p:p + 2, period].T.reshape(-1)
                                   for p in range(0, lp.n_fast_in, 2)])
         vin = np.concatenate([w_stack, u_slow[:, k]])
         out = sys.C @ x + sys.D @ vin
-        for p in range(0, lp.n_fast_out, 2):
+        for p in range(0, lp.n_fast_in, 2):
             z[p:p + 2, period] = out[N * p:N * (p + 2)].reshape(N, 2).T
         y[:, k] = out[lp.n_z:]
         x = sys.A @ x + sys.B @ vin

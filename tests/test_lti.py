@@ -9,7 +9,6 @@ from relaycancel import lti
 from relaycancel.lti import (
     StateSpace,
     _has_unit_circle_crossing,
-    frequency_response,
     from_tf,
     hinf_norm,
     interconnect,
@@ -17,6 +16,8 @@ from relaycancel.lti import (
     subsystem,
     zoh_discretize,
 )
+
+from oracles import frequency_response
 
 
 def random_stable(rng, n, m, p, dt=None, margin=0.3):

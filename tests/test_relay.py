@@ -1,21 +1,23 @@
 import numpy as np
 import pytest
 
-from relaycancel.lti import frequency_response
 from relaycancel.relay import (
     CouplingChannel,
     RelayParams,
     assemble_plant_core,
     build_generalized_plant,
     build_perturbed_plant,
-    error_system_response,
-    plant_frequency_response,
     rotation_matrix,
     scalar_block,
     uncertainty_weight,
 )
 
 from conftest import make_example_params
+from oracles import (
+    error_system_response,
+    frequency_response,
+    plant_frequency_response,
+)
 
 
 # ---------------------------------------------------------------------------

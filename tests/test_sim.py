@@ -24,11 +24,11 @@ from relaycancel.sim import (
     compute_trace_stats,
     generate_input,
     metrics,
-    passband_oracle,
     simulate_closed_loop,
 )
 
 from conftest import make_example_params
+from oracles import passband_oracle
 
 K_ZERO = StateSpace.static(np.zeros((2, 2)), dt=1.0)
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from relaycancel.cli import read_controller, write_controller
 from relaycancel.lti import (
     StateSpace,
-    frequency_response,
     hinf_norm,
     is_stable,
     subsystem,
@@ -28,7 +27,6 @@ from relaycancel.synthesis import (
     SynthesisError,
     build_robust_plant,
     controller_from_q,
-    design_reconstruction,
     fir_system,
     robust_stability_sweep,
     synthesize_nominal,
@@ -37,6 +35,7 @@ from relaycancel.synthesis import (
 )
 
 from conftest import make_example_params
+from oracles import frequency_response
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +68,7 @@ def test_fir_system_response():
 
 def _g22(lp):
     """The u -> y block of a lifted plant."""
-    return subsystem(lp.sys, np.arange(lp.n_z, lp.n_z + lp.n_meas),
+    return subsystem(lp.sys, np.arange(lp.n_z, lp.n_z + lp.n_ctrl),
                      np.arange(lp.n_w, lp.n_w + lp.n_ctrl))
 
 
@@ -232,7 +231,7 @@ def test_nominal_small_design_properties(small_lifted):
 
 
 # ---------------------------------------------------------------------------
-# design_reconstruction and its reuse across plants
+# the nominal Q* (meta["q"]) and its reuse across plants
 
 
 def _small_lp(a2=1000.0, channel=CouplingChannel(0.2, 1.0), N=4, W=None):
@@ -245,26 +244,29 @@ def _small_lp(a2=1000.0, channel=CouplingChannel(0.2, 1.0), N=4, W=None):
 SMALL_DESIGN = dict(tol=1e-3, n_q=4, grid_size=64, max_iter=120)
 
 
+def _q(K):
+    return np.asarray(K.meta["q"])
+
+
 @pytest.fixture(scope="module")
-def reconstruction_a2_1000():
-    return design_reconstruction(_small_lp(a2=1000.0), **SMALL_DESIGN)
+def nominal_a2_1000():
+    return synthesize_nominal(_small_lp(a2=1000.0), **SMALL_DESIGN)
 
 
-def test_reconstruction_is_channel_independent(reconstruction_a2_1000):
-    ref = reconstruction_a2_1000
+def test_reconstruction_is_channel_independent(nominal_a2_1000):
+    ref = nominal_a2_1000
     lp_far = _small_lp(channel=CouplingChannel(0.5, 2.0))
     for lp in (_small_lp(a2=100.0), lp_far):
-        other = design_reconstruction(lp, **SMALL_DESIGN)
-        assert other.fingerprint == ref.fingerprint
-        assert other.coeffs.tobytes() == ref.coeffs.tobytes()
+        other = synthesize_nominal(lp, **SMALL_DESIGN)
+        assert other.meta["grid_fingerprint"] == ref.meta["grid_fingerprint"]
+        assert _q(other).tobytes() == _q(ref).tobytes()
     assert lp_far.sys.n_states > _small_lp().sys.n_states
 
 
-def test_reused_reconstruction_matches_cold_design(reconstruction_a2_1000):
+def test_reused_reconstruction_matches_cold_design(nominal_a2_1000):
     lp = _small_lp(a2=100.0)
     cold = synthesize_nominal(lp, **SMALL_DESIGN)
-    warm = synthesize_nominal(lp, **SMALL_DESIGN,
-                              reconstruction=reconstruction_a2_1000)
+    warm = synthesize_nominal(lp, **SMALL_DESIGN, reuse=nominal_a2_1000)
     for name in ("A", "B", "C", "D"):
         assert (getattr(warm.sys, name).tobytes()
                 == getattr(cold.sys, name).tobytes())
@@ -275,16 +277,34 @@ def test_reused_reconstruction_matches_cold_design(reconstruction_a2_1000):
     assert warm.meta["grid_objective"] == cold.meta["grid_objective"]
 
 
-def test_reconstruction_rejects_other_plants(reconstruction_a2_1000):
-    rec = reconstruction_a2_1000
+def test_reconstruction_rejects_other_plants(nominal_a2_1000, small_robust):
+    rec = nominal_a2_1000
     other_W = _small_lp(W=scalar_block([1.0], [1.0, 1.0]))
     with pytest.raises(ValueError, match="grid responses differ"):
-        synthesize_nominal(other_W, **SMALL_DESIGN, reconstruction=rec)
+        synthesize_nominal(other_W, **SMALL_DESIGN, reuse=rec)
     with pytest.raises(ValueError, match="N=8"):
-        synthesize_nominal(_small_lp(N=8), **SMALL_DESIGN, reconstruction=rec)
+        synthesize_nominal(_small_lp(N=8), **SMALL_DESIGN, reuse=rec)
     with pytest.raises(ValueError, match="n_q=3"):
         synthesize_nominal(_small_lp(), **{**SMALL_DESIGN, "n_q": 3},
-                           reconstruction=rec)
+                           reuse=rec)
+    # a robust design records no h or max_iter, so it never fits
+    robust = synthesize_robust(small_robust[1], **SMALL_DESIGN)
+    with pytest.raises(ValueError, match="h=1.0"):
+        synthesize_nominal(_small_lp(), **SMALL_DESIGN, reuse=robust)
+
+
+def test_reuse_survives_the_controller_file(nominal_a2_1000, tmp_path):
+    # Q* and its fingerprint travel in the controller YAML
+    path = tmp_path / "K.yaml"
+    write_controller(nominal_a2_1000, path)
+    lp = _small_lp(a2=100.0)
+    from_file = synthesize_nominal(lp, **SMALL_DESIGN,
+                                   reuse=read_controller(path))
+    direct = synthesize_nominal(lp, **SMALL_DESIGN, reuse=nominal_a2_1000)
+    for name in ("A", "B", "C", "D"):
+        assert (getattr(from_file.sys, name).tobytes()
+                == getattr(direct.sys, name).tobytes())
+    assert from_file.meta == direct.meta
 
 
 # ---------------------------------------------------------------------------
@@ -397,26 +417,26 @@ def test_secular_oracle_root_above_an_unreached_top():
 
 def test_minimax_path_is_the_svd_oracle_path(monkeypatch):
     lp = _small_lp()
-    fast = design_reconstruction(lp, **SMALL_DESIGN)
+    fast = synthesize_nominal(lp, **SMALL_DESIGN)
     monkeypatch.setattr(synthesis, "_channel_gains", reference_channel_gains)
-    slow = design_reconstruction(lp, **SMALL_DESIGN)
-    assert fast.info["iterations"] == slow.info["iterations"]
-    assert fast.info["n_cuts"] == slow.info["n_cuts"]
-    assert np.max(np.abs(fast.coeffs - slow.coeffs)) <= 1e-12
+    slow = synthesize_nominal(lp, **SMALL_DESIGN)
+    assert fast.meta["iterations"] == slow.meta["iterations"]
+    assert fast.meta["n_cuts"] == slow.meta["n_cuts"]
+    assert np.max(np.abs(_q(fast) - _q(slow))) <= 1e-12
 
 
 def test_minimax_logs_one_debug_line(caplog):
     with caplog.at_level(logging.DEBUG, logger="relaycancel.synthesis"):
-        rec = design_reconstruction(_small_lp(), **SMALL_DESIGN)
-    [record] = caplog.records
+        K = synthesize_nominal(_small_lp(), **SMALL_DESIGN)
+    [record] = [r for r in caplog.records if r.name == synthesis.__name__]
     assert record.levelno == logging.DEBUG
     match = re.fullmatch(r"minimax: (\d+) iterations, (\d+) cuts, (\d+) "
                          r"oracle evaluations in \d+\.\d{3} s, (\d+) LPs "
                          r"in \d+\.\d{3} s", record.getMessage())
     assert match
     iterations, cuts, evaluations, lps = map(int, match.groups())
-    assert iterations == lps == rec.info["iterations"]
-    assert cuts == rec.info["n_cuts"]
+    assert iterations == lps == K.meta["iterations"]
+    assert cuts == K.meta["n_cuts"]
     assert evaluations == iterations + 1  # the Q = 0 seed, then one per LP
 
 
@@ -496,7 +516,6 @@ def test_designs_reject_bad_settings_before_any_work(
     monkeypatch.setattr(synthesis, "_solve_minimax", no_work)
     kwargs = {"n_q": 2, "grid_size": 16, "tol": 1e-3, **setting}
     for design, plant in ((synthesize_nominal, small_lifted[1]),
-                          (design_reconstruction, small_lifted[1]),
                           (synthesize_robust, small_robust[1])):
         with pytest.raises(ValueError, match=message):
             design(plant, **kwargs)
