@@ -29,12 +29,14 @@ certificate, ``lifting.closed_loop_norms``: the bisection norm
 values report.  It works on the balanced truncation of each loop (17 of
 the 30 states of the nominal closed loop at N=16) and adds the
 truncation's error bound, below 1e-13 there.  Its lower bound is a
-512-point grid evaluation of the truncation; its upper bound is only as
-good as the symplectic-pencil crossing test.  That test misses crossings
-on the flat-peaked full loop at N=16 but finds them within 1e-12
-relative of the grid maximum on its truncation, so the nominal gamma is
-the grid maximum plus the bound plus less than half the bisection
-tolerance, and the test backs it.
+512-point grid evaluation of the truncation, in which a Cholesky screen
+against the running maximum leaves the SVD to the points that might
+reach it (111 of 511 at N=32) and the maximum is bitwise that of an SVD
+at every point; its upper bound is only as good as the symplectic-pencil
+crossing test.  That test misses crossings on the flat-peaked full loop
+at N=16 but finds them within 1e-12 relative of the grid maximum on its
+truncation, so the nominal gamma is the grid maximum plus the bound plus
+less than half the bisection tolerance, and the test backs it.
 
 The nominal objective holds no coupling term (T1 = W, T2 = -P, T3 = F W
 in the stable-plant form), so its FIR parameter Q* fits every plant whose
@@ -513,11 +515,13 @@ def _nominal_grid(lp: LiftedPlant, n_q: int, grid_size: int, tol: float):
 
 
 def _fingerprint(ch: dict) -> str:
+    """SHA-256 of the T1/T2/T3 grid responses: names, shapes, dtypes and
+    bytes.  The digest reads each C-contiguous array's buffer in place."""
     digest = hashlib.sha256()
     for key in ("T1", "T2", "T3"):
         arr = np.ascontiguousarray(ch[key])
         digest.update(f"{key}{arr.shape}{arr.dtype}".encode())
-        digest.update(arr.tobytes())
+        digest.update(arr)
     return digest.hexdigest()
 
 

@@ -1,11 +1,13 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from relaycancel import lti
+from relaycancel import cli, lti
+from relaycancel.lifting import fsfh_lift, lifted_closed_loop
 from relaycancel.lti import (
     StateSpace,
     _has_unit_circle_crossing,
@@ -243,20 +245,21 @@ def test_hinf_norm_rejects_continuous():
 
 
 def _reference_sigma_max_grid(sys, n_grid):
-    """Largest singular value of the response over a [0, pi] theta grid."""
+    """Largest singular value of the response over a [0, pi] theta grid
+    and its first maximizer, by an SVD at every grid point."""
     thetas = np.unique(np.concatenate([
         np.linspace(0.0, np.pi, n_grid // 2),
         np.geomspace(1e-6, np.pi, n_grid // 2),
     ]))
-    best = 0.0
+    best, theta_best = 0.0, 0.0
     In = np.eye(sys.n_states)
     for th in thetas:
         z = np.exp(1j * th)
         G = sys.C @ np.linalg.solve(z * In - sys.A, sys.B) + sys.D
         s = np.linalg.svd(G, compute_uv=False)[0]
         if s > best:
-            best = float(s)
-    return best
+            best, theta_best = float(s), float(th)
+    return best, theta_best
 
 
 def reference_hinf_norm(sys, tol=1e-6, n_grid=512, max_iter=200):
@@ -270,10 +273,10 @@ def reference_hinf_norm(sys, tol=1e-6, n_grid=512, max_iter=200):
     sv_D = np.linalg.svd(sys.D, compute_uv=False)[0] if sys.D.size else 0.0
     if sys.n_states == 0:
         return float(sv_D)
-    if np.allclose(sys.B, 0) or np.allclose(sys.C, 0):
+    if not (sys.B.any() and sys.C.any()):
         return float(sv_D)
 
-    lo = max(_reference_sigma_max_grid(sys, n_grid), sv_D * (1.0 + 1e-12))
+    lo = max(_reference_sigma_max_grid(sys, n_grid)[0], sv_D * (1.0 + 1e-12))
     if lo == 0.0:
         return 0.0
     hi = lo * 10.0 + sv_D + 1.0
@@ -400,11 +403,25 @@ def test_hinf_norm_logs_one_debug_line(caplog):
         val = hinf_norm(sys)
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
+    # the grid points within 1e-9 of the peak at theta = 0 (the geometric
+    # half of the grid crowds there) and the seeds are the ones that
+    # reach the SVD
     assert record.getMessage().startswith(
         "hinf_norm: 1 states -> 1 (tail 0), grid max 2 at theta 0, "
-        "bracket [2, ")
+        "89 of 511 grid points by SVD, bracket [2, ")
     assert record.getMessage().endswith("], 1 pencil eigensolves")
     assert val == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e-12, 1e-9, 1e-6, 1.0, 1e6])
+def test_hinf_norm_is_never_below_the_dense_grid(scale):
+    # positive poles and B, C >= 0: the peak is at theta = 0, a grid point
+    sys = StateSpace(np.diag([0.5, 0.8]), scale * np.array([[1.0], [0.5]]),
+                     [[1.0, 2.0]], [[0.0]], dt=1.0)
+    dense_max = _sigma_max(sys, np.linspace(0.0, np.pi, 4097)).max()
+    assert dense_max == pytest.approx(7.0 * scale, rel=1e-12)
+    # the upper end stays loose by the absolute tolerance
+    assert dense_max <= hinf_norm(sys) <= dense_max + 1e-6
 
 
 def test_hinf_norm_iteration_cap_raises():
@@ -423,6 +440,100 @@ def test_crossing_test_brackets_the_dense_grid_peak(sys):
     assume(sigma.min() < 0.98 * peak)
     assert _has_unit_circle_crossing(sys, 0.99 * peak)
     assert not _has_unit_circle_crossing(sys, 1.01 * peak)
+
+
+# ---------------------------------------------------------------------------
+# the screened grid against the per-point SVD loop
+
+
+@st.composite
+def grid_screen_systems(draw):
+    """(kind, system): small stable discrete systems for the screened grid.
+
+    ``random`` and ``near_circle`` draw the input and output counts
+    independently, so G is square, tall or wide; ``zero_d`` has D = 0;
+    ``zero_response`` has a driven part the output does not see and a
+    seen part the input does not drive, so G is exactly 0 and every
+    point fails the screen; ``peak_zero`` and ``peak_pi`` are those of
+    ``stable_discrete_systems``; ``all_pass`` is a block diagonal of
+    first-order all-pass sections, so sigma_max is 1 up to rounding at
+    every theta; ``constant`` has dynamics 1e-20 x D, so every point
+    ties with the peak.
+    """
+    kind = draw(st.sampled_from(("random", "near_circle", "zero_d",
+                                 "zero_response", "peak_zero", "peak_pi",
+                                 "all_pass", "constant")))
+    if kind in ("peak_zero", "peak_pi"):
+        return kind, draw(stable_discrete_systems(kinds=(kind,)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    p = draw(st.integers(1, 5))
+    if kind == "all_pass":
+        a = rng.uniform(-0.9, 0.9, n)
+        return kind, StateSpace(np.diag(a), np.diag(1.0 - a**2), np.eye(n),
+                                np.diag(-a), dt=1.0)
+    if kind == "zero_response":
+        k = draw(st.integers(1, n))
+        a = rng.uniform(-0.9, 0.9, n + 1)
+        B = np.zeros((n + 1, m))
+        B[:k] = rng.standard_normal((k, m))
+        C = np.zeros((p, n + 1))
+        C[:, k:] = rng.standard_normal((p, n + 1 - k))
+        return kind, StateSpace(np.diag(a), B, C, np.zeros((p, m)), dt=1.0)
+    radius = rng.uniform(0.99, 0.999) if kind == "near_circle" \
+        else rng.uniform(0.1, 0.95)
+    A = rng.standard_normal((n, n))
+    A *= radius / np.max(np.abs(np.linalg.eigvals(A)))
+    B = rng.standard_normal((n, m))
+    C = rng.standard_normal((p, n))
+    D = np.zeros((p, m)) if kind == "zero_d" else rng.standard_normal((p, m))
+    if kind == "constant":
+        B *= 1e-20
+    return kind, StateSpace(A, B, C, D, dt=1.0)
+
+
+@settings(max_examples=200)
+@given(grid_screen_systems(), st.sampled_from((512, 100, 33, 2)))
+def test_sigma_max_grid_equals_the_per_point_loop(case, n_grid):
+    kind, sys = case
+    value, theta, svds, points = lti._sigma_max_grid(sys, n_grid)
+    assert (value, theta) == _reference_sigma_max_grid(sys, n_grid)
+    assert 0 < svds <= points
+    if kind == "zero_response":
+        assert value == 0.0 and theta == 0.0 and svds == points
+    if kind == "constant":
+        assert theta == 0.0 and svds == points
+
+
+@pytest.fixture(scope="module")
+def nominal_loop_n32():
+    """The bundled nominal_60db design's loop at N=32 (``verify``'s 2N),
+    balanced-truncated as hinf_norm does."""
+    spec, K = cli._design(cli.load_config("nominal_60db"))
+    lp = fsfh_lift(spec, 32)
+    (idx,) = lp.channel_indices()
+    loop = subsystem(lifted_closed_loop(lp, K.sys), idx, idx)
+    return lti._balanced_truncation(loop)[0]
+
+
+def test_sigma_max_grid_is_bitwise_on_the_nominal_loop(nominal_loop_n32):
+    sys = nominal_loop_n32
+    assert sys.n_inputs == sys.n_outputs == 64
+    value, theta, svds, points = lti._sigma_max_grid(sys, lti._HINF_GRID)
+    assert (value, theta) == _reference_sigma_max_grid(sys, lti._HINF_GRID)
+    assert points == 511 and svds < points // 4
+
+
+def test_sigma_max_grid_memory_stays_chunked(nominal_loop_n32):
+    # a (511, 64, 64) complex stack of all responses would be 33 MB
+    tracemalloc.start()
+    try:
+        lti._sigma_max_grid(nominal_loop_n32, lti._HINF_GRID)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------

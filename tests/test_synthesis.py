@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import re
 from dataclasses import replace
@@ -7,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaycancel.cli import read_controller, write_controller
+from relaycancel.cli import (
+    config_objects,
+    load_config,
+    read_controller,
+    write_controller,
+)
 from relaycancel.lti import (
     StateSpace,
     hinf_norm,
@@ -305,6 +311,21 @@ def test_reuse_survives_the_controller_file(nominal_a2_1000, tmp_path):
         assert (getattr(from_file.sys, name).tobytes()
                 == getattr(direct.sys, name).tobytes())
     assert from_file.meta == direct.meta
+
+
+def test_fingerprint_is_the_digest_of_the_copied_bytes():
+    # nominal_60db's grid responses, hashed in place and as tobytes() copies
+    cfg = load_config("nominal_60db")
+    d = cfg["design"]
+    lp = fsfh_lift(build_generalized_plant(*config_objects(cfg)), d["N"])
+    _, _, ch = synthesis._nominal_grid(lp, d["n_q"], d["grid_size"], d["tol"])
+    assert ch["T1"].dtype == complex and ch["T1"].shape == (256, 32, 32)
+    digest = hashlib.sha256()
+    for key in ("T1", "T2", "T3"):
+        arr = np.ascontiguousarray(ch[key])
+        digest.update(f"{key}{arr.shape}{arr.dtype}".encode())
+        digest.update(arr.tobytes())
+    assert synthesis._fingerprint(ch) == digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
