@@ -26,10 +26,10 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eig as geig
 from scipy.linalg import expm
 from scipy.linalg.blas import zherk
 from scipy.linalg.lapack import zpotrf
-from scipy.signal import tf2ss
 
 __all__ = [
     "StateSpace",
@@ -156,10 +156,47 @@ class StateSpace:
 
 
 def from_tf(num, den, dt: float | None = None) -> StateSpace:
-    """SISO transfer function (descending coefficients) to state space."""
-    A, B, C, D = tf2ss(np.atleast_1d(np.asarray(num, float)),
-                       np.atleast_1d(np.asarray(den, float)))
-    return StateSpace(A, B, C, D, dt)
+    """SISO transfer function (descending coefficients) to state space.
+
+    The realization is the controller-canonical form of
+    ``scipy.signal.tf2ss``, bit for bit: with den = [1, a1, ..., an] and
+    num padded to n + 1 coefficients [b0, ..., bn],
+
+        A = [[-a1 ... -an], [I_{n-1} 0]],  B = e1,
+        C = [b1 - b0 a1, ..., bn - b0 an],  D = b0.
+
+    The coefficients are normalized first, as tf2ss does: leading zeros of
+    den are trimmed, num and den are divided by den[0], and leading
+    coefficients of num with magnitude at most 1e-14 are trimmed (one is
+    always kept).  A constant den gives the static gain num / den (n = 0)
+    instead of tf2ss's one state with A = 0, which ``is_stable`` would
+    call unstable.  ValueError for an empty num, an all-zero den,
+    non-finite coefficients or an improper num (longer than den after
+    trimming).
+    """
+    num = np.atleast_1d(np.asarray(num, float))
+    den = np.atleast_1d(np.asarray(den, float))
+    if num.ndim != 1 or den.ndim != 1:
+        raise ValueError("num and den must be 1-D coefficient sequences")
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
+        raise ValueError("non-finite transfer-function coefficients")
+    if num.size == 0 or not den.any():
+        raise ValueError("num must be non-empty and den must have a "
+                         "nonzero coefficient")
+    den = np.trim_zeros(den, "f")
+    num, den = num / den[0], den / den[0]
+    kept = np.flatnonzero(np.abs(num) > 1e-14)
+    num = num[kept[0] if kept.size else -1:]
+    if num.size > den.size:
+        raise ValueError("Improper transfer function: num is longer than "
+                         "den after trimming")
+    n = den.size - 1
+    if n == 0:
+        return StateSpace.static(num.reshape(1, 1), dt)
+    num = np.concatenate([np.zeros(den.size - num.size), num])
+    A = np.vstack([-den[1:], np.eye(n - 1, n)])
+    C = (num[1:] - num[0] * den[1:]).reshape(1, n)
+    return StateSpace(A, np.eye(n, 1), C, num[:1].reshape(1, 1), dt)
 
 
 def subsystem(sys: StateSpace, outputs, inputs) -> StateSpace:
@@ -363,8 +400,6 @@ def _has_unit_circle_crossing(sys: StateSpace, gamma: float) -> bool:
     none at (1 + 1e-12) x.  On small well-conditioned systems it finds
     every crossing.
     """
-    from scipy.linalg import eig as geig
-
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     n, m = sys.n_states, sys.n_inputs
     # avoid a singular Popov matrix when gamma coincides with sigma(D)

@@ -67,19 +67,14 @@ def rotation_matrix(f: float, L: float) -> np.ndarray:
 
 
 def scalar_block(num, den) -> StateSpace:
-    """Promote a scalar transfer function to a 2x2 scalar * I system."""
-    num = np.atleast_1d(np.asarray(num, float))
-    den = np.atleast_1d(np.asarray(den, float))
-    if den.size == 1:
-        # static gain: avoid the spurious zero eigenvalue tf2ss introduces
-        return StateSpace.static((num[-1] / den[0]) * np.eye(2))
+    """Promote a scalar transfer function to a 2x2 scalar * I system.
+
+    The scalar realization is ``lti.from_tf``'s, so a constant den gives
+    a static gain and an improper num raises ValueError.
+    """
     siso = from_tf(num, den)
-    n = siso.n_states
-    A = block_diag(siso.A, siso.A) if n else np.zeros((0, 0))
-    B = block_diag(siso.B, siso.B) if n else np.zeros((0, 2))
-    C = block_diag(siso.C, siso.C) if n else np.zeros((2, 0))
-    D = block_diag(siso.D, siso.D)
-    return StateSpace(A, B, C, D)
+    return StateSpace(*(block_diag(M, M)
+                        for M in (siso.A, siso.B, siso.C, siso.D)))
 
 
 def _check_block(name: str, sys: StateSpace, strictly_proper: bool = False):

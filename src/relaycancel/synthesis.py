@@ -594,6 +594,10 @@ def synthesize_robust(rp: LiftedPlant, n_q: int = 8, grid_size: int = 256,
     failed certificate tightens the margin and re-solves (three attempts).
     rp is a plant from ``build_robust_plant``; its W2 is recorded in
     meta["W2"] as nested lists of floats, for ``verify_design``.
+    meta["iterations"] and the other solver entries describe the final
+    constrained minimax; meta["warm_start"] holds the iterations, cuts,
+    convergence, gap and grid objective of the unconstrained minimax that
+    seeds it.
     """
     if not 0.0 < margin < 0.2:
         raise ValueError("margin must lie in (0, 0.2)")
@@ -605,8 +609,11 @@ def synthesize_robust(rp: LiftedPlant, n_q: int = 8, grid_size: int = 256,
     # warm start: solve without the uncertainty constraint, then shrink the
     # result into the feasible set.  The uncertainty channel is exactly
     # linear in Q (its open-loop term is zero), so scaling is safe.
-    Q_unc, _ = _solve_minimax(ch1, zinv_pow, n_q, rel_tol=tol,
-                              max_iter=max_iter)
+    Q_unc, warm_info = _solve_minimax(ch1, zinv_pow, n_q, rel_tol=tol,
+                                      max_iter=max_iter)
+    warm_start = {k: warm_info[k] for k in
+                  ("iterations", "n_cuts", "converged", "gap",
+                   "grid_objective")}
     gains2 = _channel_gains(ch2, _q_response(zinv_pow, Q_unc))
     peak2 = float(np.max(gains2))
 
@@ -633,6 +640,7 @@ def synthesize_robust(rp: LiftedPlant, n_q: int = 8, grid_size: int = 256,
                 "attempts": attempt + 1,
                 "grid_gamma2": grid_gamma2,
                 "W2": {k: getattr(rp.W2, k).tolist() for k in "ABCD"},
+                "warm_start": warm_start,
                 **info,
             }
             return Controller(sys=K,

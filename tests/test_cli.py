@@ -96,6 +96,10 @@ def test_defaults_are_filled():
     ("F", [1.0, 2.0], "relay.F must be a num/den mapping"),
     ("P", {"num": [1.0]}, "relay.P needs both num and den"),
     ("W", {"den": [2.0, 1.0]}, "relay.W needs both num and den"),
+    ("F", {"num": [2.0, 1.0], "den": [1.0]},
+     "Improper transfer function: num is longer than den after trimming"),
+    ("W", {"num": [1.0], "den": [0.0, 0.0]},
+     "num must be non-empty and den must have a nonzero coefficient"),
 ])
 def test_bad_transfer_function_entry_exits_one(tmp_path, capsys, key, entry,
                                                message):

@@ -1,9 +1,10 @@
 import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relaycancel import cli, lti
@@ -146,6 +147,55 @@ def test_lower_lft_singular_loop():
     K = StateSpace.static(np.array([[1.0]]), dt=1.0)
     with pytest.raises(np.linalg.LinAlgError, match="algebraic loop"):
         interconnect(plant, K, partition=(1, 1))
+
+
+# ---------------------------------------------------------------------------
+# from_tf
+
+# zeros and coefficients at the 1e-14 trimming threshold next to O(1) ones
+_tf_coef = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.sampled_from([1e-15, -1e-15, 1e-14, -1e-14, 2e-14]),
+    st.floats(0.1, 10.0),
+    st.floats(-10.0, -0.1),
+)
+_tf_poly = st.lists(_tf_coef, min_size=1, max_size=5)
+
+
+@given(num=_tf_poly, den=_tf_poly)
+@example(num=[0.0, 0.0, 1.0], den=[1.0, 2.0, 3.0])  # leading zeros in num
+@example(num=[1e-14, 1.0], den=[1.0, 2.0])  # trimmed at the threshold
+@example(num=[1.0], den=[0.0, 0.0, 2.0, 1.0])  # leading zeros in den
+@example(num=[1.0, 3.0, 3.0], den=[1.0, 2.0, 1.0])  # same length
+@example(num=[0.0, 0.0], den=[2.0, 1.0])  # all-zero num
+@example(num=[1.0, 2.0, 3.0], den=[1.0, 1.0])  # improper
+@example(num=[1.0], den=[0.0, 0.0])  # all-zero den
+@example(num=[3.0], den=[2.0])  # static gain
+@example(num=[2.0, 1.0], den=[1.0])  # improper over a constant den
+def test_from_tf_is_tf2ss_bit_for_bit(num, den):
+    from scipy.signal import BadCoefficients, tf2ss
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BadCoefficients)
+        try:
+            expected = tf2ss(num, den)
+        except ValueError:
+            expected = None
+    if expected is None:
+        with pytest.raises(ValueError):
+            from_tf(num, den)
+        return
+    sys = from_tf(num, den)
+    if len(np.trim_zeros(np.asarray(den), "f")) == 1:
+        # a constant den is a static gain, not tf2ss's state with A = 0
+        assert sys.n_states == 0 and is_stable(sys)
+        expected = expected[3:]
+        got = (sys.D,)
+    else:
+        got = (sys.A, sys.B, sys.C, sys.D)
+    for M, E in zip(got, expected):
+        assert M.shape == E.shape and M.dtype == E.dtype
+        assert M.tobytes() == E.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from relaycancel.lti import StateSpace
 from relaycancel.relay import (
     CouplingChannel,
     RelayParams,
@@ -68,6 +69,17 @@ def test_relay_params_validation():
                     W=scalar_block([1.0], [2.0, 1.0]),
                     F=scalar_block([1.0], [1.0]),
                     P=scalar_block([1.0], [1.0, -1.0]))  # pole at +1
+
+
+def test_scalar_block_static_and_improper():
+    F = scalar_block([1.0], [1.0])  # the bundled F
+    ref = StateSpace.static(np.eye(2))
+    for name in "ABCD":
+        got, want = getattr(F, name), getattr(ref, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # 2s + 1 used to come back as the static gain 1
+    with pytest.raises(ValueError, match="Improper"):
+        scalar_block([2.0, 1.0], [1.0])
 
 
 def test_channel_validation():

@@ -506,6 +506,28 @@ def test_robust_design_certificates(small_robust):
     assert K.meta["controller_stable"] == is_stable(K.sys)
 
 
+def test_robust_design_records_its_warm_start(small_robust, caplog,
+                                             tmp_path):
+    spec, rp = small_robust
+    with caplog.at_level(logging.DEBUG, logger="relaycancel.synthesis"):
+        K = synthesize_robust(rp, n_q=4, grid_size=96, margin=0.05,
+                              max_iter=150)
+    warm = K.meta["warm_start"]
+    assert set(warm) == {"iterations", "n_cuts", "converged", "gap",
+                         "grid_objective"}
+    # the first minimax line is the warm start's, the last the final solve's
+    lines = [re.match(r"minimax: (\d+) iterations, (\d+) cuts, .* (\d+) LPs",
+                      r.getMessage()) for r in caplog.records
+             if r.name == synthesis.__name__]
+    first, last = (tuple(map(int, m.groups())) for m in (lines[0], lines[-1]))
+    assert first == (warm["iterations"], warm["n_cuts"], warm["iterations"])
+    assert last[0] == K.meta["iterations"] and last[1] == K.meta["n_cuts"]
+    assert warm["converged"] is True and 0.0 <= warm["gap"] <= 1e-3
+    path = tmp_path / "K.yaml"
+    write_controller(K, path)
+    assert read_controller(path).meta["warm_start"] == warm
+
+
 def test_robust_objective_monotone_in_n_q(small_robust):
     spec, rp = small_robust
     vals = []
