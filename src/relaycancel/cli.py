@@ -221,12 +221,19 @@ def load_config(name: str) -> dict:
     return effective_config(raw)
 
 
+def _realize(relay: dict, key: str):
+    """scalar_block of relay[key], its errors naming the key."""
+    try:
+        return scalar_block(relay[key]["num"], relay[key]["den"])
+    except ValueError as exc:
+        raise ConfigError(f"relay.{key}: {exc}") from exc
+
+
 def config_objects(cfg: dict):
     relay = cfg["relay"]
     params = RelayParams(
         h=relay["h"], f=relay["f"], a1=relay["a1"], a2=relay["a2"],
-        **{k: scalar_block(relay[k]["num"], relay[k]["den"])
-           for k in ("W", "F", "P")},
+        **{k: _realize(relay, k) for k in ("W", "F", "P")},
     )
     ch = cfg["channel"]
     channel = CouplingChannel(

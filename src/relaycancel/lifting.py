@@ -20,13 +20,12 @@ Conventions (fixed; synthesis and simulation must agree):
 * performance outputs are sampled at the substep starts t = k h + j h/N,
   j = 0..N-1.
 
-Every path delays a signal that is piecewise constant on the fast grid
-(the held controller output, or a fast-held disturbance), so a delay of
-d = L N / h substeps is a shift by whole source samples: the lifted state
-keeps the past holds or fine samples that the delayed paths still read,
-and each substep reads its source sample by index.  That is exact
-whenever d is an integer.  Off-grid delays are a hard error: silently
-rounding them would corrupt the robustness analysis.
+Every delay in the core acts on the held controller output u, so a
+delay of d = L N / h substeps reads a past hold of u: the lifted state
+keeps the holds that the delayed slots still read, and each substep
+reads its hold by index.  That is exact whenever d is an integer.
+Off-grid delays are a hard error: silently rounding them would corrupt
+the robustness analysis.
 
 The discrete l2 norm of the lifted system equals the L2-induced norm of
 its piecewise-constant interpretation directly; the substep length
@@ -108,33 +107,22 @@ class LiftedPlant:
 
 
 def lift_core(core: CoreSystem, N: int, h: float) -> LiftedPlant:
-    """Lift a delay-free core and its delayed paths over one period.
+    """Lift a delay-free core and its delayed-u slots over one period.
 
     The core is discretized exactly at the substep h/N (all of its inputs
     are piecewise constant on the fast grid by construction) and the N
     substeps are stacked into one slow-rate step.  The lifted state is the
-    core state followed by a history of each delayed source, most recent
-    sample first, as deep as its longest path reaches back: ceil(d/N)
-    holds of u, or d fine samples of an external pair, for a delay of d
-    substeps.  Substep j of a path with delay d reads its source at fine
-    index k N + j - d, so the current hold or stack entry when j >= d and
-    a history entry otherwise.
+    core state followed by the last ceil(d_max/N) holds of u, most recent
+    first, for a longest delay of d_max substeps.  Substep j of a slot
+    with delay d reads hold floor((j - d)/N) of u: the current hold when
+    j >= d and a history entry otherwise.
     """
     if N < 1:
         raise ValueError("fast-rate factor N must be a positive integer")
-    paths = [(src, delay_steps(L, N, h)) for L, src in core.chains]
-    n_c, n_ext = core.sys.n_states, core.n_ext
-
-    def rate(src):
-        """Source samples per period: one hold of u, N of an external pair."""
-        return 1 if src == "ctrl" else N
-
-    depth = {}
-    for src, d in paths:
-        depth[src] = max(depth.get(src, 0), -(-d * rate(src) // N))
-    base, n_s = {}, n_c
-    for src, m in depth.items():
-        base[src], n_s = n_s, n_s + 2 * m
+    delays = tuple(delay_steps(L, N, h) for L in core.delays)
+    n_c, n_ext, n_u = core.sys.n_states, core.n_ext, core.n_ctrl
+    depth = max((-(-d // N) for d in delays), default=0)
+    n_s = n_c + n_u * depth
     if n_s > STATE_DIM_CAP:
         raise ValueError(
             f"lifted state dimension {n_s} exceeds the cap {STATE_DIM_CAP}"
@@ -143,45 +131,41 @@ def lift_core(core: CoreSystem, N: int, h: float) -> LiftedPlant:
     # at columns (rows) p, p+1 of substep j goes to stacked column (row)
     # N p + 2 j
     u_col = n_s + N * n_ext
-    n_cols = u_col + core.n_ctrl
+    n_cols = u_col + n_u
 
-    def col(src, s):
-        """Column of the source's sample s of this period (s < 0: history)."""
-        if s < 0:
-            return base[src] - 2 * s - 2
-        return u_col if src == "ctrl" else n_s + N * src[1] + 2 * s
+    def hold(s):
+        """Column of hold s of u (0: this period's, s < 0: history)."""
+        return u_col if s == 0 else n_c - n_u * (s + 1)
 
-    # the core's input pairs [ext, u, delayed slots] as (source, delay)
-    reads = ([(("ext", p), 0) for p in range(0, n_ext, 2)]
-             + [("ctrl", 0)] * (core.n_ctrl // 2) + paths)
     cd = zoh_discretize(core.sys, h / N)
-    eye2 = np.eye(2)
+    eye2, eye_u = np.eye(2), np.eye(n_u)
     M = np.eye(n_c, n_cols)
     z_rows = []
     for j in range(N):
         P_j = np.zeros((cd.n_inputs, n_cols))
-        for i, (src, d) in enumerate(reads):
-            c = col(src, (j - d) * rate(src) // N)
-            P_j[2 * i:2 * i + 2, c:c + 2] = eye2
+        for p in range(0, n_ext, 2):
+            c = n_s + N * p + 2 * j
+            P_j[p:p + 2, c:c + 2] = eye2
+        # u, then one delayed-u slot per delay
+        for i, d in enumerate((0,) + delays):
+            r, c = n_ext + n_u * i, hold((j - d) // N)
+            P_j[r:r + n_u, c:c + n_u] = eye_u
         z_rows.append(cd.C[:n_ext] @ M + cd.D[:n_ext] @ P_j)
         if j == 0:
             y_rows = cd.C[n_ext:] @ M + cd.D[n_ext:] @ P_j
         M = cd.A @ M + cd.B @ P_j
 
-    # history entry i of the next period is sample rate - 1 - i of this one
+    # history entry i of the next period is hold -i of this one
     H = np.zeros((n_s - n_c, n_cols))
-    for src, m in depth.items():
-        for i in range(m):
-            c = col(src, rate(src) - 1 - i)
-            r = base[src] - n_c + 2 * i
-            H[r:r + 2, c:c + 2] = eye2
+    for i in range(depth):
+        c = hold(-i)
+        H[n_u * i:n_u * (i + 1), c:c + n_u] = eye_u
     AB = np.vstack([M, H])
     z_stack = [z[p:p + 2] for p in range(0, n_ext, 2) for z in z_rows]
     CD = np.vstack(z_stack + [y_rows])
     sys = StateSpace(AB[:, :n_s], AB[:, n_s:], CD[:, :n_s], CD[:, n_s:],
                      dt=h)
-    return LiftedPlant(sys=sys, N=N, h=h, n_fast_in=n_ext,
-                       n_ctrl=core.n_ctrl)
+    return LiftedPlant(sys=sys, N=N, h=h, n_fast_in=n_ext, n_ctrl=n_u)
 
 
 def fsfh_lift(plant: GeneralizedPlantSpec, N: int) -> LiftedPlant:

@@ -58,11 +58,8 @@ _SCREEN_CHUNK = 8
 logger = logging.getLogger(__name__)
 
 
-def _as_matrix(M, rows=None, cols=None) -> np.ndarray:
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if rows is not None and M.shape == (0, 0):
-        M = np.zeros((rows, cols))
-    return M
+def _as_matrix(M) -> np.ndarray:
+    return np.atleast_2d(np.asarray(M, dtype=float))
 
 
 @dataclass(frozen=True)

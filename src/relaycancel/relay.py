@@ -227,30 +227,27 @@ def uncertainty_weight(channel: CouplingChannel,
 # ---------------------------------------------------------------------------
 # Delay-free cores for lifting and simulation.
 #
-# Delays commute with the LTI blocks, so each path's delay is moved onto a
-# signal that is piecewise constant on the fast grid (the held controller
-# output, or a fast-held disturbance).  A whole number of fast steps then
-# shifts it by whole samples, which lifting reads from a history of past
-# source values, and the remaining continuous core is delay-free.
+# Delays commute with the LTI blocks, so each path's delay is moved onto
+# the held controller output u, which is constant over a sampling period.
+# A delay of whole fast steps then reads a past hold of u, which lifting
+# keeps in a history, and the remaining continuous core is delay-free.
 
 
 @dataclass(frozen=True)
 class CoreSystem:
-    """Delay-free continuous core plus its delayed-path wiring.
+    """Delay-free continuous core plus its delayed-u wiring.
 
     sys inputs are ordered [fast external inputs (n_ext), controller hold
-    u (n_ctrl), one delayed-signal slot per path]; outputs are [fast
+    u (n_ctrl), one delayed-u slot (n_ctrl) per delay]; outputs are [fast
     performance outputs (n_ext, one per external input), measurement y
-    (n_ctrl)].  chains[k] = (delay_seconds, source) drives
-    delayed-signal slot k with its source delayed by delay_seconds, where
-    source is "ctrl" (the held controller output) or ("ext", j) (external
-    fast input pair starting at column j).
+    (n_ctrl)].  delays[k] is the delay in seconds of the held u that
+    drives delayed-u slot k.
     """
 
     sys: StateSpace
     n_ext: int
     n_ctrl: int
-    chains: tuple
+    delays: tuple
 
 
 def delay_steps(L: float, N: int, h: float) -> int:
@@ -293,12 +290,12 @@ def assemble_core_blocks(W: StateSpace, F: StateSpace, P: StateSpace,
 
     With ``W2`` (single-path plants only) the uncertainty channel
 
-        z2 = W2 F P u,    y += alpha R w2(t-L)
+        z2 = W2 F P u(t-L),    y += alpha R w2
 
     is appended, so that closing w2 = Delta z2 with any ||Delta|| < 1
-    reproduces every admissible channel perturbation.  Its parts go last:
-    states x_Fz (F on P u) and x_W2, input w2 after w, output z2 after z,
-    and the delayed-w2 slot.
+    reproduces every admissible channel perturbation.  z2 reads the
+    nominal path's own F P u(t-L) states and delayed-u slot; its parts go
+    last: states x_W2, input w2 after w, output z2 after z.
     """
     M = len(paths)
     robust = W2 is not None
@@ -307,10 +304,10 @@ def assemble_core_blocks(W: StateSpace, F: StateSpace, P: StateSpace,
 
     nW, nF, nP = W.n_states, F.n_states, P.n_states
     # state layout: x_W | x_Pu | (x_Pd_i, x_Fd_i) per path | x_Fv,
-    # then x_Fz | x_W2 with W2
+    # then x_W2 with W2
     sizes = [nW, nP] + [nP + nF] * M + [nF]
     if robust:
-        sizes += [nF, W2.n_states]
+        sizes += [W2.n_states]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     n = offsets[-1]
     sW = slice(offsets[0], offsets[1])
@@ -323,7 +320,7 @@ def assemble_core_blocks(W: StateSpace, F: StateSpace, P: StateSpace,
     sFv = slice(offsets[2 + M], offsets[3 + M])
 
     n_ext = 4 if robust else 2  # w, then w2
-    n_in = n_ext + 2 + 2 * M + (2 if robust else 0)
+    n_in = n_ext + 2 + 2 * M
     A = np.zeros((n, n))
     B = np.zeros((n, n_in))
     c_w, c_u = slice(0, 2), slice(n_ext, n_ext + 2)
@@ -362,25 +359,21 @@ def assemble_core_blocks(W: StateSpace, F: StateSpace, P: StateSpace,
         C[ry, sFd] += gR @ F.C
         C[ry, sPd] += gR @ F.D @ P.C
         D[ry, c_dly] += gR @ F.D @ P.D
-    chains = tuple((path.L, "ctrl") for path in paths)
 
     if robust:
-        sFz = slice(offsets[3 + M], offsets[4 + M])
-        sW2 = slice(offsets[4 + M], offsets[5 + M])
+        (sPd, sFd), = path_slices
+        c_dly = slice(n_ext + 2, n_ext + 4)
+        sW2 = slice(offsets[3 + M], offsets[4 + M])
         rz2 = slice(2, 4)
-        # xi = F P u (undelayed), feeding W2
-        A[sFz, sFz] = F.A
-        A[sFz, sPu] = F.B @ P.C
-        B[sFz, c_u] = F.B @ P.D
+        # W2 on the nominal path's F P u(t-L), from its x_Pd, x_Fd, u_d
         A[sW2, sW2] = W2.A
-        A[sW2, sFz] = W2.B @ F.C
-        A[sW2, sPu] = W2.B @ F.D @ P.C
-        B[sW2, c_u] = W2.B @ F.D @ P.D
+        A[sW2, sFd] = W2.B @ F.C
+        A[sW2, sPd] = W2.B @ F.D @ P.C
+        B[sW2, c_dly] = W2.B @ F.D @ P.D
         C[rz2, sW2] = W2.C
-        C[rz2, sFz] = W2.D @ F.C
-        C[rz2, sPu] = W2.D @ F.D @ P.C
-        D[rz2, c_u] = W2.D @ F.D @ P.D
-        D[ry, n_in - 2:] = paths[0].alpha * paths[0].rot
-        chains += ((paths[0].L, ("ext", 2)),)
+        C[rz2, sFd] = W2.D @ F.C
+        C[rz2, sPd] = W2.D @ F.D @ P.C
+        D[rz2, c_dly] = W2.D @ F.D @ P.D
+        D[ry, 2:4] = paths[0].alpha * paths[0].rot
     return CoreSystem(StateSpace(A, B, C, D), n_ext=n_ext, n_ctrl=2,
-                      chains=chains)
+                      delays=tuple(path.L for path in paths))

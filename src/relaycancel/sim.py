@@ -158,7 +158,7 @@ def _filter_fine(block: StateSpace, raw: np.ndarray, N: int,
     The grid has N steps per period h; the block is lifted over one
     period and stepped once per period.
     """
-    core = CoreSystem(block, n_ext=2, n_ctrl=0, chains=())
+    core = CoreSystem(block, n_ext=2, n_ctrl=0, delays=())
     _, out = _step_periods(lift_core(core, N, h).sys, _stack_periods(raw, N))
     return _unstack_periods(out, raw.shape[1])
 

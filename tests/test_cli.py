@@ -108,6 +108,9 @@ def test_bad_transfer_function_entry_exits_one(tmp_path, capsys, key, entry,
     rc = main(["design", "--config", write_cfg(tmp_path, cfg),
                "--out", str(tmp_path / "r.json")])
     assert rc == 1
+    # errors from realizing a well-formed entry name their key
+    if not message.startswith("relay."):
+        message = f"relay.{key}: {message}"
     assert capsys.readouterr().err.strip() == f"error: {message}"
 
 

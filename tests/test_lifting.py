@@ -35,25 +35,25 @@ from oracles import frequency_response
 def oracle_fine_sim(core, N, h, w_fine, u_slow):
     """Sequential fine-grid simulation with explicit delay history.
 
-    Independent of the history/stacking construction: delayed signals
-    are looked up from stored source histories.
+    Independent of the history/stacking construction: delayed u is
+    looked up from the stored fine-grid history of u.
     """
     tau = h / N
     cd = zoh_discretize(core.sys, tau)
     n_steps = w_fine.shape[1]
     n_perf = core.n_ext  # one performance output per external input
     x = np.zeros(core.sys.n_states)
-    lengths = [round(L * N / h) for L, _ in core.chains]
-    histories = [[] for _ in core.chains]
+    lengths = [round(L * N / h) for L in core.delays]
+    history = []
     z = np.zeros((n_perf, n_steps))
     y = []
     for j in range(n_steps):
         u = u_slow[:, j // N]
         ext = w_fine[:, j]
         dly = []
-        for k, (d, (_, src)) in enumerate(zip(lengths, core.chains)):
+        for d in lengths:
             if j - d >= 0:
-                dly.append(histories[k][j - d])
+                dly.append(history[j - d])
             else:
                 dly.append(np.zeros(2))
         vin = np.concatenate([ext, u] + dly)
@@ -62,8 +62,7 @@ def oracle_fine_sim(core, N, h, w_fine, u_slow):
         if j % N == 0:
             y.append(out[n_perf:])
         x = cd.A @ x + cd.B @ vin
-        for k, (_, src) in enumerate(core.chains):
-            histories[k].append(u if src == "ctrl" else ext[src[1]:src[1] + 2])
+        history.append(u)
     return z, np.array(y).T
 
 
@@ -95,7 +94,7 @@ def lifted_drive(lp, w_fine, u_slow):
 def history_bound(core, N, h):
     """Core states plus one I/Q pair per delay substep of every path."""
     return core.sys.n_states + 2 * sum(round(L * N / h)
-                                       for L, _ in core.chains)
+                                       for L in core.delays)
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +142,18 @@ def test_off_grid_delay_is_hard_error(example_params):
     assert lp.sys.n_states == assemble_plant_core(spec).sys.n_states + 4
 
 
-def test_state_cap_guard(example_params, example_channel):
-    # the w2 path of the robust plant keeps L N / h fine samples
-    spec = build_generalized_plant(example_params, example_channel)
-    core = assemble_plant_core(spec, W2=uncertainty_weight(example_channel))
-    assert history_bound(core, 256, 1.0) < STATE_DIM_CAP
-    lift_core(core, 256, 1.0)
-    with pytest.raises(ValueError, match="cap"):
-        lift_core(core, STATE_DIM_CAP // 2, 1.0)
+def test_state_cap_guard(example_params):
+    # a detour at L = 1000 h keeps 1000 past holds of u: 8 core states
+    # plus 2000 history states pass the cap; 900 h stays under it
+    def core(L):
+        channel = CouplingChannel(r=0.2, L=1.0, extra_paths=((0.01, L),))
+        return assemble_plant_core(build_perturbed_plant(example_params,
+                                                         channel))
+
+    assert lift_core(core(900.0), 1, 1.0).sys.n_states == 1808
+    with pytest.raises(ValueError,
+                       match=f"dimension 2008 exceeds the cap {STATE_DIM_CAP}"):
+        lift_core(core(1000.0), 1, 1.0)
 
 
 def test_lift_matches_fine_grid_oracle():
@@ -191,8 +194,8 @@ def test_lift_exactness_multi_path(example_params):
 
 @pytest.mark.parametrize("L", [0.25, 0.75, 1.0, 1.25, 2.5])
 def test_lift_of_a_delayed_fast_source_matches_oracle(L):
-    # the w2 path delays a fast-held input: d < N, d = N, d > N and two
-    # periods at N = 4
+    # the uncertainty channel reads the nominal path's delayed u: d < N,
+    # d = N, d > N and two periods at N = 4
     rng = np.random.default_rng(int(100 * L))
     W = scalar_block([0.8], [1.3, 1.0])
     F = scalar_block([1.0, 2.0], [0.7, 3.0])

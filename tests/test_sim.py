@@ -70,7 +70,7 @@ def reference_simulate(cfg):
     spec = build_perturbed_plant(params, cfg.channel)
     core = assemble_plant_core(spec, external_input=True)
     cd = zoh_discretize(core.sys, dt)
-    lengths = [delay_steps(L, N_sim, params.h) for L, _ in core.chains]
+    lengths = [delay_steps(L, N_sim, params.h) for L in core.delays]
 
     v = reference_input(cfg.input, params, cfg.duration, N_sim, cfg.seed)
     T = v.shape[1]

@@ -118,6 +118,31 @@ def test_robust_plant_extends_the_nominal_plant(small_robust):
         assert np.max(np.abs(diff)) <= 1e-10
 
 
+def test_uncertainty_channel_reads_the_delayed_u():
+    # z2 = W2 F P u(t - L) is the nominal path's own signal, so at the
+    # first substep it is W2 (alpha R)^-1 times y's u-part; w2 enters y
+    # as the static alpha R on its first sample and drives no state
+    cfg = load_config("robust_40db")
+    params, channel = config_objects(cfg)
+    spec = build_generalized_plant(params, channel)
+    W2 = uncertainty_weight(channel, cfg["design"]["epsilon"])
+    rp = build_robust_plant(spec, W2, 4)
+    N, (path,) = rp.N, spec.paths
+    assert rp.sys.n_states == 8
+    u_cols = np.arange(rp.n_w, rp.n_w + 2)
+    z2_first = subsystem(rp.sys, np.arange(2 * N, 2 * N + 2), u_cols)
+    gain = W2.D @ np.linalg.inv(path.alpha * path.rot)
+    for th in (0.0, 0.4, 1.3, 2.8, np.pi):
+        expected = gain @ frequency_response(_g22(rp), th)
+        diff = frequency_response(z2_first, th) - expected
+        assert np.max(np.abs(diff)) <= 1e-12
+    w2_cols = np.arange(2 * N, 4 * N)
+    D_yw2 = rp.sys.D[rp.n_z:, w2_cols]
+    assert np.array_equal(D_yw2[:, :2], path.alpha * path.rot)
+    assert not D_yw2[:, 2:].any()
+    assert not rp.sys.B[:, w2_cols].any()
+
+
 def test_nominal_design_rejects_two_channel_plant(small_robust):
     spec, rp = small_robust
     with pytest.raises(ValueError, match="one-channel"):
@@ -537,6 +562,30 @@ def test_robust_objective_monotone_in_n_q(small_robust):
         vals.append(K.meta["grid_objective"])
     assert vals[1] <= vals[0] * (1.0 + 2e-3)
     assert vals[2] <= vals[1] * (1.0 + 2e-3)
+
+
+def test_robust_margin_retry(small_robust, monkeypatch):
+    # a certificate with gamma2 > 1 tightens the margin by 0.05 and
+    # re-solves; the third failure gives up
+    spec, rp = small_robust
+    failures = []
+    real_norms = synthesis.closed_loop_norms
+
+    def norms(lp, K):
+        margin, (gamma1, gamma2) = real_norms(lp, K)
+        if failures:
+            failures.pop()
+            gamma2 = 1.5
+        return margin, [gamma1, gamma2]
+
+    monkeypatch.setattr(synthesis, "closed_loop_norms", norms)
+    failures[:] = [True]
+    K = synthesize_robust(rp, **SMALL_DESIGN)
+    assert K.meta["attempts"] == 2 and K.meta["margin"] == 0.10
+    assert K.gamma_achieved["gamma2"] <= 1.0
+    failures[:] = [True] * 3
+    with pytest.raises(SynthesisError, match="after 3 attempts"):
+        synthesize_robust(rp, **SMALL_DESIGN)
 
 
 def test_robust_rejects_bad_margin(small_robust):
