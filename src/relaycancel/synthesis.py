@@ -11,7 +11,12 @@ closed-loop map into an affine function of Q:
 
     T(Q) = T1 + T2 Q T3,     T1 = G11, T2 = G12, T3 = G21
 
-per channel.  Restricting Q to an FIR filter of length n_q makes the
+per channel.  On the design grid T2 and T3 are stored, while T1 (2N x 2N
+per point, 4 MB on the nominal_60db grid) is produced from the lifted
+plant's resolvent at the grid points that the oracle factorization, a
+cut or the fingerprint asks for (``_grid_responses``); every block is
+bitwise the one a stored array would hold, and a design never holds the
+whole T1 grid.  Restricting Q to an FIR filter of length n_q makes the
 worst-case-gain objective convex in the Q coefficients.  The minimax
 design is solved by a cutting-plane method on a logarithmic frequency
 grid (largest-singular-value constraints are approximated from below by
@@ -179,6 +184,48 @@ def _ports(lp: LiftedPlant):
             np.arange(lp.n_z, lp.n_z + lp.n_ctrl))
 
 
+def _resolvent(sys: StateSpace, B: np.ndarray, omega) -> np.ndarray:
+    """(zI - A)^-1 B at z = exp(i omega dt), by one LU solve per omega; a
+    1-d omega gives the stack of them."""
+    z = np.exp(1j * omega * sys.dt)
+    return np.linalg.solve(
+        z[..., None, None] * np.eye(sys.n_states) - sys.A, B)
+
+
+class _PointResponses:
+    """A channel's w_k -> z_k response on the grid, T1[j] = C X_j[:, cols]
+    + D with X_j the resolvent at grid point j, produced from the lifted
+    plant for the points asked for, so that the (grid, 2N, 2N) array
+    (4 MB for nominal_60db) is never held.
+
+    Indexing the grid axis (a point, a slice or an index array), ``len``,
+    ``shape`` and ``dtype`` read as those of that array would, and every
+    block is bitwise the one it would hold.
+    """
+
+    __slots__ = ("sys", "B", "omegas", "cols", "C", "D", "shape", "dtype")
+
+    def __init__(self, sys: StateSpace, B: np.ndarray, omegas, cols: slice,
+                 C: np.ndarray, D: np.ndarray):
+        self.sys, self.B, self.omegas = sys, B, np.asarray(omegas)
+        self.cols, self.C, self.D = cols, C, D
+        self.shape = (len(omegas), C.shape[0], cols.stop - cols.start)
+        self.dtype = np.dtype(complex)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, j) -> np.ndarray:
+        X = _resolvent(self.sys, self.B, self.omegas[j])
+        return self.C @ X[..., self.cols] + self.D
+
+
+# grid points per T1 block that _prepare_oracle and _fingerprint produce
+# at once: 0.5 MB at 2N = 32, and the per-call cost of the small solves
+# and products is shared by the block
+_T1_BLOCK = 32
+
+
 def _grid_responses(lp: LiftedPlant, omegas) -> list:
     """Grid frequency responses {"T1", "T2", "T3"} of every channel's
     affine factors T(Q) = T1 + T2 Q T3, one per (w_k, z_k) pair of
@@ -187,28 +234,29 @@ def _grid_responses(lp: LiftedPlant, omegas) -> list:
 
     All factors are blocks of one lifted plant, so one resolvent solve
     (zI - A) X = B[:, w stacks and u] per frequency serves them all.
+    T2 and T3 (2N x 2 and 2 x 2N per point) are stored; T1 is a
+    ``_PointResponses`` that repeats the solve at the points it is asked
+    for.
     """
     u_cols, y_rows = _ports(lp)
     stacks = lp.channel_indices()
     sys = lp.sys
     B = sys.B[:, np.concatenate(stacks + [u_cols])]
     K, n, n_u = len(omegas), stacks[0].size, u_cols.size
-    out = [{"T1": np.empty((K, n, n), complex),
+    out = [{"T1": _PointResponses(sys, B, omegas, slice(k * n, (k + 1) * n),
+                                  sys.C[idx], sys.D[np.ix_(idx, idx)]),
             "T2": np.empty((K, n, n_u), complex),
             "T3": np.empty((K, y_rows.size, n), complex)}
-           for _ in stacks]
-    parts = [(sys.C[idx], sys.D[np.ix_(idx, idx)], sys.D[np.ix_(idx, u_cols)],
+           for k, idx in enumerate(stacks)]
+    parts = [(sys.C[idx], sys.D[np.ix_(idx, u_cols)],
               sys.D[np.ix_(y_rows, idx)]) for idx in stacks]
     C_y = sys.C[y_rows]
-    eye = np.eye(sys.n_states)
     for j, om in enumerate(omegas):
-        X = np.linalg.solve(np.exp(1j * om * sys.dt) * eye - sys.A, B)
+        X = _resolvent(sys, B, om)
         X_u = X[:, -n_u:]
-        for k, (ch, (C_k, D1, D2, D3)) in enumerate(zip(out, parts)):
-            X_k = X[:, k * n:(k + 1) * n]
-            ch["T1"][j] = C_k @ X_k + D1
+        for k, (ch, (C_k, D2, D3)) in enumerate(zip(out, parts)):
             ch["T2"][j] = C_k @ X_u + D2
-            ch["T3"][j] = C_y @ X_k + D3
+            ch["T3"][j] = C_y @ X[:, k * n:(k + 1) * n] + D3
     return out
 
 
@@ -238,23 +286,25 @@ def _prepare_oracle(ch: dict) -> dict:
 
     exactly.  Kept per point: R2, W0, E, Lam's largest value and the gaps
     from it down to every Lam_i.  Lam is clipped at 0 (a Gram matrix is
-    PSD; its rounding is not).  The points are factored one at a time, so
-    the only (grid, 2N, 2N) arrays are the responses themselves.
+    PSD; its rounding is not).  The points are factored one at a time and
+    T1 is produced ``_T1_BLOCK`` points at a time (see ``_grid_responses``),
+    so no (grid, 2N, 2N) array is held.
     """
     n_freq, n, _ = ch["T1"].shape
     R2 = np.empty((n_freq, 2, 2), complex)
     W0 = np.empty((n_freq, 2, n), complex)
     E = np.empty((n_freq, 2, n), complex)
     lam = np.empty((n_freq, n))
-    for k in range(n_freq):
-        U, R = np.linalg.qr(ch["T2"][k], mode="complete")
-        V, S = np.linalg.qr(ch["T3"][k].conj().T, mode="complete")
-        M = U.conj().T @ ch["T1"][k] @ V
-        lam_k, V_G = np.linalg.eigh(M[2:].conj().T @ M[2:])
-        lam[k] = np.maximum(lam_k, 0.0)
-        R2[k] = R[:2]
-        W0[k] = M[:2] @ V_G
-        E[k] = S[:2].conj().T @ V_G[:2]
+    for k0 in range(0, n_freq, _T1_BLOCK):
+        for k, T1 in enumerate(ch["T1"][k0:k0 + _T1_BLOCK], k0):
+            U, R = np.linalg.qr(ch["T2"][k], mode="complete")
+            V, S = np.linalg.qr(ch["T3"][k].conj().T, mode="complete")
+            M = U.conj().T @ T1 @ V
+            lam_k, V_G = np.linalg.eigh(M[2:].conj().T @ M[2:])
+            lam[k] = np.maximum(lam_k, 0.0)
+            R2[k] = R[:2]
+            W0[k] = M[:2] @ V_G
+            E[k] = S[:2].conj().T @ V_G[:2]
     lam_max = lam.max(axis=1)
     return {**ch, "R2": R2, "W0": W0, "E": E, "lam_max": lam_max,
             "gap": lam_max[:, None] - lam}
@@ -338,14 +388,14 @@ def _cut_rows(ch: dict, zinv_pow: np.ndarray, ks: np.ndarray,
     the generating Q.  Returns (coefficients, constants), one row per
     point; the singular pairs come from one stacked SVD.
     """
-    T1, T2, T3 = ch["T1"], ch["T2"], ch["T3"]
+    T1, T2, T3 = ch["T1"][ks], ch["T2"], ch["T3"]
     U, _, Vh = np.linalg.svd(
-        np.stack([T1[k] + T2[k] @ Qz[k] @ T3[k] for k in ks]))
+        np.stack([T1[i] + T2[k] @ Qz[k] @ T3[k] for i, k in enumerate(ks)]))
     coeffs = np.empty((len(ks), zinv_pow.shape[1] * 4))
     c0 = np.empty(len(ks))
     for i, k in enumerate(ks):
         u, v = U[i, :, 0], Vh[i, 0].conj()
-        c0[i] = np.real(u.conj() @ T1[k] @ v)
+        c0[i] = np.real(u.conj() @ T1[i] @ v)
         a = T2[k].conj().T @ u  # (2,)
         b = T3[k] @ v           # (2,)
         coeffs[i] = np.real(zinv_pow[k][:, None, None]
@@ -516,12 +566,15 @@ def _nominal_grid(lp: LiftedPlant, n_q: int, grid_size: int, tol: float):
 
 def _fingerprint(ch: dict) -> str:
     """SHA-256 of the T1/T2/T3 grid responses: names, shapes, dtypes and
-    bytes.  The digest reads each C-contiguous array's buffer in place."""
+    bytes.  The bytes are streamed in blocks of grid points; a C-order
+    array's bytes are the concatenation of its blocks', so the digest is
+    that of the whole arrays."""
     digest = hashlib.sha256()
     for key in ("T1", "T2", "T3"):
-        arr = np.ascontiguousarray(ch[key])
+        arr = ch[key]
         digest.update(f"{key}{arr.shape}{arr.dtype}".encode())
-        digest.update(arr)
+        for k in range(0, len(arr), _T1_BLOCK):
+            digest.update(np.ascontiguousarray(arr[k:k + _T1_BLOCK]))
     return digest.hexdigest()
 
 

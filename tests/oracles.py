@@ -8,11 +8,14 @@ paths cause; ``passband_oracle`` modulates a baseband signal onto the
 carrier, pushes it through the delay channel on an RF-rate grid,
 demodulates and low-pass filters, which validates the baseband
 equivalence gain * rotation * u(t - L) numerically.
+``materialized_grid_responses`` is the design grid's response loop as it
+was before T1 was produced per point, each T1 held as a whole array.
 """
 
 import numpy as np
 from scipy.signal import butter, sosfilt
 
+from relaycancel.lifting import LiftedPlant
 from relaycancel.lti import StateSpace
 from relaycancel.relay import (
     CouplingChannel,
@@ -20,6 +23,7 @@ from relaycancel.relay import (
     RelayParams,
     rotation_matrix,
 )
+from relaycancel.synthesis import _ports
 
 
 def frequency_response(sys: StateSpace, omega: float) -> np.ndarray:
@@ -40,6 +44,32 @@ def frequency_response(sys: StateSpace, omega: float) -> np.ndarray:
         ) from exc
     return sys.C @ X + sys.D
 
+
+def materialized_grid_responses(lp: LiftedPlant, omegas) -> list:
+    """{"T1", "T2", "T3"} arrays of every channel on the grid ``omegas``,
+    one resolvent solve per frequency (the loop of the design grid)."""
+    u_cols, y_rows = _ports(lp)
+    stacks = lp.channel_indices()
+    sys = lp.sys
+    B = sys.B[:, np.concatenate(stacks + [u_cols])]
+    K, n, n_u = len(omegas), stacks[0].size, u_cols.size
+    out = [{"T1": np.empty((K, n, n), complex),
+            "T2": np.empty((K, n, n_u), complex),
+            "T3": np.empty((K, y_rows.size, n), complex)}
+           for _ in stacks]
+    parts = [(sys.C[idx], sys.D[np.ix_(idx, idx)], sys.D[np.ix_(idx, u_cols)],
+              sys.D[np.ix_(y_rows, idx)]) for idx in stacks]
+    C_y = sys.C[y_rows]
+    eye = np.eye(sys.n_states)
+    for j, om in enumerate(omegas):
+        X = np.linalg.solve(np.exp(1j * om * sys.dt) * eye - sys.A, B)
+        X_u = X[:, -n_u:]
+        for k, (ch, (C_k, D1, D2, D3)) in enumerate(zip(out, parts)):
+            X_k = X[:, k * n:(k + 1) * n]
+            ch["T1"][j] = C_k @ X_k + D1
+            ch["T2"][j] = C_k @ X_u + D2
+            ch["T3"][j] = C_y @ X_k + D3
+    return out
 
 
 def plant_frequency_response(spec: GeneralizedPlantSpec,

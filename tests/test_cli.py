@@ -1,5 +1,8 @@
 import json
 import logging
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,20 +214,38 @@ def test_trace_csv_matches_per_cell_formatting(tmp_path):
     rng = np.random.default_rng(9)
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300,
                5e-324, 1e300, 0.1, 123456789012.5, 1.0 / 3.0]
-    n = 64
-    t = np.arange(n) / 16.0
-    v = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-20, 20, (2, n))
-    v[0, :len(special)] = special
-    u = v[::-1].copy()
-    u[1, -len(special):] = special
-    trace = SimulationTrace(t=t, v=v, u=u, err=v - u, diverged=True,
-                            l2_err=np.nan, max_abs_err_tail=np.nan)
-    write_trace_csv(trace, tmp_path / "new.csv")
-    reference_write_trace_csv(trace, tmp_path / "old.csv")
-    new = (tmp_path / "new.csv").read_bytes()
-    assert new == (tmp_path / "old.csv").read_bytes()
-    assert b"nan" in new and b"-inf" in new and b"-0," in new
-    assert b"1e-300" in new
+    # a part row block, then two full blocks and a part one
+    for n in (64, 5 * cli._CSV_BLOCK_ROWS // 2):
+        t = np.arange(n) / 16.0
+        v = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-20, 20, (2, n))
+        v[0, :len(special)] = special
+        u = v[::-1].copy()
+        u[1, -len(special):] = special
+        trace = SimulationTrace(t=t, v=v, u=u, err=v - u, diverged=True,
+                                l2_err=np.nan, max_abs_err_tail=np.nan)
+        write_trace_csv(trace, tmp_path / "new.csv")
+        reference_write_trace_csv(trace, tmp_path / "old.csv")
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert b"nan" in new and b"-inf" in new and b"-0," in new
+        assert b"1e-300" in new
+
+
+def test_trace_csv_memory_stays_in_blocks(tmp_path):
+    # as long as the fig11 trace; formatting all 8,000 rows at once
+    # peaked at 3.4 MB of floats, tuple and string
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal((2, 8000))
+    trace = SimulationTrace(t=np.arange(8000) / 80.0, v=v, u=0.5 * v,
+                            err=0.5 * v, diverged=False, l2_err=np.nan,
+                            max_abs_err_tail=np.nan)
+    tracemalloc.start()
+    try:
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_read_controller_bad_file(tmp_path):
@@ -403,6 +424,56 @@ def test_synthesis_error_exits_two(tmp_path, capsys, monkeypatch, command):
     err = capsys.readouterr().err
     assert err.strip() == ("synthesis infeasible: no FIR parameter met "
                            "the bound")
+
+
+def _zero_nominal(lp, **kwargs):
+    """A stand-in nominal design: the zero canceler, designed at once."""
+    return Controller(sys=StateSpace.static(np.zeros((2, 2)), dt=lp.h),
+                      gamma_achieved=1.0, method="nominal_hinf")
+
+
+def test_reproduce_paper_reports_a_robust_failure_from_the_worker(
+        tmp_path, capsys, monkeypatch):
+    on_worker = []
+
+    def infeasible(*args, **kwargs):
+        on_worker.append(threading.current_thread()
+                         is not threading.main_thread())
+        raise SynthesisError("robust synthesis failed after 3 attempts")
+
+    monkeypatch.setattr(cli, "synthesize_nominal", _zero_nominal)
+    monkeypatch.setattr(cli, "synthesize_robust", infeasible)
+    threads = threading.active_count()
+    assert main(["reproduce-paper", "--out", str(tmp_path / "rp")]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "synthesis infeasible: robust synthesis failed after 3 attempts")
+    assert on_worker == [True]
+    assert threading.active_count() == threads
+
+
+def test_reproduce_paper_joins_the_worker_after_a_nominal_failure(
+        tmp_path, capsys, monkeypatch):
+    # the nominal design fails at once on the calling thread while the
+    # robust one is still running; main returns only after the worker is
+    # done, and it reports the nominal failure
+    finished = threading.Event()
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("resolvent singular")
+
+    def slow_robust(*args, **kwargs):
+        time.sleep(0.5)
+        finished.set()
+        raise SynthesisError("late robust failure")
+
+    monkeypatch.setattr(cli, "synthesize_nominal", singular)
+    monkeypatch.setattr(cli, "synthesize_robust", slow_robust)
+    threads = threading.active_count()
+    assert main(["reproduce-paper", "--out", str(tmp_path / "rp")]) == 3
+    assert capsys.readouterr().err.strip() == (
+        "numerical failure: resolvent singular")
+    assert finished.is_set()
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("exc", [

@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -41,7 +42,7 @@ from relaycancel.synthesis import (
 )
 
 from conftest import make_example_params
-from oracles import frequency_response
+from oracles import frequency_response, materialized_grid_responses
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +258,8 @@ def test_nominal_small_design_properties(small_lifted):
     # never worse than the open loop (Q = 0, T = T1) on the design grid
     [ch] = synthesis._grid_responses(
         lp, np.geomspace(1e-3 / lp.h, np.pi / lp.h, 64))
-    open_gain = np.linalg.svd(ch["T1"], compute_uv=False)[:, 0].max()
+    T1 = np.stack([ch["T1"][k] for k in range(len(ch["T1"]))])
+    open_gain = np.linalg.svd(T1, compute_uv=False)[:, 0].max()
     assert K.meta["grid_objective"] <= open_gain
 
 
@@ -338,19 +340,67 @@ def test_reuse_survives_the_controller_file(nominal_a2_1000, tmp_path):
     assert from_file.meta == direct.meta
 
 
-def test_fingerprint_is_the_digest_of_the_copied_bytes():
-    # nominal_60db's grid responses, hashed in place and as tobytes() copies
-    cfg = load_config("nominal_60db")
+def _bundled_design_plant(name):
+    """The lifted plant a bundled config designs on, and its settings."""
+    cfg = load_config(name)
     d = cfg["design"]
-    lp = fsfh_lift(build_generalized_plant(*config_objects(cfg)), d["N"])
+    params, channel = config_objects(cfg)
+    spec = build_generalized_plant(params, channel)
+    if d["mode"] == "robust":
+        W2 = uncertainty_weight(channel, d["epsilon"])
+        return build_robust_plant(spec, W2, d["N"]), d
+    return fsfh_lift(spec, d["N"]), d
+
+
+def _design_omegas(lp, grid_size):
+    return np.geomspace(1e-3 / lp.h, np.pi / lp.h, grid_size)
+
+
+@pytest.mark.parametrize("name", ["nominal_60db", "robust_40db"])
+def test_t1_per_point_is_bitwise_the_materialized_grid(name):
+    lp, d = _bundled_design_plant(name)
+    omegas = _design_omegas(lp, d["grid_size"])
+    chans = synthesis._grid_responses(lp, omegas)
+    refs = materialized_grid_responses(lp, omegas)
+    assert len(chans) == len(refs) == len(lp.channel_indices())
+    for ch, ref in zip(chans, refs):
+        assert ch["T1"].shape == ref["T1"].shape
+        assert len(ch["T1"]) == d["grid_size"]
+        assert all(np.array_equal(ch["T1"][k], ref["T1"][k])
+                   for k in range(d["grid_size"]))
+        assert np.array_equal(ch["T2"], ref["T2"])
+        assert np.array_equal(ch["T3"], ref["T3"])
+
+
+def test_fingerprint_is_the_digest_of_the_copied_bytes():
+    # nominal_60db's grid responses, hashed point by point and as
+    # tobytes() copies of the whole arrays
+    lp, d = _bundled_design_plant("nominal_60db")
     _, _, ch = synthesis._nominal_grid(lp, d["n_q"], d["grid_size"], d["tol"])
+    [arrays] = materialized_grid_responses(lp, _design_omegas(lp, 256))
     assert ch["T1"].dtype == complex and ch["T1"].shape == (256, 32, 32)
+    assert arrays["T1"].dtype == complex and arrays["T1"].shape == (256, 32, 32)
     digest = hashlib.sha256()
     for key in ("T1", "T2", "T3"):
-        arr = np.ascontiguousarray(ch[key])
+        arr = np.ascontiguousarray(arrays[key])
         digest.update(f"{key}{arr.shape}{arr.dtype}".encode())
         digest.update(arr.tobytes())
     assert synthesis._fingerprint(ch) == digest.hexdigest()
+    assert synthesis._fingerprint(arrays) == digest.hexdigest()
+
+
+def test_nominal_design_memory_holds_no_t1_grid():
+    # T1 of nominal_60db on the grid, 256 x 32 x 32 complex, would be
+    # 4.19 MB by itself
+    lp, d = _bundled_design_plant("nominal_60db")
+    tracemalloc.start()
+    try:
+        synthesize_nominal(lp, tol=d["tol"], n_q=d["n_q"],
+                           grid_size=d["grid_size"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +408,10 @@ def test_fingerprint_is_the_digest_of_the_copied_bytes():
 
 
 def reference_channel_gains(ch, Qz):
-    """The batched-SVD oracle the secular equation replaced, verbatim."""
-    T = ch["T1"] + ch["T2"] @ (Qz @ ch["T3"])
+    """The batched-SVD oracle the secular equation replaced, on T1 stacked
+    from its grid points (the design produces T1 one point at a time)."""
+    T1 = np.stack([ch["T1"][k] for k in range(len(ch["T1"]))])
+    T = T1 + ch["T2"] @ (Qz @ ch["T3"])
     return np.linalg.svd(T, compute_uv=False)[:, 0]
 
 
