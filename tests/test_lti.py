@@ -296,10 +296,13 @@ def test_hinf_norm_rejects_continuous():
 
 def _reference_sigma_max_grid(sys, n_grid):
     """Largest singular value of the response over a [0, pi] theta grid
-    and its first maximizer, by an SVD at every grid point."""
+    and its first maximizer, by an SVD at every grid point.  The grid's
+    geometric half starts at 1e-2 x the slowest pole's distance from the
+    unit circle, but not below 1e-6."""
+    rho = max(np.abs(np.linalg.eigvals(sys.A)), default=0.0)
     thetas = np.unique(np.concatenate([
         np.linspace(0.0, np.pi, n_grid // 2),
-        np.geomspace(1e-6, np.pi, n_grid // 2),
+        np.geomspace(max(1e-6, 1e-2 * (1.0 - rho)), np.pi, n_grid // 2),
     ]))
     best, theta_best = 0.0, 0.0
     In = np.eye(sys.n_states)
@@ -447,18 +450,82 @@ def test_hinf_norm_falls_back_to_bisection_between_grid_points(monkeypatch):
     assert dense_max - tol / 2 <= val <= dense_max + tol
 
 
+@st.composite
+def slow_pole_systems(draw):
+    """A real pole at 1 - delta, delta log-uniform in [1e-5, 1e-2], and a
+    lightly damped pair at angle phi, log-uniform in [1e-4, 1e-2], and
+    radius 1 - zeta phi.  Each mode's input column is scaled by its
+    distance from the unit circle, so the peaks are of order one."""
+    delta = 10.0 ** draw(st.floats(-5.0, -2.0))
+    phi = 10.0 ** draw(st.floats(-4.0, -2.0))
+    zeta = draw(st.floats(0.05, 0.5))
+    m = draw(st.integers(1, 2))
+    p = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = 1.0 - zeta * phi
+    c, s = np.cos(phi), np.sin(phi)
+    A = np.zeros((3, 3))
+    A[0, 0] = 1.0 - delta
+    A[1:, 1:] = r * np.array([[c, -s], [s, c]])
+    B = rng.standard_normal((3, m)) * np.array([[delta], [1 - r], [1 - r]])
+    return StateSpace(A, B, rng.standard_normal((p, 3)),
+                      0.1 * rng.standard_normal((p, m)), dt=1.0)
+
+
+def _dense_peak(sys):
+    """Largest sigma_max over [0, pi]: 4001 evenly spaced and 20001
+    geometrically spaced thetas from 1e-9, then a bounded maximization
+    between the neighbours of each of the five largest points."""
+    from scipy.optimize import minimize_scalar
+
+    thetas = np.unique(np.concatenate([np.linspace(0.0, np.pi, 4001),
+                                       np.geomspace(1e-9, np.pi, 20001)]))
+    In = np.eye(sys.n_states)
+
+    def sigma(th):
+        z = np.exp(1j * np.atleast_1d(th))[:, None, None]
+        G = sys.C @ np.linalg.solve(z * In - sys.A, sys.B) + sys.D
+        return np.linalg.svd(G, compute_uv=False)[:, 0]
+
+    values = sigma(thetas)
+    peak = values.max()
+    for i in np.argsort(values)[-5:]:
+        lo, hi = thetas[max(i - 1, 0)], thetas[min(i + 1, thetas.size - 1)]
+        res = minimize_scalar(lambda th: -sigma(th)[0], bounds=(lo, hi),
+                              method="bounded", options={"xatol": 1e-14})
+        peak = max(peak, -res.fun)
+    return float(peak)
+
+
+@settings(max_examples=25)
+@given(slow_pole_systems())
+def test_hinf_norm_resolves_peaks_near_slow_poles(sys):
+    # the grid's geometric half starts at 1e-2 x the slowest pole's
+    # distance from the circle, below every resonance drawn here, and
+    # steps by at most (pi / 1e-6)^(1/255) - 1 = 6% there: some point lies
+    # within 3% of phi, where a resonance of half-width zeta phi >= 5% of
+    # phi stays above 0.85 of its peak
+    tol = 1e-6
+    peak = _dense_peak(sys)
+    assert lti._sigma_max_grid(sys, lti._HINF_GRID)[0] >= 0.8 * peak
+    val = hinf_norm(sys, tol)
+    # the pencil test's 1e-8 window on the unit circle moves the upper end
+    # of so sharp a peak by up to about 7e-6 relative, either way
+    assert abs(val - peak) <= tol + 1e-5 * peak
+
+
 def test_hinf_norm_logs_one_debug_line(caplog):
     sys = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], dt=1.0)
     with caplog.at_level(logging.DEBUG, logger="relaycancel.lti"):
         val = hinf_norm(sys)
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
-    # the grid points within 1e-9 of the peak at theta = 0 (the geometric
-    # half of the grid crowds there) and the seeds are the ones that
-    # reach the SVD
+    # the pole at 0.5 starts the geometric half of the grid at
+    # 1e-2 x (1 - 0.5); the seeds and the few points within 1e-9 of the
+    # peak at theta = 0 are the ones that reach the SVD
     assert record.getMessage().startswith(
-        "hinf_norm: 1 states -> 1 (tail 0), grid max 2 at theta 0, "
-        "89 of 511 grid points by SVD, bracket [2, ")
+        "hinf_norm: 1 states -> 1 (tail 0), grid from theta 0.005, "
+        "grid max 2 at theta 0, 33 of 511 grid points by SVD, bracket [2, ")
     assert record.getMessage().endswith("], 1 pencil eigensolves")
     assert val == pytest.approx(2.0, abs=1e-6)
 
@@ -547,7 +614,7 @@ def grid_screen_systems(draw):
 @given(grid_screen_systems(), st.sampled_from((512, 100, 33, 2)))
 def test_sigma_max_grid_equals_the_per_point_loop(case, n_grid):
     kind, sys = case
-    value, theta, svds, points = lti._sigma_max_grid(sys, n_grid)
+    value, theta, svds, points, _ = lti._sigma_max_grid(sys, n_grid)
     assert (value, theta) == _reference_sigma_max_grid(sys, n_grid)
     assert 0 < svds <= points
     if kind == "zero_response":
@@ -570,9 +637,12 @@ def nominal_loop_n32():
 def test_sigma_max_grid_is_bitwise_on_the_nominal_loop(nominal_loop_n32):
     sys = nominal_loop_n32
     assert sys.n_inputs == sys.n_outputs == 64
-    value, theta, svds, points = lti._sigma_max_grid(sys, lti._HINF_GRID)
+    value, theta, svds, points, theta_lo = lti._sigma_max_grid(
+        sys, lti._HINF_GRID)
     assert (value, theta) == _reference_sigma_max_grid(sys, lti._HINF_GRID)
-    assert points == 511 and svds < points // 4
+    assert points == 511 and svds <= 40
+    # the slowest pole of the bundled loops is exp(-1/2) = 0.6065
+    assert theta_lo == pytest.approx(1e-2 * (1.0 - np.exp(-0.5)), rel=1e-6)
 
 
 def test_sigma_max_grid_memory_stays_chunked(nominal_loop_n32):
