@@ -23,11 +23,12 @@ safe to share across threads.
 from __future__ import annotations
 
 import logging
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eig as geig
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_triangular
 from scipy.linalg.blas import zherk
 from scipy.linalg.lapack import zpotrf
 
@@ -50,9 +51,9 @@ STABILITY_MARGIN = 1e-9
 # Points of the theta grid that gives hinf_norm its lower bracket.
 _HINF_GRID = 512
 # _sigma_max_grid takes an SVD at every _SCREEN_STRIDE-th grid point and
-# screens the rest by a Cholesky test, _SCREEN_CHUNK points per stacked
-# solve (a (511, 64, 64) complex stack of the N=32 loop would be 33 MB).
-_SCREEN_STRIDE = 16
+# screens the rest by a Cholesky test of order min(n, p, m), _SCREEN_CHUNK
+# points per stacked solve; from N = 64 on the p x m seed SVDs cost more.
+_SCREEN_STRIDE = 64
 _SCREEN_CHUNK = 8
 
 logger = logging.getLogger(__name__)
@@ -329,19 +330,11 @@ def _sigma_max_grid(sys: StateSpace,
     its value at theta = 0, which is on the grid.  The bundled loops
     (slowest pole 0.607) start at 3.9e-3, an FIR system at 1e-2.
 
-    Every ``_SCREEN_STRIDE``-th point and the last one seed the running
-    maximum ``best`` with an SVD.  The others are screened
-    ``_SCREEN_CHUNK`` at a time: one stacked solve gives their responses
-    G, scaled by beta = best (1 - 1e-9), and a Cholesky factorization of
-    I - H'H (I - HH' for a wide G), H = G / beta, is tried at each.  It
-    can succeed only if sigma_max(G) <= beta (1 + O(m eps)), which is
-    below ``best``, so such a point can never be the maximizer; a point
-    whose factorization fails gets an SVD and may raise ``best``.  Each
-    SVD is taken of the single-point response, the expression a
-    per-point loop would use, so the maximum is the same float.  The
-    screen's stacked responses differ from the single-point ones by
-    rounding, about cond(zI - A) eps relative, which stays inside the
-    1e-9 margin while that condition number is well below 1e6.
+    Every ``_SCREEN_STRIDE``-th point and the last one seed the maximum
+    ``best`` by an SVD.  ``_screen`` passes others only where sigma_max(G)
+    < best (1 - 1e-9), so they cannot be the maximizer; the rest get an
+    SVD of the single-point response, the expression a per-point loop
+    would use, so the maximum is the same float.
     """
     rho = float(np.max(np.abs(_eigenvalues(sys)), initial=0.0))
     theta_lo = max(1e-6, 1e-2 * (1.0 - rho))
@@ -358,37 +351,61 @@ def _sigma_max_grid(sys: StateSpace,
         exact[i] = s = np.linalg.svd(G, compute_uv=False)[0]
         return s
 
-    seeded = np.zeros(thetas.size, dtype=bool)
-    seeded[::_SCREEN_STRIDE] = True
-    seeded[-1:] = True
-    best = 0.0
-    for i in np.flatnonzero(seeded):
-        best = max(best, svd_at(i))
-    wide = sys.n_inputs > sys.n_outputs
-    Ik = np.eye(sys.n_outputs if wide else sys.n_inputs)
-    rest = np.flatnonzero(~seeded)
-    for start in range(0, rest.size, _SCREEN_CHUNK):
-        idx = rest[start:start + _SCREEN_CHUNK]
-        z = np.exp(1j * thetas[idx])[:, None, None]
-        beta = best * (1.0 - 1e-9)
-        with np.errstate(all="ignore"):
-            H = (sys.C / beta) @ np.linalg.solve(z * In - sys.A, sys.B)
-            H.real += sys.D / beta
-        for i, h in zip(idx, H):
-            # on the Fortran-ordered view h.T this is I - conj(H'H), or
-            # I - conj(HH') for a wide H, in the lower triangle
-            gap = zherk(-1.0, h.T, 1.0, Ik, trans=2 if wide else 0, lower=1)
-            L, info = zpotrf(gap, lower=1, clean=0, overwrite_a=1)
-            # OpenBLAS reports success on nan entries, which a zero or
-            # tiny beta makes; they reach the factor's diagonal
-            if info or not np.isfinite(L.diagonal()).all():
-                best = max(best, svd_at(i))
+    seeds = np.r_[0:thetas.size - 1:_SCREEN_STRIDE, thetas.size - 1]
+    best = max(svd_at(i) for i in seeds)
+    rest = np.setdiff1d(np.arange(thetas.size), seeds)
+    passed = _screen(sys, best * (1.0 - 1e-9), thetas[rest])
+    for i in rest if passed is None else rest[~passed]:
+        svd_at(i)
     # the per-point loop's walk: a strict > keeps the first maximizer
     best, theta_best = 0.0, 0.0
     for i in sorted(exact):
         if exact[i] > best:
             best, theta_best = float(exact[i]), float(thetas[i])
     return best, theta_best, len(exact), thetas.size, theta_lo
+
+
+def _screen(sys: StateSpace, beta: float, thetas) -> np.ndarray | None:
+    """True at each theta where a Cholesky factorization of I - T'T
+    succeeds, which certifies sigma_max(G) < beta; None unless
+    sigma_max(D) <= 0.99 beta.  Loop shifting (Safonov, Limebeer & Chiang,
+    Int. J. Control 50, 1989), after transposing a wide G: with Gh, Dh, Ch
+    = G, D, C / beta, Phi = I - Dh'Dh = Lp Lp', At = A + B Phi^-1 Dh'Ch and
+    M = (I - Dh Dh')^(-1/2) Ch (zI - At)^-1 B Lp^-T, I - M'M = E'(I -
+    Gh'Gh) E with E^-1 = Lp^-1 (I - Dh'Gh).  As (I - Dh Dh')^-1 = I + Dh
+    Phi^-1 Dh', M = U T V' with U, V isometries and T = Rc (zI - At)^-1 Lb,
+    Rc the R factor of [Ch; Lp^-1 Dh'Ch], Lb' that of (B Lp^-T)': I - T'T
+    is min(n, p, m) square.  Where I - T'T >= -delta, sigma_max(Gh)^2 <=
+    1 + delta (1 + d) / (1 - d), d = sigma_max(Dh) <= 0.99, so rounding
+    of T, about cond(zI - At) / (1 - d^2) eps relative, moves sigma_max(G)
+    by at most 199 x that, inside the grid's 1e-9 margin while the
+    product is well below 1e4 (below 100 on the bundled loops).
+    """
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    if D.shape[0] < D.shape[1]:
+        A, B, C, D = A.T, C.T, B.T, D.T
+    if not (beta > 0 and np.linalg.norm(D, 2) <= 0.99 * beta):
+        return None
+    C, D = C / beta, D / beta
+    Lp = np.linalg.cholesky(np.eye(D.shape[1]) - D.T @ D)
+    F = solve_triangular(Lp, D.T @ C, lower=True)
+    Bc = solve_triangular(Lp, B.T, lower=True).T
+    Rc = np.linalg.qr(np.vstack([C, F]), mode="r")
+    Lb = np.linalg.qr(Bc.T, mode="r").T
+    At, In, Ir = A + Bc @ F, np.eye(A.shape[0]), np.eye(Lb.shape[1])
+    passed = np.zeros(thetas.size, dtype=bool)
+    for start in range(0, thetas.size, _SCREEN_CHUNK):
+        z = np.exp(1j * thetas[start:start + _SCREEN_CHUNK])[:, None, None]
+        # the solve raises where a z is an eigenvalue of At: no pass
+        with np.errstate(all="ignore"), suppress(np.linalg.LinAlgError):
+            T = Rc @ np.linalg.solve(z * In - At, Lb)
+            for k, t in enumerate(T, start):
+                # on the Fortran-ordered view t.T this is I - conj(T'T)
+                gap = zherk(-1.0, t.T, 1.0, Ir, lower=1)
+                L, info = zpotrf(gap, lower=1, clean=0, overwrite_a=1)
+                # overflow's nan entries pass zpotrf but reach L's diagonal
+                passed[k] = not info and np.isfinite(L.diagonal()).all()
+    return passed
 
 
 def _has_unit_circle_crossing(sys: StateSpace, gamma: float) -> bool:
@@ -537,12 +554,12 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6,
     distance from the unit circle (theta 3.9e-3 on the bundled loops),
     below which sigma_max stays within about 1e-4 relative of its value
     at theta = 0.  The grid maximum is bitwise the one an SVD at every
-    grid point gives, but ``_sigma_max_grid`` takes an SVD only where a
-    Cholesky test against its running maximum fails: 33 of the 511
-    points on the nominal loops at N = 16, 32 and 64.  A point the test
-    passes lies below the running maximum, so it can never be the
-    maximizer.  The DEBUG line gives the grid's start, the SVD count and
-    the pencil eigensolves.
+    grid point gives, but ``_sigma_max_grid`` takes an SVD only at 9
+    seeds and where the Cholesky test of a loop-shifted response fails
+    (``_screen``, 17 x 17 on the nominal loops, where it leaves 9 of 511
+    points to the SVD at N = 16 to 128).  A point it passes can never be
+    the maximizer.  The DEBUG line gives the grid's start, the SVD count,
+    the screen's order and failures, and the pencil eigensolves.
 
     Above the grid maximum a level is crossed exactly when it lies below
     the norm (Boyd & Balakrishnan, Systems & Control Letters 15, 1990).
@@ -588,11 +605,14 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6,
             hi *= 10.0
             grow += 1
         lo, hi = _bisect(lo, hi, crossing, tol, max_iter)
+    seeds = len(range(0, points - 1, _SCREEN_STRIDE)) + 1
+    r = min(sys.n_states, sys.n_inputs, sys.n_outputs)
     logger.debug(
         "hinf_norm: %d states -> %d (tail %.2g), grid from theta %.3g, "
-        "grid max %.10g at theta %.6g, %d of %d grid points by SVD, "
-        "bracket [%.10g, %.10g], %d pencil eigensolves",
+        "grid max %.10g at theta %.6g, %d of %d grid points by SVD (%d "
+        "seeds, %s), bracket [%.10g, %.10g], %d pencil eigensolves",
         n_full, sys.n_states, tail, theta_lo, grid_max, theta_max, svds,
-        points, lo, hi, probes,
+        points, seeds, f"{svds - seeds} failed the order-{r} screen"
+        if svds < points else "no screen passed a point", lo, hi, probes,
     )
     return float(max(0.5 * (lo + hi), lo) + tail)

@@ -36,14 +36,14 @@ the 30 states of the nominal closed loop at N=16) and adds the
 truncation's error bound, below 1e-13 there.  Its lower bound is a
 512-point grid evaluation of the truncation, whose geometric half
 starts at 1e-2 x the slowest pole's distance from the unit circle, and
-in which a Cholesky screen against the running maximum leaves the SVD to
-the points that might reach it (33 of 511 at N=32) and the maximum is
-bitwise that of an SVD at every point; its upper bound is only as good
-as the symplectic-pencil crossing test.  That test misses crossings on
-the flat-peaked full loop at N=16 but finds them within 1e-12 relative
-of the grid maximum on its truncation, so the nominal gamma is the grid
-maximum plus the bound plus less than half the bisection tolerance, and
-the test backs it.
+in which a Cholesky screen of the loop-shifted 17 x 17 response leaves
+the SVD to 9 seeds and the points that might reach their maximum (9 of
+511 at N=32) and the maximum is bitwise that of an SVD at every point;
+its upper bound is only as good as the symplectic-pencil crossing test.
+That test misses crossings on the flat-peaked full loop at N=16 but
+finds them within 1e-12 relative of the grid maximum on its truncation,
+so the nominal gamma is the grid maximum plus the bound plus less than
+half the bisection tolerance, and the test backs it.
 
 The nominal objective holds no coupling term (T1 = W, T2 = -P, T3 = F W
 in the stable-plant form), so its FIR parameter Q* fits every plant whose

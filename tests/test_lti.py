@@ -514,20 +514,47 @@ def test_hinf_norm_resolves_peaks_near_slow_poles(sys):
     assert abs(val - peak) <= tol + 1e-5 * peak
 
 
-def test_hinf_norm_logs_one_debug_line(caplog):
-    sys = StateSpace([[0.5]], [[1.0]], [[1.0]], [[0.0]], dt=1.0)
+def _check_hinf_norm_debug_line(caplog, d, screen):
+    sys = StateSpace([[0.5]], [[1.0]], [[1.0]], [[d]], dt=1.0)
     with caplog.at_level(logging.DEBUG, logger="relaycancel.lti"):
         val = hinf_norm(sys)
     [record] = caplog.records
     assert record.levelno == logging.DEBUG
     # the pole at 0.5 starts the geometric half of the grid at
-    # 1e-2 x (1 - 0.5); the seeds and the few points within 1e-9 of the
-    # peak at theta = 0 are the ones that reach the SVD
+    # 1e-2 x (1 - 0.5); every 64th point and the last seed the maximum
+    peak = f"{2.0 + d:g}"
     assert record.getMessage().startswith(
         "hinf_norm: 1 states -> 1 (tail 0), grid from theta 0.005, "
-        "grid max 2 at theta 0, 33 of 511 grid points by SVD, bracket [2, ")
+        f"grid max {peak} at theta 0, {screen}, bracket [{peak}, ")
     assert record.getMessage().endswith("], 1 pencil eigensolves")
-    assert val == pytest.approx(2.0, abs=1e-6)
+    assert val == pytest.approx(2.0 + d, abs=1e-6)
+
+
+def test_hinf_norm_logs_one_debug_line(caplog):
+    # only the peak at theta = 0, a seed, lies within 1e-9 of the maximum
+    _check_hinf_norm_debug_line(
+        caplog, 0.0,
+        "9 of 511 grid points by SVD (9 seeds, 0 failed the order-1 screen)")
+
+
+def test_hinf_norm_logs_one_debug_line_unscreened(caplog):
+    # sigma_max(D) = 1000 is above 0.99 x the peak 1002: no screen runs
+    _check_hinf_norm_debug_line(
+        caplog, 1000.0,
+        "511 of 511 grid points by SVD (9 seeds, no screen passed a point)")
+
+
+def test_hinf_norm_logs_the_screen_failures(caplog):
+    # a resonance at theta = 1 between the seeds: the points near it lie
+    # above the seeds' maximum and fail the screen
+    c, s = 0.9 * np.cos(1.0), 0.9 * np.sin(1.0)
+    sys = StateSpace([[c, -s], [s, c]], [[1.0], [0.0]], [[1.0, 0.0]],
+                     [[0.0]], dt=1.0)
+    with caplog.at_level(logging.DEBUG, logger="relaycancel.lti"):
+        hinf_norm(sys)
+    [record] = caplog.records
+    assert ", 46 of 511 grid points by SVD (9 seeds, 37 failed the order-1 " \
+        "screen), " in record.getMessage()
 
 
 @pytest.mark.parametrize("scale", [1e-15, 1e-12, 1e-9, 1e-6, 1.0, 1e6])
@@ -570,8 +597,8 @@ def grid_screen_systems(draw):
     ``random`` and ``near_circle`` draw the input and output counts
     independently, so G is square, tall or wide; ``zero_d`` has D = 0;
     ``zero_response`` has a driven part the output does not see and a
-    seen part the input does not drive, so G is exactly 0 and every
-    point fails the screen; ``peak_zero`` and ``peak_pi`` are those of
+    seen part the input does not drive, so G is exactly 0 and no screen
+    runs (beta = 0); ``peak_zero`` and ``peak_pi`` are those of
     ``stable_discrete_systems``; ``all_pass`` is a block diagonal of
     first-order all-pass sections, so sigma_max is 1 up to rounding at
     every theta; ``constant`` has dynamics 1e-20 x D, so every point
@@ -623,37 +650,124 @@ def test_sigma_max_grid_equals_the_per_point_loop(case, n_grid):
         assert theta == 0.0 and svds == points
 
 
+@st.composite
+def screen_cases(draw):
+    """(system, beta): a stable system with up to 4 states, inputs and
+    outputs, so G is square, tall or wide, and a level to screen it at.
+
+    ``near_circle`` has spectral radius in [0.99, 0.999]; ``d_dominated``
+    sets beta = sigma_max(D) / ratio with ratio in [0.9, 1), on both
+    sides of the screen's 0.99 margin; the others take beta between 0.3
+    and 1.2 x the largest sigma_max on a 257-point grid.
+    """
+    kind = draw(st.sampled_from(("random", "near_circle", "d_dominated")))
+    n, m, p = (draw(st.integers(1, 4)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radius = rng.uniform(0.99, 0.999) if kind == "near_circle" \
+        else rng.uniform(0.1, 0.95)
+    A = rng.standard_normal((n, n))
+    A *= radius / np.max(np.abs(np.linalg.eigvals(A)))
+    sys = StateSpace(A, rng.standard_normal((n, m)),
+                     rng.standard_normal((p, n)),
+                     rng.standard_normal((p, m)), dt=1.0)
+    if kind == "d_dominated":
+        ratio = draw(st.floats(0.9, 1.0, exclude_max=True))
+        return sys, np.linalg.norm(sys.D, 2) / ratio
+    peak = _sigma_max(sys, np.linspace(0.0, np.pi, 257)).max()
+    return sys, draw(st.floats(0.3, 1.2)) * peak
+
+
+@settings(max_examples=200)
+@given(screen_cases())
+def test_screen_passes_only_points_below_beta(case):
+    sys, beta = case
+    thetas = np.linspace(0.0, np.pi, 129)
+    passed = lti._screen(sys, beta, thetas)
+    # it runs only where sigma_max(D) <= 0.99 beta
+    assert (passed is None) == (np.linalg.norm(sys.D, 2) > 0.99 * beta)
+    assume(passed is not None)
+    sigma = np.array([np.linalg.svd(G, compute_uv=False)[0]
+                      for G in _responses(sys, thetas)])
+    # below beta up to rounding, which must stay well inside the 1e-9
+    # margin _sigma_max_grid leaves below its maximum (ties at beta pass)
+    assert np.all(sigma[passed] < beta * (1.0 + 1e-10))
+    # and it passes what lies clearly below beta
+    assert np.all(passed[sigma < beta * (1.0 - 1e-6)])
+
+
+@settings(max_examples=100)
+@given(screen_cases(), st.floats(0.0, np.pi))
+def test_loop_shift_is_a_congruence(case, theta):
+    # I - M'M = E'(I - Gh'Gh) E for the loop-shifted M of _screen's
+    # docstring, built here from both Cholesky factors
+    sys, beta = case
+    assume(np.linalg.norm(sys.D, 2) <= 0.99 * beta)
+    C, D = sys.C / beta, sys.D / beta
+    p, m = D.shape
+    Phi = np.eye(m) - D.T @ D
+    Lp = np.linalg.cholesky(Phi)
+    Lq = np.linalg.cholesky(np.eye(p) - D @ D.T)
+    K = np.linalg.solve(Phi, D.T @ C)
+    zI = np.exp(1j * theta) * np.eye(sys.n_states)
+    Y = np.linalg.solve(zI - sys.A - sys.B @ K, sys.B)
+    M = np.linalg.solve(Lq, C @ Y) @ np.linalg.inv(Lp).T
+    Gh = C @ np.linalg.solve(zI - sys.A, sys.B) + D
+    E = (np.eye(m) + K @ Y) @ np.linalg.inv(Lp).T
+    lhs = np.eye(m) - M.conj().T @ M
+    rhs = E.conj().T @ (np.eye(m) - Gh.conj().T @ Gh) @ E
+    assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(lhs)
+    # and _screen passes theta exactly where M is a contraction
+    s = np.linalg.norm(M, 2)
+    if abs(s - 1.0) > 1e-6:
+        assert lti._screen(sys, beta, np.array([theta]))[0] == (s < 1.0)
+
+
 @pytest.fixture(scope="module")
-def nominal_loop_n32():
-    """The bundled nominal_60db design's loop at N=32 (``verify``'s 2N),
+def nominal_loops():
+    """The bundled nominal_60db design's loops at N = 16 (the design
+    rate), 32 (``verify``'s 2N) and 64 (``lift-check``'s range), each
     balanced-truncated as hinf_norm does."""
     spec, K = cli._design(cli.load_config("nominal_60db"))
-    lp = fsfh_lift(spec, 32)
-    (idx,) = lp.channel_indices()
-    loop = subsystem(lifted_closed_loop(lp, K.sys), idx, idx)
-    return lti._balanced_truncation(loop)[0]
+    loops = {}
+    for N in (16, 32, 64):
+        lp = fsfh_lift(spec, N)
+        (idx,) = lp.channel_indices()
+        loop = subsystem(lifted_closed_loop(lp, K.sys), idx, idx)
+        loops[N] = lti._balanced_truncation(loop)[0]
+    return loops
 
 
-def test_sigma_max_grid_is_bitwise_on_the_nominal_loop(nominal_loop_n32):
-    sys = nominal_loop_n32
-    assert sys.n_inputs == sys.n_outputs == 64
+def test_sigma_max_grid_is_bitwise_on_the_nominal_loop(nominal_loops):
+    _check_sigma_max_grid_on_the_nominal_loop(nominal_loops, 32)
+
+
+@pytest.mark.parametrize("N", [16, 64])
+def test_sigma_max_grid_is_bitwise_on_the_nominal_loop_at(nominal_loops, N):
+    _check_sigma_max_grid_on_the_nominal_loop(nominal_loops, N)
+
+
+def _check_sigma_max_grid_on_the_nominal_loop(nominal_loops, N):
+    sys = nominal_loops[N]
+    assert sys.n_inputs == sys.n_outputs == 2 * N
     value, theta, svds, points, theta_lo = lti._sigma_max_grid(
         sys, lti._HINF_GRID)
     assert (value, theta) == _reference_sigma_max_grid(sys, lti._HINF_GRID)
-    assert points == 511 and svds <= 40
+    # only the 9 seeds: the screen passes every other point
+    assert points == 511 and svds == 9
     # the slowest pole of the bundled loops is exp(-1/2) = 0.6065
     assert theta_lo == pytest.approx(1e-2 * (1.0 - np.exp(-0.5)), rel=1e-6)
 
 
-def test_sigma_max_grid_memory_stays_chunked(nominal_loop_n32):
-    # a (511, 64, 64) complex stack of all responses would be 33 MB
+def test_sigma_max_grid_memory_stays_chunked(nominal_loops):
+    # measured 0.21 MB at N=32; a chunk of eight 64 x 64 complex responses,
+    # as a screen of the p x m response would stack, is 0.52 MB by itself
     tracemalloc.start()
     try:
-        lti._sigma_max_grid(nominal_loop_n32, lti._HINF_GRID)
+        lti._sigma_max_grid(nominal_loops[32], lti._HINF_GRID)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    assert peak < 0.4e6
 
 
 # ---------------------------------------------------------------------------
