@@ -4,7 +4,7 @@ This module is the numerical substrate for the rest of the package:
 construction, interconnection, zero-order-hold discretization, stability
 tests and the discrete-time H-infinity norm.  The package evaluates
 frequency responses in two places, the norm's theta grid here and the
-minimax's design grid (``synthesis._grid_responses``); pointwise
+minimax's design grid (``synthesis._affine_blocks``); pointwise
 responses are a test oracle, ``tests/oracles.py``.  All systems are
 stored as dense real matrices; the orders encountered here (tens of
 states after lifting) are small enough that dense linear algebra is both
@@ -312,8 +312,8 @@ def is_stable(sys: StateSpace, margin: float = STABILITY_MARGIN) -> bool:
     return stability_margin(sys) > margin
 
 
-def _sigma_max_grid(sys: StateSpace,
-                    n_grid: int) -> tuple[float, float, int, int, float]:
+def _sigma_max_grid(sys: StateSpace, n_grid: int,
+                    sigma_D: float) -> tuple[float, float, int, int, float]:
     """Largest singular value over a [0, pi] theta grid and its theta.
 
     Returns ``(value, theta, svds, points, theta_lo)``: the first two
@@ -334,7 +334,8 @@ def _sigma_max_grid(sys: StateSpace,
     ``best`` by an SVD.  ``_screen`` passes others only where sigma_max(G)
     < best (1 - 1e-9), so they cannot be the maximizer; the rest get an
     SVD of the single-point response, the expression a per-point loop
-    would use, so the maximum is the same float.
+    would use, so the maximum is the same float.  ``sigma_D`` is
+    sigma_max(sys.D), for the screen.
     """
     rho = float(np.max(np.abs(_eigenvalues(sys)), initial=0.0))
     theta_lo = max(1e-6, 1e-2 * (1.0 - rho))
@@ -354,7 +355,7 @@ def _sigma_max_grid(sys: StateSpace,
     seeds = np.r_[0:thetas.size - 1:_SCREEN_STRIDE, thetas.size - 1]
     best = max(svd_at(i) for i in seeds)
     rest = np.setdiff1d(np.arange(thetas.size), seeds)
-    passed = _screen(sys, best * (1.0 - 1e-9), thetas[rest])
+    passed = _screen(sys, best * (1.0 - 1e-9), thetas[rest], sigma_D)
     for i in rest if passed is None else rest[~passed]:
         svd_at(i)
     # the per-point loop's walk: a strict > keeps the first maximizer
@@ -365,11 +366,13 @@ def _sigma_max_grid(sys: StateSpace,
     return best, theta_best, len(exact), thetas.size, theta_lo
 
 
-def _screen(sys: StateSpace, beta: float, thetas) -> np.ndarray | None:
+def _screen(sys: StateSpace, beta: float, thetas,
+            sigma_D: float) -> np.ndarray | None:
     """True at each theta where a Cholesky factorization of I - T'T
     succeeds, which certifies sigma_max(G) < beta; None unless
-    sigma_max(D) <= 0.99 beta.  Loop shifting (Safonov, Limebeer & Chiang,
-    Int. J. Control 50, 1989), after transposing a wide G: with Gh, Dh, Ch
+    sigma_D = sigma_max(D) <= 0.99 beta (``hinf_norm`` takes it once).
+    Loop shifting (Safonov, Limebeer & Chiang, Int. J. Control 50, 1989),
+    after transposing a wide G: with Gh, Dh, Ch
     = G, D, C / beta, Phi = I - Dh'Dh = Lp Lp', At = A + B Phi^-1 Dh'Ch and
     M = (I - Dh Dh')^(-1/2) Ch (zI - At)^-1 B Lp^-T, I - M'M = E'(I -
     Gh'Gh) E with E^-1 = Lp^-1 (I - Dh'Gh).  As (I - Dh Dh')^-1 = I + Dh
@@ -384,7 +387,7 @@ def _screen(sys: StateSpace, beta: float, thetas) -> np.ndarray | None:
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     if D.shape[0] < D.shape[1]:
         A, B, C, D = A.T, C.T, B.T, D.T
-    if not (beta > 0 and np.linalg.norm(D, 2) <= 0.99 * beta):
+    if not (beta > 0 and sigma_D <= 0.99 * beta):
         return None
     C, D = C / beta, D / beta
     Lp = np.linalg.cholesky(np.eye(D.shape[1]) - D.T @ D)
@@ -583,7 +586,7 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6,
     n_full = sys.n_states
     sys, tail = _balanced_truncation(sys)
     grid_max, theta_max, svds, points, theta_lo = _sigma_max_grid(
-        sys, _HINF_GRID)
+        sys, _HINF_GRID, sv_D)
     lo = max(grid_max, sv_D * (1.0 + 1e-12))
     if lo == 0.0:
         return tail

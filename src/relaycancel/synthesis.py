@@ -11,13 +11,15 @@ closed-loop map into an affine function of Q:
 
     T(Q) = T1 + T2 Q T3,     T1 = G11, T2 = G12, T3 = G21
 
-per channel.  On the design grid T2 and T3 are stored, while T1 (2N x 2N
-per point, 4 MB on the nominal_60db grid) is produced from the lifted
-plant's resolvent at the grid points that the oracle factorization, a
-cut or the fingerprint asks for (``_grid_responses``); every block is
-bitwise the one a stored array would hold, and a design never holds the
-whole T1 grid.  Restricting Q to an FIR filter of length n_q makes the
-worst-case-gain objective convex in the Q coefficients.  The minimax
+per channel.  One function, ``_affine_blocks``, gives every channel's
+T1, T2 and T3 at any set of frequencies from one batched resolvent
+solve of the lifted plant.  The oracle factorization and the
+fingerprint walk the design grid with it a block of points at a time,
+and each cut evaluates it at its own points, so a design never holds
+the whole T1 grid (2N x 2N per point, 4 MB on the nominal_60db grid)
+and keeps no T2 or T3 grid either.  Restricting Q to an FIR filter of
+length n_q makes the worst-case-gain objective convex in the Q
+coefficients.  The minimax
 design is solved by a cutting-plane method on a logarithmic frequency
 grid (largest-singular-value constraints are approximated from below by
 linear cuts generated from singular vectors, and the LP relaxations are
@@ -29,21 +31,9 @@ det(I - W (lambda - Lam)^{-1} W^H) = 0 with a 2 x 2N matrix W affine in
 Q.  That is an exact characterization of the largest eigenvalue of
 diag(Lam) + W^H W, so the oracle differs from the SVD by rounding only
 (``_channel_gains``).  The achieved norms come from the one closed-loop
-certificate, ``lifting.closed_loop_norms``: the bisection norm
-``lti.hinf_norm`` of each channel, which is what the returned gamma
-values report.  It works on the balanced truncation of each loop (17 of
-the 30 states of the nominal closed loop at N=16) and adds the
-truncation's error bound, below 1e-13 there.  Its lower bound is a
-512-point grid evaluation of the truncation, whose geometric half
-starts at 1e-2 x the slowest pole's distance from the unit circle, and
-in which a Cholesky screen of the loop-shifted 17 x 17 response leaves
-the SVD to 9 seeds and the points that might reach their maximum (9 of
-511 at N=32) and the maximum is bitwise that of an SVD at every point;
-its upper bound is only as good as the symplectic-pencil crossing test.
-That test misses crossings on the flat-peaked full loop at N=16 but
-finds them within 1e-12 relative of the grid maximum on its truncation,
-so the nominal gamma is the grid maximum plus the bound plus less than
-half the bisection tolerance, and the test backs it.
+certificate, ``lifting.closed_loop_norms``: the bisection norm of each
+channel, which is what the returned gamma values report; ``lti.hinf_norm``
+says what its lower and upper ends rest on.
 
 The nominal objective holds no coupling term (T1 = W, T2 = -P, T3 = F W
 in the stable-plant form), so its FIR parameter Q* fits every plant whose
@@ -196,79 +186,36 @@ def _ports(lp: LiftedPlant):
             np.arange(lp.n_z, lp.n_z + lp.n_ctrl))
 
 
-def _resolvent(sys: StateSpace, B: np.ndarray, omega) -> np.ndarray:
-    """(zI - A)^-1 B at z = exp(i omega dt), by one LU solve per omega; a
-    1-d omega gives the stack of them."""
-    z = np.exp(1j * omega * sys.dt)
-    return np.linalg.solve(
-        z[..., None, None] * np.eye(sys.n_states) - sys.A, B)
-
-
-class _PointResponses:
-    """A channel's w_k -> z_k response on the grid, T1[j] = C X_j[:, cols]
-    + D with X_j the resolvent at grid point j, produced from the lifted
-    plant for the points asked for, so that the (grid, 2N, 2N) array
-    (4 MB for nominal_60db) is never held.
-
-    Indexing the grid axis (a point, a slice or an index array), ``len``,
-    ``shape`` and ``dtype`` read as those of that array would, and every
-    block is bitwise the one it would hold.
-    """
-
-    __slots__ = ("sys", "B", "omegas", "cols", "C", "D", "shape", "dtype")
-
-    def __init__(self, sys: StateSpace, B: np.ndarray, omegas, cols: slice,
-                 C: np.ndarray, D: np.ndarray):
-        self.sys, self.B, self.omegas = sys, B, np.asarray(omegas)
-        self.cols, self.C, self.D = cols, C, D
-        self.shape = (len(omegas), C.shape[0], cols.stop - cols.start)
-        self.dtype = np.dtype(complex)
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def __getitem__(self, j) -> np.ndarray:
-        X = _resolvent(self.sys, self.B, self.omegas[j])
-        return self.C @ X[..., self.cols] + self.D
-
-
-# grid points per T1 block that _prepare_oracle and _fingerprint produce
-# at once: 0.5 MB at 2N = 32, and the per-call cost of the small solves
-# and products is shared by the block
+# grid points per call of ``_affine_blocks`` when the whole design grid
+# is walked (``_prepare_channels``, ``_fingerprint``): T1 is 0.5 MB per
+# block at 2N = 32, and the per-call cost of the solve and products is
+# shared by the block
 _T1_BLOCK = 32
 
 
-def _grid_responses(lp: LiftedPlant, omegas) -> list:
-    """Grid frequency responses {"T1", "T2", "T3"} of every channel's
-    affine factors T(Q) = T1 + T2 Q T3, one per (w_k, z_k) pair of
-    ``lp.channel_indices()``: T1 is w_k -> z_k, T2 is u -> z_k and T3 is
-    w_k -> y, each a block of the lifted plant.
+def _affine_blocks(lp: LiftedPlant, omegas) -> list:
+    """(T1, T2, T3) of every channel's affine map T(Q) = T1 + T2 Q T3 at
+    the frequencies ``omegas``, each stacked along them, one channel per
+    (w_k, z_k) pair of ``lp.channel_indices()``: T1 is w_k -> z_k, T2 is
+    u -> z_k and T3 is w_k -> y, each a block of the lifted plant.
 
-    All factors are blocks of one lifted plant, so one resolvent solve
-    (zI - A) X = B[:, w stacks and u] per frequency serves them all.
-    T2 and T3 (2N x 2 and 2 x 2N per point) are stored; T1 is a
-    ``_PointResponses`` that repeats the solve at the points it is asked
-    for.
+    All are blocks of one lifted plant, so one batched resolvent solve
+    (zI - A) X = B[:, w stacks and u] serves them all; every block is
+    bitwise the one a solve at its frequency alone gives.
     """
     u_cols, y_rows = _ports(lp)
     stacks = lp.channel_indices()
     sys = lp.sys
-    B = sys.B[:, np.concatenate(stacks + [u_cols])]
-    K, n, n_u = len(omegas), stacks[0].size, u_cols.size
-    out = [{"T1": _PointResponses(sys, B, omegas, slice(k * n, (k + 1) * n),
-                                  sys.C[idx], sys.D[np.ix_(idx, idx)]),
-            "T2": np.empty((K, n, n_u), complex),
-            "T3": np.empty((K, y_rows.size, n), complex)}
-           for k, idx in enumerate(stacks)]
-    parts = [(sys.C[idx], sys.D[np.ix_(idx, u_cols)],
-              sys.D[np.ix_(y_rows, idx)]) for idx in stacks]
-    C_y = sys.C[y_rows]
-    for j, om in enumerate(omegas):
-        X = _resolvent(sys, B, om)
-        X_u = X[:, -n_u:]
-        for k, (ch, (C_k, D2, D3)) in enumerate(zip(out, parts)):
-            ch["T2"][j] = C_k @ X_u + D2
-            ch["T3"][j] = C_y @ X[:, k * n:(k + 1) * n] + D3
+    z = np.exp(1j * np.asarray(omegas) * sys.dt)
+    X = np.linalg.solve(z[:, None, None] * np.eye(sys.n_states) - sys.A,
+                        sys.B[:, np.concatenate(stacks + [u_cols])])
+    X_u, n = X[..., -u_cols.size:], stacks[0].size
+    out = []
+    for k, idx in enumerate(stacks):
+        X_k = X[..., k * n:(k + 1) * n]
+        out.append((sys.C[idx] @ X_k + sys.D[np.ix_(idx, idx)],
+                    sys.C[idx] @ X_u + sys.D[np.ix_(idx, u_cols)],
+                    sys.C[y_rows] @ X_k + sys.D[np.ix_(y_rows, idx)]))
     return out
 
 
@@ -284,9 +231,9 @@ _SECULAR_RTOL = 1e-14
 _SECULAR_MAX_ITER = 50
 
 
-def _prepare_oracle(ch: dict) -> dict:
-    """The grid responses ``ch`` with the Q-independent factors of
-    ``_channel_gains`` added.
+def _prepare_oracle(T1: np.ndarray, T2: np.ndarray, T3: np.ndarray) -> dict:
+    """The Q-independent factors of ``_channel_gains`` for the stacked
+    affine factors T1, T2, T3 of one channel.
 
     At each grid point, full QRs T2 = U [R2; 0] and T3^H = V [S3^H; 0]
     make U^H T(Q) V equal to U^H T1 V with R2 Q S3 added to its top-left
@@ -298,28 +245,42 @@ def _prepare_oracle(ch: dict) -> dict:
 
     exactly.  Kept per point: R2, W0, E, Lam's largest value and the gaps
     from it down to every Lam_i.  Lam is clipped at 0 (a Gram matrix is
-    PSD; its rounding is not).  The points are factored one at a time and
-    T1 is produced ``_T1_BLOCK`` points at a time (see ``_grid_responses``),
-    so no (grid, 2N, 2N) array is held.
+    PSD; its rounding is not).
     """
-    n_freq, n, _ = ch["T1"].shape
+    n_freq, n, _ = T1.shape
     R2 = np.empty((n_freq, 2, 2), complex)
     W0 = np.empty((n_freq, 2, n), complex)
     E = np.empty((n_freq, 2, n), complex)
     lam = np.empty((n_freq, n))
-    for k0 in range(0, n_freq, _T1_BLOCK):
-        for k, T1 in enumerate(ch["T1"][k0:k0 + _T1_BLOCK], k0):
-            U, R = np.linalg.qr(ch["T2"][k], mode="complete")
-            V, S = np.linalg.qr(ch["T3"][k].conj().T, mode="complete")
-            M = U.conj().T @ T1 @ V
-            lam_k, V_G = np.linalg.eigh(M[2:].conj().T @ M[2:])
-            lam[k] = np.maximum(lam_k, 0.0)
-            R2[k] = R[:2]
-            W0[k] = M[:2] @ V_G
-            E[k] = S[:2].conj().T @ V_G[:2]
+    for k in range(n_freq):
+        U, R = np.linalg.qr(T2[k], mode="complete")
+        V, S = np.linalg.qr(T3[k].conj().T, mode="complete")
+        M = U.conj().T @ T1[k] @ V
+        lam_k, V_G = np.linalg.eigh(M[2:].conj().T @ M[2:])
+        lam[k] = np.maximum(lam_k, 0.0)
+        R2[k] = R[:2]
+        W0[k] = M[:2] @ V_G
+        E[k] = S[:2].conj().T @ V_G[:2]
     lam_max = lam.max(axis=1)
-    return {**ch, "R2": R2, "W0": W0, "E": E, "lam_max": lam_max,
+    return {"R2": R2, "W0": W0, "E": E, "lam_max": lam_max,
             "gap": lam_max[:, None] - lam}
+
+
+def _prepare_channels(lp: LiftedPlant, omegas: np.ndarray) -> list:
+    """Every channel's ``_prepare_oracle`` factors on the grid ``omegas``,
+    with "blocks", the function that gives its (T1, T2, T3) at the grid
+    points indexed, for the cuts.  The grid is walked ``_T1_BLOCK``
+    points at a time and only the factors are kept, so no (grid, 2N, 2N)
+    T1 is held."""
+    parts = [[] for _ in lp.channel_indices()]
+    for k0 in range(0, len(omegas), _T1_BLOCK):
+        blocks = _affine_blocks(lp, omegas[k0:k0 + _T1_BLOCK])
+        for part, (T1, T2, T3) in zip(parts, blocks):
+            part.append(_prepare_oracle(T1, T2, T3))
+    return [{**{key: np.concatenate([p[key] for p in part])
+                for key in part[0]},
+             "blocks": lambda ks, k=k: _affine_blocks(lp, omegas[ks])[k]}
+            for k, part in enumerate(parts)]
 
 
 def _channel_gains(ch: dict, Qz: np.ndarray) -> np.ndarray:
@@ -398,33 +359,39 @@ def _cut_rows(ch: dict, zinv_pow: np.ndarray, ks: np.ndarray,
     With (u, v) the top singular pair of T(Q) at grid point k,
     Re(u^H T(Q') v) <= sigma_max(T(Q')) for every Q', with equality at
     the generating Q.  Returns (coefficients, constants), one row per
-    point; the singular pairs come from one stacked SVD.
+    point; T1, T2 and T3 are evaluated at those points only, and the
+    singular pairs come from one stacked SVD.
     """
-    T1, T2, T3 = ch["T1"][ks], ch["T2"], ch["T3"]
+    T1, T2, T3 = ch["blocks"](ks)
     U, _, Vh = np.linalg.svd(
-        np.stack([T1[i] + T2[k] @ Qz[k] @ T3[k] for i, k in enumerate(ks)]))
+        np.stack([T1[i] + T2[i] @ Qz[k] @ T3[i] for i, k in enumerate(ks)]))
     coeffs = np.empty((len(ks), zinv_pow.shape[1] * 4))
     c0 = np.empty(len(ks))
     for i, k in enumerate(ks):
         u, v = U[i, :, 0], Vh[i, 0].conj()
         c0[i] = np.real(u.conj() @ T1[i] @ v)
-        a = T2[k].conj().T @ u  # (2,)
-        b = T3[k] @ v           # (2,)
+        a = T2[i].conj().T @ u  # (2,)
+        b = T3[i] @ v           # (2,)
         coeffs[i] = np.real(zinv_pow[k][:, None, None]
                             * np.conj(a)[None, :, None]
                             * b[None, None, :]).reshape(-1)
     return coeffs, c0
 
 
+# bound on every Q coefficient in the LPs (widened to twice a warm
+# start's largest), and objective cuts added per LP
+_Q_BOX = 10.0
+_CUTS_PER_ITER = 12
+
+
 def _solve_minimax(objective: dict, zinv_pow: np.ndarray, n_q: int,
                    constraint: dict | None = None, bound: float = 1.0,
                    rel_tol: float = 1e-3, max_iter: int = 300,
-                   box: float = 10.0, cuts_per_iter: int = 12,
                    x_init: np.ndarray | None = None):
     """Minimize the grid maximum of sigma_max(T_obj(Q)) over FIR Q.
 
     Optionally subject to sigma_max(T_con(Q)) <= bound on the same grid.
-    Both channels come from ``_prepare_oracle``.  Returns (Q, info); info
+    Both channels come from ``_prepare_channels``.  Returns (Q, info); info
     says whether the relative gap reached ``rel_tol`` (``converged``) and
     what the gap was at the end (``gap``).  Q = 0 is always feasible, so
     the LP relaxations cannot be infeasible.  ``x_init`` seeds the
@@ -467,6 +434,7 @@ def _solve_minimax(objective: dict, zinv_pow: np.ndarray, n_q: int,
         return Qz, g_obj, g_con
 
     seeds = [np.zeros(n_vars)]
+    box = _Q_BOX
     if x_init is not None:
         seeds.append(np.asarray(x_init, float).reshape(-1))
         box = max(box, 2.0 * float(np.max(np.abs(x_init))))
@@ -502,9 +470,9 @@ def _solve_minimax(objective: dict, zinv_pow: np.ndarray, n_q: int,
         Qz, g_obj, g_con = evaluate(x_cand)
         cand_val = float(np.max(g_obj))
         cand_feasible = constraint is None or np.max(g_con) <= bound + 1e-9
-        add_obj_cuts(Qz, g_obj, cuts_per_iter)
+        add_obj_cuts(Qz, g_obj, _CUTS_PER_ITER)
         if constraint is not None:
-            add_con_cuts(Qz, g_con, max(cuts_per_iter, 32))
+            add_con_cuts(Qz, g_con, 32)
         if cand_feasible and cand_val < best:
             best = cand_val
             x_best = x_cand
@@ -543,8 +511,8 @@ def _solve_minimax(objective: dict, zinv_pow: np.ndarray, n_q: int,
 
 def _design_grid(lp: LiftedPlant, n_q: int, grid_size: int, tol: float):
     """Check the settings, then return the u -> y block G22 (stable, or
-    the Youla parametrization used here does not apply), the (grid, n_q)
-    matrix of z^-m on the design grid and every channel's responses."""
+    the Youla parametrization used here does not apply), the design grid
+    and the (grid, n_q) matrix of z^-m on it."""
     if n_q < 1:
         raise ValueError("n_q must be at least 1")
     if grid_size < 1:
@@ -560,33 +528,33 @@ def _design_grid(lp: LiftedPlant, n_q: int, grid_size: int, tol: float):
         )
     omegas = np.geomspace(1e-3 / lp.h, np.pi / lp.h, grid_size)
     zinv_pow = np.exp(-1j * np.outer(omegas * lp.h, np.arange(n_q)))
-    return G22, zinv_pow, _grid_responses(lp, omegas)
+    return G22, omegas, zinv_pow
 
 
 # ---------------------------------------------------------------------------
 # Nominal design
 
 
-def _nominal_grid(lp: LiftedPlant, n_q: int, grid_size: int, tol: float):
-    """``_design_grid`` of a one-channel plant, its one channel unpacked."""
-    if len(lp.channel_indices()) != 1:
-        raise ValueError("nominal design expects a one-channel plant; "
-                         "use synthesize_robust")
-    G22, zinv_pow, (ch,) = _design_grid(lp, n_q, grid_size, tol)
-    return G22, zinv_pow, ch
-
-
-def _fingerprint(ch: dict) -> str:
-    """SHA-256 of the T1/T2/T3 grid responses: names, shapes, dtypes and
-    bytes.  The bytes are streamed in blocks of grid points; a C-order
-    array's bytes are the concatenation of its blocks', so the digest is
-    that of the whole arrays."""
+def _fingerprint(lp: LiftedPlant, omegas: np.ndarray) -> str:
+    """SHA-256 of the one channel's T1/T2/T3 responses on the grid
+    ``omegas``: names, shapes, dtypes and bytes.  T1 is hashed a block of
+    grid points at a time as it is produced; a C-order array's bytes are
+    the concatenation of its blocks', so the digest is that of the whole
+    arrays, and only T2 and T3 are kept until the end."""
     digest = hashlib.sha256()
-    for key in ("T1", "T2", "T3"):
-        arr = ch[key]
+    T2, T3 = [], []
+    for k0 in range(0, len(omegas), _T1_BLOCK):
+        [(T1, T2_k, T3_k)] = _affine_blocks(lp, omegas[k0:k0 + _T1_BLOCK])
+        if not k0:
+            shape = (len(omegas),) + T1.shape[1:]
+            digest.update(f"T1{shape}{T1.dtype}".encode())
+        digest.update(T1)
+        T2.append(T2_k)
+        T3.append(T3_k)
+    for key, blocks in (("T2", T2), ("T3", T3)):
+        arr = np.concatenate(blocks)
         digest.update(f"{key}{arr.shape}{arr.dtype}".encode())
-        for k in range(0, len(arr), _T1_BLOCK):
-            digest.update(np.ascontiguousarray(arr[k:k + _T1_BLOCK]))
+        digest.update(arr)
     return digest.hexdigest()
 
 
@@ -621,16 +589,20 @@ def synthesize_nominal(lp: LiftedPlant, tol: float = 1e-3, n_q: int = 8,
     fresh design.  meta["iterations"] and meta["n_cuts"] count the minimax
     work done by this call, so both are 0 when Q* is reused.
     """
-    G22, zinv_pow, ch = _nominal_grid(lp, n_q, grid_size, tol)
+    if len(lp.channel_indices()) != 1:
+        raise ValueError("nominal design expects a one-channel plant; "
+                         "use synthesize_robust")
+    G22, omegas, zinv_pow = _design_grid(lp, n_q, grid_size, tol)
     settings = {"n_q": n_q, "N": lp.N, "h": lp.h, "grid_size": grid_size,
                 "tol": tol, "max_iter": max_iter}
     if reuse is None:
-        Q, info = _solve_minimax(_prepare_oracle(ch), zinv_pow, n_q,
-                                 rel_tol=tol, max_iter=max_iter)
+        (ch,) = _prepare_channels(lp, omegas)
+        Q, info = _solve_minimax(ch, zinv_pow, n_q, rel_tol=tol,
+                                 max_iter=max_iter)
         meta = {**settings, **info, "q": Q.tolist(),
-                "grid_fingerprint": _fingerprint(ch)}
+                "grid_fingerprint": _fingerprint(lp, omegas)}
     else:
-        _check_reuse(reuse.meta, _fingerprint(ch), settings)
+        _check_reuse(reuse.meta, _fingerprint(lp, omegas), settings)
         Q = np.asarray(reuse.meta["q"])
         meta = {**reuse.meta, "iterations": 0, "n_cuts": 0}
     K = controller_from_q(Q, G22)
@@ -668,8 +640,8 @@ def synthesize_robust(rp: LiftedPlant, n_q: int = 8, grid_size: int = 256,
         raise ValueError("margin must lie in (0, 0.2)")
     if rp.W2 is None:
         raise ValueError("robust design needs a plant from build_robust_plant")
-    G22, zinv_pow, responses = _design_grid(rp, n_q, grid_size, tol)
-    ch1, ch2 = (_prepare_oracle(ch) for ch in responses)
+    G22, omegas, zinv_pow = _design_grid(rp, n_q, grid_size, tol)
+    ch1, ch2 = _prepare_channels(rp, omegas)
 
     # warm start: solve without the uncertainty constraint, then shrink the
     # result into the feasible set.  The uncertainty channel is exactly
@@ -779,31 +751,29 @@ def verify_design(plant: GeneralizedPlantSpec, K: Controller,
 
 def robust_stability_sweep(plant: GeneralizedPlantSpec, K: Controller,
                            n_cases: int = 50, seed: int = 0,
-                           r_budget: float | None = None, N: int = 4,
-                           max_detour_steps: int | None = None) -> dict:
+                           N: int = 4) -> dict:
     """Closed-loop stability over random admissible channel perturbations.
 
-    Each case draws detour paths with total attenuation at most r_budget
-    (default: the channel's own detour budget) and delays strictly beyond
-    the nominal one on the FSFH grid, lifts the perturbed plant and
-    checks the closed loop spectrum.  ``min_spectral_margin`` is the
-    smallest margin over all cases (infinite when there are none).
+    Each case draws detour paths with total attenuation at most the
+    channel's own detour budget (the sum of its detours' attenuations;
+    ValueError when it is zero) and delays 1 to 3N fast steps of h / N
+    beyond the nominal one, lifts the perturbed plant and checks the
+    closed loop spectrum.  ``min_spectral_margin`` is the smallest margin
+    over all cases (infinite when there are none).
     """
     rng = np.random.default_rng(seed)
     channel = plant.channel
-    if r_budget is None:
-        r_budget = sum(ri for ri, _ in channel.extra_paths)
-        if r_budget == 0.0:
-            raise ValueError("channel has no detour budget; pass r_budget")
-    if max_detour_steps is None:
-        max_detour_steps = 3 * N
+    r_budget = sum(ri for ri, _ in channel.extra_paths)
+    if r_budget == 0.0:
+        raise ValueError("channel has no detour budget: the sweep perturbs "
+                         "its detour paths")
     tau = plant.h / N
     failures, margins = [], []
     for case in range(n_cases):
         m = int(rng.integers(1, 4))
         weights = rng.dirichlet(np.ones(m))
         scale = rng.uniform(0.3, 1.0)
-        steps = rng.choice(np.arange(1, max_detour_steps + 1), size=m,
+        steps = rng.choice(np.arange(1, 3 * N + 1), size=m,
                            replace=False)
         extras = tuple(
             (float(r_budget * scale * wi), float(channel.L + int(k) * tau))

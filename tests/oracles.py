@@ -8,8 +8,10 @@ paths cause; ``passband_oracle`` modulates a baseband signal onto the
 carrier, pushes it through the delay channel on an RF-rate grid,
 demodulates and low-pass filters, which validates the baseband
 equivalence gain * rotation * u(t - L) numerically.
-``materialized_grid_responses`` is the design grid's response loop as it
-was before T1 was produced per point, each T1 held as a whole array.
+``materialized_grid_responses`` is the design grid's responses by one
+resolvent solve per grid point, each of T1, T2 and T3 held as a whole
+array: the reference that ``synthesis._affine_blocks`` is bitwise equal
+to at any set of grid points.
 """
 
 import numpy as np
@@ -47,7 +49,7 @@ def frequency_response(sys: StateSpace, omega: float) -> np.ndarray:
 
 def materialized_grid_responses(lp: LiftedPlant, omegas) -> list:
     """{"T1", "T2", "T3"} arrays of every channel on the grid ``omegas``,
-    one resolvent solve per frequency (the loop of the design grid)."""
+    one resolvent solve per frequency."""
     u_cols, y_rows = _ports(lp)
     stacks = lp.channel_indices()
     sys = lp.sys

@@ -241,7 +241,7 @@ def test_criterion_4_robust_reproduction(robust_design):
                     seed=FIG_SEED)
     trace = simulate_closed_loop(cfg)
     sweep = robust_stability_sweep(d["spec"], d["K"], n_cases=50, seed=0,
-                                   r_budget=0.1 * 0.2, N=4)
+                                   N=4)
     elapsed = d["design_time"] + time.perf_counter() - t0
     w2_gain = d["W2"].D[0, 0]
     ok = (not trace.diverged and gamma2 <= 1.0 and sweep["all_stable"]
@@ -304,7 +304,7 @@ def test_norm_of_the_truncated_loop(nominal_design, monkeypatch):
     assert abs(gamma - full) <= 1e-9 * full
     # the pencil test misses crossings on the flat full loop but
     # resolves the peak of the truncation
-    peak = lti._sigma_max_grid(reduced, 512)[0]
+    peak = lti._sigma_max_grid(reduced, 512, np.linalg.norm(reduced.D, 2))[0]
     assert not lti._has_unit_circle_crossing(cl, 0.999 * peak)
     assert lti._has_unit_circle_crossing(reduced, (1.0 - 1e-6) * peak)
     assert not lti._has_unit_circle_crossing(reduced, (1.0 + 1e-6) * peak)

@@ -294,6 +294,11 @@ def test_hinf_norm_rejects_continuous():
 # hinf_norm against the plain bisection
 
 
+def _sigma_D(sys):
+    """sigma_max(D), which hinf_norm hands to the grid and its screen."""
+    return np.linalg.norm(sys.D, 2)
+
+
 def _reference_sigma_max_grid(sys, n_grid):
     """Largest singular value of the response over a [0, pi] theta grid
     and its first maximizer, by an SVD at every grid point.  The grid's
@@ -446,7 +451,8 @@ def test_hinf_norm_falls_back_to_bisection_between_grid_points(monkeypatch):
     coarse = _sigma_max(sys, thetas)
     th = thetas[np.argmax(coarse)]
     dense_max = _sigma_max(sys, np.linspace(th - 2e-6, th + 2e-6, 4001)).max()
-    assert lti._sigma_max_grid(sys, 512)[0] < 0.9 * dense_max
+    assert lti._sigma_max_grid(sys, 512, _sigma_D(sys))[0] \
+        < 0.9 * dense_max
     assert dense_max - tol / 2 <= val <= dense_max + tol
 
 
@@ -507,7 +513,8 @@ def test_hinf_norm_resolves_peaks_near_slow_poles(sys):
     # phi stays above 0.85 of its peak
     tol = 1e-6
     peak = _dense_peak(sys)
-    assert lti._sigma_max_grid(sys, lti._HINF_GRID)[0] >= 0.8 * peak
+    grid_max = lti._sigma_max_grid(sys, lti._HINF_GRID, _sigma_D(sys))[0]
+    assert grid_max >= 0.8 * peak
     val = hinf_norm(sys, tol)
     # the pencil test's 1e-8 window on the unit circle moves the upper end
     # of so sharp a peak by up to about 7e-6 relative, either way
@@ -641,7 +648,8 @@ def grid_screen_systems(draw):
 @given(grid_screen_systems(), st.sampled_from((512, 100, 33, 2)))
 def test_sigma_max_grid_equals_the_per_point_loop(case, n_grid):
     kind, sys = case
-    value, theta, svds, points, _ = lti._sigma_max_grid(sys, n_grid)
+    value, theta, svds, points, _ = lti._sigma_max_grid(sys, n_grid,
+                                                        _sigma_D(sys))
     assert (value, theta) == _reference_sigma_max_grid(sys, n_grid)
     assert 0 < svds <= points
     if kind == "zero_response":
@@ -682,7 +690,7 @@ def screen_cases(draw):
 def test_screen_passes_only_points_below_beta(case):
     sys, beta = case
     thetas = np.linspace(0.0, np.pi, 129)
-    passed = lti._screen(sys, beta, thetas)
+    passed = lti._screen(sys, beta, thetas, _sigma_D(sys))
     # it runs only where sigma_max(D) <= 0.99 beta
     assert (passed is None) == (np.linalg.norm(sys.D, 2) > 0.99 * beta)
     assume(passed is not None)
@@ -719,7 +727,8 @@ def test_loop_shift_is_a_congruence(case, theta):
     # and _screen passes theta exactly where M is a contraction
     s = np.linalg.norm(M, 2)
     if abs(s - 1.0) > 1e-6:
-        assert lti._screen(sys, beta, np.array([theta]))[0] == (s < 1.0)
+        passed = lti._screen(sys, beta, np.array([theta]), _sigma_D(sys))
+        assert passed[0] == (s < 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -750,7 +759,7 @@ def _check_sigma_max_grid_on_the_nominal_loop(nominal_loops, N):
     sys = nominal_loops[N]
     assert sys.n_inputs == sys.n_outputs == 2 * N
     value, theta, svds, points, theta_lo = lti._sigma_max_grid(
-        sys, lti._HINF_GRID)
+        sys, lti._HINF_GRID, _sigma_D(sys))
     assert (value, theta) == _reference_sigma_max_grid(sys, lti._HINF_GRID)
     # only the 9 seeds: the screen passes every other point
     assert points == 511 and svds == 9
@@ -763,7 +772,8 @@ def test_sigma_max_grid_memory_stays_chunked(nominal_loops):
     # as a screen of the p x m response would stack, is 0.52 MB by itself
     tracemalloc.start()
     try:
-        lti._sigma_max_grid(nominal_loops[32], lti._HINF_GRID)
+        lti._sigma_max_grid(nominal_loops[32], lti._HINF_GRID,
+                            _sigma_D(nominal_loops[32]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

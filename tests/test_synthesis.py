@@ -167,13 +167,13 @@ def test_youla_maps_open_loop_at_zero_q(both_plants):
     for lp in both_plants:
         K0 = StateSpace.static(np.zeros((2, 2)), dt=lp.h)
         cl = lifted_closed_loop(lp, K0)
-        chans = synthesis._grid_responses(lp, oms)
+        chans = synthesis._affine_blocks(lp, oms)
         assert len(chans) == len(lp.channel_indices())
         for j, om in enumerate(oms):
             full = frequency_response(cl, om)
-            for ch, idx in zip(chans, lp.channel_indices()):
+            for (T1, _, _), idx in zip(chans, lp.channel_indices()):
                 block = full[np.ix_(idx, idx)]
-                assert np.linalg.norm(ch["T1"][j] - block) < 1e-10
+                assert np.linalg.norm(T1[j] - block) < 1e-10
 
 
 def test_youla_affine_matches_lft(both_plants):
@@ -183,12 +183,12 @@ def test_youla_affine_matches_lft(both_plants):
     for lp in both_plants:
         coeffs = 0.05 * rng.standard_normal((4, 2, 2))
         cl = lifted_closed_loop(lp, controller_from_q(coeffs, _g22(lp)))
-        chans = synthesis._grid_responses(lp, oms)
+        chans = synthesis._affine_blocks(lp, oms)
         for j, om in enumerate(oms):
             Qf = _q_at(coeffs, om, lp.h)
             full = frequency_response(cl, om)
-            for ch, idx in zip(chans, lp.channel_indices()):
-                affine = ch["T1"][j] + ch["T2"][j] @ Qf @ ch["T3"][j]
+            for (T1, T2, T3), idx in zip(chans, lp.channel_indices()):
+                affine = T1[j] + T2[j] @ Qf @ T3[j]
                 assert np.linalg.norm(affine - full[np.ix_(idx, idx)]) < 1e-8
 
 
@@ -197,11 +197,11 @@ def test_youla_maps_scale_linearly(both_plants):
     coeffs = 0.1 * rng.standard_normal((2, 2, 2))
     oms = np.array([0.2, 0.9, 2.9])
     for lp in both_plants:
-        for ch in synthesis._grid_responses(lp, oms):
+        for _, T2, T3 in synthesis._affine_blocks(lp, oms):
             for j, om in enumerate(oms):
                 qf = _q_at(coeffs, om, lp.h)
-                once = ch["T2"][j] @ qf @ ch["T3"][j]
-                twice = ch["T2"][j] @ (2.0 * qf) @ ch["T3"][j]
+                once = T2[j] @ qf @ T3[j]
+                twice = T2[j] @ (2.0 * qf) @ T3[j]
                 assert np.linalg.norm(twice - 2.0 * once) < 1e-12
 
 
@@ -212,9 +212,9 @@ def test_youla_affinity_in_q(both_plants):
     lam = 0.3
     oms = np.array([0.15, 1.2])
     for lp in both_plants:
-        ch = synthesis._grid_responses(lp, oms)[0]
+        blocks = synthesis._affine_blocks(lp, oms)[0]
         for j, om in enumerate(oms):
-            T1, T2, T3 = (ch[key][j] for key in ("T1", "T2", "T3"))
+            T1, T2, T3 = (block[j] for block in blocks)
 
             def tmap(Q):
                 return T1 + T2 @ _q_at(Q, om, lp.h) @ T3
@@ -256,9 +256,8 @@ def test_nominal_small_design_properties(small_lifted):
     assert K.gamma_achieved >= grid_max - 1e-6
     assert K.meta["controller_stable"] == is_stable(K.sys)
     # never worse than the open loop (Q = 0, T = T1) on the design grid
-    [ch] = synthesis._grid_responses(
+    [(T1, _, _)] = synthesis._affine_blocks(
         lp, np.geomspace(1e-3 / lp.h, np.pi / lp.h, 64))
-    T1 = np.stack([ch["T1"][k] for k in range(len(ch["T1"]))])
     open_gain = np.linalg.svd(T1, compute_uv=False)[:, 0].max()
     assert K.meta["grid_objective"] <= open_gain
 
@@ -296,9 +295,16 @@ def test_reconstruction_is_channel_independent(nominal_a2_1000):
     assert lp_far.sys.n_states > _small_lp().sys.n_states
 
 
-def test_reused_reconstruction_matches_cold_design(nominal_a2_1000):
+def test_reused_reconstruction_matches_cold_design(nominal_a2_1000,
+                                                   monkeypatch):
     lp = _small_lp(a2=100.0)
     cold = synthesize_nominal(lp, **SMALL_DESIGN)
+
+    def no_factoring(*args):
+        raise AssertionError("the reuse path factored the oracle")
+
+    # reuse only fingerprints the grid
+    monkeypatch.setattr(synthesis, "_prepare_oracle", no_factoring)
     warm = synthesize_nominal(lp, **SMALL_DESIGN, reuse=nominal_a2_1000)
     for name in ("A", "B", "C", "D"):
         assert (getattr(warm.sys, name).tobytes()
@@ -358,60 +364,86 @@ def _design_omegas(lp, grid_size):
 
 @pytest.mark.parametrize("name", ["nominal_60db", "robust_40db"])
 def test_t1_per_point_is_bitwise_the_materialized_grid(name):
+    # the evaluator on the whole grid, walked in blocks as the oracle
+    # preparation and the fingerprint walk it, and at the scattered
+    # points a cut asks for, is bitwise the per-point solve
     lp, d = _bundled_design_plant(name)
     omegas = _design_omegas(lp, d["grid_size"])
-    chans = synthesis._grid_responses(lp, omegas)
     refs = materialized_grid_responses(lp, omegas)
-    assert len(chans) == len(refs) == len(lp.channel_indices())
-    for ch, ref in zip(chans, refs):
-        assert ch["T1"].shape == ref["T1"].shape
-        assert len(ch["T1"]) == d["grid_size"]
-        assert all(np.array_equal(ch["T1"][k], ref["T1"][k])
-                   for k in range(d["grid_size"]))
-        assert np.array_equal(ch["T2"], ref["T2"])
-        assert np.array_equal(ch["T3"], ref["T3"])
+    whole = synthesis._affine_blocks(lp, omegas)
+    step = synthesis._T1_BLOCK
+    walked = [synthesis._affine_blocks(lp, omegas[k:k + step])
+              for k in range(0, d["grid_size"], step)]
+    ks = np.random.default_rng(5).permutation(d["grid_size"])[:12]
+    cut = synthesis._affine_blocks(lp, omegas[ks])
+    assert len(whole) == len(refs) == len(lp.channel_indices())
+    for c, ref in enumerate(refs):
+        assert whole[c][0].shape == ref["T1"].shape
+        assert len(whole[c][0]) == d["grid_size"]
+        for i, key in enumerate(("T1", "T2", "T3")):
+            assert np.array_equal(whole[c][i], ref[key])
+            assert np.array_equal(
+                np.concatenate([w[c][i] for w in walked]), ref[key])
+            assert np.array_equal(cut[c][i], ref[key][ks])
 
 
 def test_fingerprint_is_the_digest_of_the_copied_bytes():
-    # nominal_60db's grid responses, hashed point by point and as
-    # tobytes() copies of the whole arrays
+    # nominal_60db's grid responses, hashed a block at a time and as
+    # tobytes() copies of the whole arrays, on the design grid and on
+    # one whose last block is short
     lp, d = _bundled_design_plant("nominal_60db")
-    _, _, ch = synthesis._nominal_grid(lp, d["n_q"], d["grid_size"], d["tol"])
-    [arrays] = materialized_grid_responses(lp, _design_omegas(lp, 256))
-    assert ch["T1"].dtype == complex and ch["T1"].shape == (256, 32, 32)
-    assert arrays["T1"].dtype == complex and arrays["T1"].shape == (256, 32, 32)
-    digest = hashlib.sha256()
-    for key in ("T1", "T2", "T3"):
-        arr = np.ascontiguousarray(arrays[key])
-        digest.update(f"{key}{arr.shape}{arr.dtype}".encode())
-        digest.update(arr.tobytes())
-    assert synthesis._fingerprint(ch) == digest.hexdigest()
-    assert synthesis._fingerprint(arrays) == digest.hexdigest()
+    for grid_size in (d["grid_size"], 100):
+        omegas = _design_omegas(lp, grid_size)
+        [arrays] = materialized_grid_responses(lp, omegas)
+        [(T1, _, _)] = synthesis._affine_blocks(lp, omegas)
+        assert T1.dtype == complex and T1.shape == (grid_size, 32, 32)
+        assert (arrays["T1"].dtype == complex
+                and arrays["T1"].shape == (grid_size, 32, 32))
+        digest = hashlib.sha256()
+        for key in ("T1", "T2", "T3"):
+            arr = np.ascontiguousarray(arrays[key])
+            digest.update(f"{key}{arr.shape}{arr.dtype}".encode())
+            digest.update(arr.tobytes())
+        assert synthesis._fingerprint(lp, omegas) == digest.hexdigest()
 
 
-def test_nominal_design_memory_holds_no_t1_grid():
+DESIGN_PEAK_BOUNDS = {
     # T1 of nominal_60db on the grid, 256 x 32 x 32 complex, would be
     # 4.19 MB by itself
-    lp, d = _bundled_design_plant("nominal_60db")
+    "nominal_60db": 4e6,
+    # measured 2.04 MB; robust_40db's T2 and T3 grids (0.26 MB for both
+    # channels) held as well made it 2.31 MB
+    "robust_40db": 2.2e6,
+}
+
+
+@pytest.mark.parametrize("name", list(DESIGN_PEAK_BOUNDS))
+def test_design_memory_holds_no_t1_grid(name):
+    lp, d = _bundled_design_plant(name)
+    settings = {k: d[k] for k in ("tol", "n_q", "grid_size")}
+    if d["mode"] == "robust":
+        design, settings["margin"] = synthesize_robust, d["margin"]
+    else:
+        design = synthesize_nominal
+    # a design imports scipy.optimize at its first LP; that is not the
+    # design's memory
+    import scipy.optimize  # noqa: F401
     tracemalloc.start()
     try:
-        synthesize_nominal(lp, tol=d["tol"], n_q=d["n_q"],
-                           grid_size=d["grid_size"])
+        design(lp, **settings)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
+    assert peak < DESIGN_PEAK_BOUNDS[name]
 
 
 # ---------------------------------------------------------------------------
 # the sigma_max oracle of the minimax
 
 
-def reference_channel_gains(ch, Qz):
-    """The batched-SVD oracle the secular equation replaced, on T1 stacked
-    from its grid points (the design produces T1 one point at a time)."""
-    T1 = np.stack([ch["T1"][k] for k in range(len(ch["T1"]))])
-    T = T1 + ch["T2"] @ (Qz @ ch["T3"])
+def reference_channel_gains(T1, T2, T3, Qz):
+    """The batched-SVD oracle the secular equation replaced."""
+    T = T1 + T2 @ (Qz @ T3)
     return np.linalg.svd(T, compute_uv=False)[:, 0]
 
 
@@ -482,8 +514,8 @@ def affine_channels(draw):
 @given(affine_channels())
 def test_secular_oracle_matches_the_svd(case):
     ch, Qz = case
-    gains = synthesis._channel_gains(synthesis._prepare_oracle(ch), Qz)
-    expected = reference_channel_gains(ch, Qz)
+    gains = synthesis._channel_gains(synthesis._prepare_oracle(**ch), Qz)
+    expected = reference_channel_gains(**ch, Qz=Qz)
     assert np.all(np.isfinite(gains))
     assert np.all(np.abs(gains - expected)
                   <= 1e-13 * np.maximum(expected, 1.0))
@@ -494,7 +526,7 @@ def test_secular_oracle_zero_update_is_exact():
     rng = np.random.default_rng(2)
     ch = {"T1": np.zeros((4, 6, 6), complex), "T2": _cplx(rng, 4, 6, 2),
           "T3": _cplx(rng, 4, 2, 6)}
-    gains = synthesis._channel_gains(synthesis._prepare_oracle(ch),
+    gains = synthesis._channel_gains(synthesis._prepare_oracle(**ch),
                                      np.zeros((4, 2, 2), complex))
     assert np.array_equal(gains, np.zeros(4))
 
@@ -506,8 +538,8 @@ def test_secular_oracle_root_above_an_unreached_top():
     rng = np.random.default_rng(4)
     ch = _orthogonal_top_channel(rng, 8, 3.0, K=64)
     Qz = _cplx(rng, 64, 2, 2)
-    prepared = synthesis._prepare_oracle(ch)
-    expected = reference_channel_gains(ch, Qz)
+    prepared = synthesis._prepare_oracle(**ch)
+    expected = reference_channel_gains(**ch, Qz=Qz)
     assert np.count_nonzero(expected ** 2 > 1.001 * prepared["lam_max"]) >= 5
     gains = synthesis._channel_gains(prepared, Qz)
     assert np.all(np.abs(gains - expected) <= 1e-13 * expected)
@@ -516,7 +548,11 @@ def test_secular_oracle_root_above_an_unreached_top():
 def test_minimax_path_is_the_svd_oracle_path(monkeypatch):
     lp = _small_lp()
     fast = synthesize_nominal(lp, **SMALL_DESIGN)
-    monkeypatch.setattr(synthesis, "_channel_gains", reference_channel_gains)
+    # the SVD of T(Q) on the whole grid, from the evaluator the cuts use
+    monkeypatch.setattr(
+        synthesis, "_channel_gains",
+        lambda ch, Qz: reference_channel_gains(*ch["blocks"](slice(None)),
+                                               Qz))
     slow = synthesize_nominal(lp, **SMALL_DESIGN)
     assert fast.meta["iterations"] == slow.meta["iterations"]
     assert fast.meta["n_cuts"] == slow.meta["n_cuts"]
@@ -656,7 +692,7 @@ def test_designs_reject_bad_settings_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("design work started")
 
-    monkeypatch.setattr(synthesis, "_grid_responses", no_work)
+    monkeypatch.setattr(synthesis, "_affine_blocks", no_work)
     monkeypatch.setattr(synthesis, "_solve_minimax", no_work)
     kwargs = {"n_q": 2, "grid_size": 16, "tol": 1e-3, **setting}
     for design, plant in ((synthesize_nominal, small_lifted[1]),
