@@ -188,8 +188,9 @@ def _ports(lp: LiftedPlant):
 
 # grid points per call of ``_affine_blocks`` when the whole design grid
 # is walked (``_prepare_channels``, ``_fingerprint``): T1 is 0.5 MB per
-# block at 2N = 32, and the per-call cost of the solve and products is
-# shared by the block
+# block at 2N = 32, and the stacked factorization of a block holds up to
+# five T1-sized arrays at once; the per-call cost of the solve, products
+# and LAPACK calls is shared by the block
 _T1_BLOCK = 32
 
 
@@ -245,22 +246,18 @@ def _prepare_oracle(T1: np.ndarray, T2: np.ndarray, T3: np.ndarray) -> dict:
 
     exactly.  Kept per point: R2, W0, E, Lam's largest value and the gaps
     from it down to every Lam_i.  Lam is clipped at 0 (a Gram matrix is
-    PSD; its rounding is not).
+    PSD; its rounding is not).  All points are factored at once by stacked
+    qr, eigh and products, each bitwise the call at one point alone.
     """
-    n_freq, n, _ = T1.shape
-    R2 = np.empty((n_freq, 2, 2), complex)
-    W0 = np.empty((n_freq, 2, n), complex)
-    E = np.empty((n_freq, 2, n), complex)
-    lam = np.empty((n_freq, n))
-    for k in range(n_freq):
-        U, R = np.linalg.qr(T2[k], mode="complete")
-        V, S = np.linalg.qr(T3[k].conj().T, mode="complete")
-        M = U.conj().T @ T1[k] @ V
-        lam_k, V_G = np.linalg.eigh(M[2:].conj().T @ M[2:])
-        lam[k] = np.maximum(lam_k, 0.0)
-        R2[k] = R[:2]
-        W0[k] = M[:2] @ V_G
-        E[k] = S[:2].conj().T @ V_G[:2]
+    U, R = np.linalg.qr(T2, mode="complete")
+    V, S = np.linalg.qr(T3.conj().mT, mode="complete")
+    M = U.conj().mT @ T1 @ V
+    del U, V  # before the Gram matrix and V_G take their place
+    lam, V_G = np.linalg.eigh(M[:, 2:].conj().mT @ M[:, 2:])
+    lam = np.maximum(lam, 0.0)
+    R2 = R[:, :2]
+    W0 = M[:, :2] @ V_G
+    E = S[:, :2].conj().mT @ V_G[:, :2]
     lam_max = lam.max(axis=1)
     return {"R2": R2, "W0": W0, "E": E, "lam_max": lam_max,
             "gap": lam_max[:, None] - lam}
@@ -359,22 +356,19 @@ def _cut_rows(ch: dict, zinv_pow: np.ndarray, ks: np.ndarray,
     With (u, v) the top singular pair of T(Q) at grid point k,
     Re(u^H T(Q') v) <= sigma_max(T(Q')) for every Q', with equality at
     the generating Q.  Returns (coefficients, constants), one row per
-    point; T1, T2 and T3 are evaluated at those points only, and the
-    singular pairs come from one stacked SVD.
+    point; T1, T2 and T3 are evaluated at those points only.  T(Q), its
+    singular pairs and the rows come from stacked products and one
+    stacked SVD, bitwise what each point alone gives.
     """
     T1, T2, T3 = ch["blocks"](ks)
-    U, _, Vh = np.linalg.svd(
-        np.stack([T1[i] + T2[i] @ Qz[k] @ T3[i] for i, k in enumerate(ks)]))
-    coeffs = np.empty((len(ks), zinv_pow.shape[1] * 4))
-    c0 = np.empty(len(ks))
-    for i, k in enumerate(ks):
-        u, v = U[i, :, 0], Vh[i, 0].conj()
-        c0[i] = np.real(u.conj() @ T1[i] @ v)
-        a = T2[i].conj().T @ u  # (2,)
-        b = T3[i] @ v           # (2,)
-        coeffs[i] = np.real(zinv_pow[k][:, None, None]
-                            * np.conj(a)[None, :, None]
-                            * b[None, None, :]).reshape(-1)
+    U, _, Vh = np.linalg.svd(T1 + T2 @ Qz[ks] @ T3)
+    u, v = U[:, :, :1], Vh[:, :1].conj().mT  # (len(ks), 2N, 1) each
+    c0 = np.real(u.conj().mT @ T1 @ v)[:, 0, 0]
+    a = (T2.conj().mT @ u)[..., 0]  # (len(ks), 2)
+    b = (T3 @ v)[..., 0]            # (len(ks), 2)
+    coeffs = np.real(zinv_pow[ks][:, :, None, None]
+                     * np.conj(a)[:, None, :, None]
+                     * b[:, None, None, :]).reshape(len(ks), -1)
     return coeffs, c0
 
 
@@ -402,19 +396,22 @@ def _solve_minimax(objective: dict, zinv_pow: np.ndarray, n_q: int,
     # LP rows [coefficients, t-coefficient] <= rhs, objective cuts first
     A_obj, b_obj = np.empty((0, n_vars + 1)), np.empty(0)
     A_con, b_con = np.empty((0, n_vars + 1)), np.empty(0)
-    oracle_calls, oracle_s, lp_s = 0, 0.0, 0.0
+    oracle_calls, oracle_s, lp_s, cut_s = 0, 0.0, 0.0, 0.0
 
     def add_obj_cuts(Qz, gains, n_cuts):
-        nonlocal A_obj, b_obj
+        nonlocal A_obj, b_obj, cut_s
+        t0 = time.perf_counter()
         ks = np.argsort(gains)[::-1][:n_cuts]
         coeffs, c0 = _cut_rows(objective, zinv_pow, ks, Qz)
         A_obj = np.concatenate(
             [A_obj, np.column_stack([coeffs, np.full(len(ks), -1.0)])])
         b_obj = np.concatenate([b_obj, -c0])
+        cut_s += time.perf_counter() - t0
 
     def add_con_cuts(Qz, gains, n_cuts):
         # constraint cuts at the most violated grid points
-        nonlocal A_con, b_con
+        nonlocal A_con, b_con, cut_s
+        t0 = time.perf_counter()
         ks = np.argsort(gains)[::-1][:n_cuts]
         ks = ks[gains[ks] > bound - 1e-12]
         if ks.size:
@@ -422,6 +419,7 @@ def _solve_minimax(objective: dict, zinv_pow: np.ndarray, n_q: int,
             A_con = np.concatenate(
                 [A_con, np.column_stack([coeffs, np.zeros(len(ks))])])
             b_con = np.concatenate([b_con, bound - c0])
+        cut_s += time.perf_counter() - t0
 
     def evaluate(x):
         nonlocal oracle_calls, oracle_s
@@ -490,8 +488,8 @@ def _solve_minimax(objective: dict, zinv_pow: np.ndarray, n_q: int,
     n_cuts = len(b_obj) + len(b_con)
     logger.debug(
         "minimax: %d iterations, %d cuts, %d oracle evaluations in %.3f s, "
-        "%d LPs in %.3f s", n_iter, n_cuts, oracle_calls, oracle_s, n_iter,
-        lp_s,
+        "%d LPs in %.3f s, cut rows in %.3f s", n_iter, n_cuts, oracle_calls,
+        oracle_s, n_iter, lp_s, cut_s,
     )
     if not feasible_best:
         raise SynthesisError(

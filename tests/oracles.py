@@ -11,7 +11,10 @@ equivalence gain * rotation * u(t - L) numerically.
 ``materialized_grid_responses`` is the design grid's responses by one
 resolvent solve per grid point, each of T1, T2 and T3 held as a whole
 array: the reference that ``synthesis._affine_blocks`` is bitwise equal
-to at any set of grid points.
+to at any set of grid points.  ``reference_prepare_oracle`` and
+``reference_cut_rows`` are ``synthesis._prepare_oracle`` and
+``synthesis._cut_rows`` as per-point loops, which their stacked forms
+are bitwise equal to.
 """
 
 import numpy as np
@@ -72,6 +75,47 @@ def materialized_grid_responses(lp: LiftedPlant, omegas) -> list:
             ch["T2"][j] = C_k @ X_u + D2
             ch["T3"][j] = C_y @ X_k + D3
     return out
+
+
+def reference_prepare_oracle(T1: np.ndarray, T2: np.ndarray,
+                             T3: np.ndarray) -> dict:
+    """``synthesis._prepare_oracle`` one grid point at a time."""
+    n_freq, n, _ = T1.shape
+    R2 = np.empty((n_freq, 2, 2), complex)
+    W0 = np.empty((n_freq, 2, n), complex)
+    E = np.empty((n_freq, 2, n), complex)
+    lam = np.empty((n_freq, n))
+    for k in range(n_freq):
+        U, R = np.linalg.qr(T2[k], mode="complete")
+        V, S = np.linalg.qr(T3[k].conj().T, mode="complete")
+        M = U.conj().T @ T1[k] @ V
+        lam_k, V_G = np.linalg.eigh(M[2:].conj().T @ M[2:])
+        lam[k] = np.maximum(lam_k, 0.0)
+        R2[k] = R[:2]
+        W0[k] = M[:2] @ V_G
+        E[k] = S[:2].conj().T @ V_G[:2]
+    lam_max = lam.max(axis=1)
+    return {"R2": R2, "W0": W0, "E": E, "lam_max": lam_max,
+            "gap": lam_max[:, None] - lam}
+
+
+def reference_cut_rows(ch: dict, zinv_pow: np.ndarray, ks: np.ndarray,
+                       Qz: np.ndarray):
+    """``synthesis._cut_rows`` one grid point at a time."""
+    T1, T2, T3 = ch["blocks"](ks)
+    U, _, Vh = np.linalg.svd(
+        np.stack([T1[i] + T2[i] @ Qz[k] @ T3[i] for i, k in enumerate(ks)]))
+    coeffs = np.empty((len(ks), zinv_pow.shape[1] * 4))
+    c0 = np.empty(len(ks))
+    for i, k in enumerate(ks):
+        u, v = U[i, :, 0], Vh[i, 0].conj()
+        c0[i] = np.real(u.conj() @ T1[i] @ v)
+        a = T2[i].conj().T @ u  # (2,)
+        b = T3[i] @ v           # (2,)
+        coeffs[i] = np.real(zinv_pow[k][:, None, None]
+                            * np.conj(a)[None, :, None]
+                            * b[None, None, :]).reshape(-1)
+    return coeffs, c0
 
 
 def plant_frequency_response(spec: GeneralizedPlantSpec,

@@ -231,21 +231,66 @@ def test_trace_csv_matches_per_cell_formatting(tmp_path):
         assert b"1e-300" in new
 
 
+def _rect_trace(rng, n, hold):
+    """A trace shaped like a rect run: t distinct, v and u held over
+    ``hold`` rows, err their difference (held where both are)."""
+    levels = rng.choice([-1.0, 1.0], (2, -(-n // hold)))
+    v = np.repeat(levels, hold, axis=1)[:, :n]
+    u = np.repeat(0.5 * levels + rng.standard_normal(levels.shape) * 1e-3,
+                  hold, axis=1)[:, :n]
+    return v, u
+
+
+@pytest.mark.parametrize("kind", ["distinct", "rect"])
+def test_trace_csv_is_bytewise_the_per_cell_form(tmp_path, kind):
+    # runs formatted once where a column is held (rect), cell by cell
+    # where it is not (distinct): the bytes are the per-cell ones either
+    # way, -0.0 and nan runs included, over part and whole blocks
+    rng = np.random.default_rng(12)
+    n = 5 * cli._CSV_BLOCK_ROWS // 2
+    if kind == "distinct":
+        v = rng.standard_normal((2, n))
+        u = 0.5 * v + rng.standard_normal((2, n))
+    else:
+        v, u = _rect_trace(rng, n, 64)
+        # a held column that switches between -0.0 and 0.0, runs of nan
+        # and inf, and a block of the err column that is held over two
+        # rows (exactly half as many runs as rows)
+        v[1, :640] = np.repeat([0.0, -0.0] * 5, 64)
+        u[0, 700:900] = np.nan
+        u[1, 900:1000] = -np.inf
+    err = v - u
+    if kind == "rect":
+        err[0, cli._CSV_BLOCK_ROWS:2 * cli._CSV_BLOCK_ROWS] = np.repeat(
+            rng.standard_normal(cli._CSV_BLOCK_ROWS // 2), 2)
+    trace = SimulationTrace(t=np.arange(n) / 64.0, v=v, u=u, err=err,
+                            diverged=False, l2_err=np.nan,
+                            max_abs_err_tail=np.nan)
+    write_trace_csv(trace, tmp_path / "new.csv")
+    reference_write_trace_csv(trace, tmp_path / "old.csv")
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    if kind == "rect":
+        assert b",-0," in new and b",0," in new and b"nan" in new
+
+
 def test_trace_csv_memory_stays_in_blocks(tmp_path):
     # as long as the fig11 trace; formatting all 8,000 rows at once
-    # peaked at 3.4 MB of floats, tuple and string
+    # peaked at 3.4 MB of floats, tuple and string.  Both ways of
+    # formatting a block: cell by cell, and held runs once (rect)
     rng = np.random.default_rng(11)
     v = rng.standard_normal((2, 8000))
-    trace = SimulationTrace(t=np.arange(8000) / 80.0, v=v, u=0.5 * v,
-                            err=0.5 * v, diverged=False, l2_err=np.nan,
-                            max_abs_err_tail=np.nan)
-    tracemalloc.start()
-    try:
-        write_trace_csv(trace, tmp_path / "trace.csv")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6
+    for v, u in ((v, 0.5 * v), _rect_trace(rng, 8000, 80)):
+        trace = SimulationTrace(t=np.arange(8000) / 80.0, v=v, u=u,
+                                err=v - u, diverged=False, l2_err=np.nan,
+                                max_abs_err_tail=np.nan)
+        tracemalloc.start()
+        try:
+            write_trace_csv(trace, tmp_path / "trace.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 def test_read_controller_bad_file(tmp_path):

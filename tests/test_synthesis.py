@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import re
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -42,7 +43,12 @@ from relaycancel.synthesis import (
 )
 
 from conftest import make_example_params
-from oracles import frequency_response, materialized_grid_responses
+from oracles import (
+    frequency_response,
+    materialized_grid_responses,
+    reference_cut_rows,
+    reference_prepare_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -437,6 +443,84 @@ def test_design_memory_holds_no_t1_grid(name):
     assert peak < DESIGN_PEAK_BOUNDS[name]
 
 
+@pytest.mark.parametrize("name", ["nominal_60db", "robust_40db"])
+def test_stacked_oracle_factors_are_bitwise_the_per_point_loop(name):
+    # every channel's factors, block by block as a design walks the grid,
+    # on the design grid and on one whose last block is short (100 points)
+    lp, d = _bundled_design_plant(name)
+    for grid_size in (d["grid_size"], 100):
+        omegas = _design_omegas(lp, grid_size)
+        channels = synthesis._prepare_channels(lp, omegas)
+        assert len(channels) == len(lp.channel_indices())
+        for c, ch in enumerate(channels):
+            step = synthesis._T1_BLOCK
+            parts = [reference_prepare_oracle(
+                *synthesis._affine_blocks(lp, omegas[k:k + step])[c])
+                for k in range(0, grid_size, step)]
+            for key in ("R2", "W0", "E", "lam_max", "gap"):
+                ref = np.concatenate([p[key] for p in parts])
+                assert ch[key].shape == ref.shape and len(ref) == grid_size
+                assert np.array_equal(ch[key], ref)
+
+
+@pytest.mark.parametrize("name", ["nominal_60db", "robust_40db"])
+def test_stacked_cut_rows_are_bitwise_the_per_point_loop(name):
+    lp, d = _bundled_design_plant(name)
+    omegas = _design_omegas(lp, d["grid_size"])
+    n_q = d["n_q"]
+    zinv_pow = np.exp(-1j * np.outer(omegas * lp.h, np.arange(n_q)))
+    rng = np.random.default_rng(8)
+    for ch in synthesis._prepare_channels(lp, omegas):
+        for n_cuts in (12, 32):
+            Qz = synthesis._q_response(zinv_pow,
+                                       rng.standard_normal((n_q, 2, 2)))
+            ks = rng.permutation(d["grid_size"])[:n_cuts]
+            coeffs, c0 = synthesis._cut_rows(ch, zinv_pow, ks, Qz)
+            ref_coeffs, ref_c0 = reference_cut_rows(ch, zinv_pow, ks, Qz)
+            assert coeffs.shape == ref_coeffs.shape == (n_cuts, 4 * n_q)
+            assert np.array_equal(coeffs, ref_coeffs)
+            assert np.array_equal(c0, ref_c0)
+
+
+def _hashed_design(monkeypatch, design):
+    """SHA-256 of every LP's inputs over ``design()``, and its result."""
+    digest = hashlib.sha256()
+    real = synthesis.linprog
+
+    def hashed(c, A_ub, b_ub, bounds, method):
+        for arr in (c, A_ub, b_ub, np.array(bounds, dtype=float)):
+            arr = np.ascontiguousarray(arr)
+            digest.update(f"{arr.shape}{arr.dtype}".encode())
+            digest.update(arr.tobytes())
+        return real(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=method)
+
+    with monkeypatch.context() as m:
+        m.setattr(synthesis, "linprog", hashed)
+        K = design()
+    return digest.hexdigest(), K
+
+
+@pytest.mark.parametrize("kind", ["nominal", "robust"])
+def test_minimax_lps_are_bitwise_the_per_point_loops(monkeypatch, kind,
+                                                     small_robust):
+    # the same LPs, byte for byte, and the same controller whether the
+    # minimax factors the grid and forms its cuts stacked or point by point
+    def design():
+        if kind == "nominal":
+            return synthesize_nominal(_small_lp(), **SMALL_DESIGN)
+        return synthesize_robust(small_robust[1], **SMALL_DESIGN)
+    stacked, K = _hashed_design(monkeypatch, design)
+    monkeypatch.setattr(synthesis, "_prepare_oracle",
+                        reference_prepare_oracle)
+    monkeypatch.setattr(synthesis, "_cut_rows", reference_cut_rows)
+    looped, K_ref = _hashed_design(monkeypatch, design)
+    assert stacked == looped
+    for name in "ABCD":
+        assert (getattr(K.sys, name).tobytes()
+                == getattr(K_ref.sys, name).tobytes())
+    assert K.gamma_achieved == K_ref.gamma_achieved
+
+
 # ---------------------------------------------------------------------------
 # the sigma_max oracle of the minimax
 
@@ -560,15 +644,23 @@ def test_minimax_path_is_the_svd_oracle_path(monkeypatch):
 
 
 def test_minimax_logs_one_debug_line(caplog):
+    lp = _small_lp()
     with caplog.at_level(logging.DEBUG, logger="relaycancel.synthesis"):
-        K = synthesize_nominal(_small_lp(), **SMALL_DESIGN)
+        t0 = time.perf_counter()
+        K = synthesize_nominal(lp, **SMALL_DESIGN)
+        elapsed = time.perf_counter() - t0
     [record] = [r for r in caplog.records if r.name == synthesis.__name__]
     assert record.levelno == logging.DEBUG
     match = re.fullmatch(r"minimax: (\d+) iterations, (\d+) cuts, (\d+) "
-                         r"oracle evaluations in \d+\.\d{3} s, (\d+) LPs "
-                         r"in \d+\.\d{3} s", record.getMessage())
+                         r"oracle evaluations in (\d+\.\d{3}) s, (\d+) LPs "
+                         r"in (\d+\.\d{3}) s, cut rows in (\d+\.\d{3}) s",
+                         record.getMessage())
     assert match
-    iterations, cuts, evaluations, lps = map(int, match.groups())
+    iterations, cuts, evaluations, lps = map(int, match.group(1, 2, 3, 5))
+    # the three stages are timed apart, so their seconds, each rounded to
+    # the millisecond, add up to no more than the design's
+    oracle_s, lp_s, cut_s = map(float, match.group(4, 6, 7))
+    assert oracle_s + lp_s + cut_s <= elapsed + 1.5e-3
     assert iterations == lps == K.meta["iterations"]
     assert cuts == K.meta["n_cuts"]
     assert evaluations == iterations + 1  # the Q = 0 seed, then one per LP
