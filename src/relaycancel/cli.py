@@ -318,9 +318,6 @@ def write_trace_csv(trace, path: Path):
             new_run = bits[:, 1:] != bits[:, :-1]
             held = 2 * (1 + new_run.sum(axis=1)) <= n
             row = ",".join("%s" if h else "%.12g" for h in held) + "\n"
-            if not held.any():
-                fh.write(row * n % tuple(data.T.ravel().tolist()))
-                continue
             cells = np.empty((n, len(cols)), dtype=object)
             for c, x in enumerate(data):
                 if held[c]:

@@ -312,16 +312,14 @@ def is_stable(sys: StateSpace, margin: float = STABILITY_MARGIN) -> bool:
     return stability_margin(sys) > margin
 
 
-def _sigma_max_grid(sys: StateSpace, n_grid: int, sigma_D: float
-                    ) -> tuple[float, float, int, int, float, int]:
+def _sigma_max_grid(sys: StateSpace, n_grid: int,
+                    sigma_D: float) -> tuple[float, float, int, int, float]:
     """Largest singular value over a [0, pi] theta grid and its theta.
 
-    Returns ``(value, theta, svds, points, theta_lo, failed)``: the first
-    two are exactly, bit for bit, what an SVD of G(e^{j theta}) at every
-    one of the ``points`` grid thetas would give (the first maximizer in
-    theta order), but only ``svds`` of the points pay for an SVD;
-    ``failed`` non-seed points failed the first screen (all of them when
-    it did not run).
+    Returns ``(value, theta, svds, points, theta_lo)``: the first two
+    are exactly, bit for bit, what an SVD of G(e^{j theta}) at every one
+    of the ``points`` grid thetas would give (the first maximizer in
+    theta order), but only ``svds`` of the points pay for an SVD.
 
     The grid is ``n_grid // 2`` evenly spaced thetas on [0, pi] and as
     many geometrically spaced ones on [theta_lo, pi], where theta_lo =
@@ -361,15 +359,15 @@ def _sigma_max_grid(sys: StateSpace, n_grid: int, sigma_D: float
     best = max(svd_at(i) for i in seeds)
     rest = np.setdiff1d(np.arange(thetas.size), seeds)
     passed = _screen(sys, best * (1.0 - 1e-9), thetas[rest], sigma_D)
-    failed = todo = rest if passed is None else rest[~passed]
-    if passed is not None and failed.size:
+    todo = rest if passed is None else rest[~passed]
+    if passed is not None and todo.size:
         # a peak between seeds: an SVD in the middle of each run of
         # failures raises the level, and the screen rebuilt there passes
         # most of the others
-        runs = np.split(failed, np.flatnonzero(np.diff(failed) > 1) + 1)
+        runs = np.split(todo, np.flatnonzero(np.diff(todo) > 1) + 1)
         mids = [run[run.size // 2] for run in runs]
         raised = max(best, *(svd_at(i) for i in mids))
-        todo = np.setdiff1d(failed, mids)
+        todo = np.setdiff1d(todo, mids)
         if raised > best:
             todo = todo[~_screen(sys, raised * (1.0 - 1e-9), thetas[todo],
                                  sigma_D)]
@@ -380,7 +378,7 @@ def _sigma_max_grid(sys: StateSpace, n_grid: int, sigma_D: float
     for i in sorted(exact):
         if exact[i] > best:
             best, theta_best = float(exact[i]), float(thetas[i])
-    return best, theta_best, len(exact), thetas.size, theta_lo, failed.size
+    return best, theta_best, len(exact), thetas.size, theta_lo
 
 
 def _screen(sys: StateSpace, beta: float, thetas,
@@ -602,7 +600,7 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6,
 
     n_full = sys.n_states
     sys, tail = _balanced_truncation(sys)
-    grid_max, theta_max, svds, points, theta_lo, failed = _sigma_max_grid(
+    grid_max, theta_max, svds, points, theta_lo = _sigma_max_grid(
         sys, _HINF_GRID, sv_D)
     lo = max(grid_max, sv_D * (1.0 + 1e-12))
     if lo == 0.0:
@@ -627,15 +625,12 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6,
         lo, hi = _bisect(lo, hi, crossing, tol, max_iter)
     seeds = len(range(0, points - 1, _SCREEN_STRIDE)) + 1
     r = min(sys.n_states, sys.n_inputs, sys.n_outputs)
-    screen = f"{failed} failed the order-{r} screen"
-    if failed:
-        screen += f", {svds - seeds} of them by SVD"
     logger.debug(
         "hinf_norm: %d states -> %d (tail %.2g), grid from theta %.3g, "
         "grid max %.10g at theta %.6g, %d of %d grid points by SVD (%d "
         "seeds, %s), bracket [%.10g, %.10g], %d pencil eigensolves",
         n_full, sys.n_states, tail, theta_lo, grid_max, theta_max, svds,
-        points, seeds, screen if svds < points
-        else "no screen passed a point", lo, hi, probes,
+        points, seeds, f"{svds - seeds} failed the order-{r} screen"
+        if svds < points else "no screen passed a point", lo, hi, probes,
     )
     return float(max(0.5 * (lo + hi), lo) + tail)

@@ -210,27 +210,6 @@ def reference_write_trace_csv(trace, path):
     path.write_text("\n".join(rows) + "\n")
 
 
-def test_trace_csv_matches_per_cell_formatting(tmp_path):
-    rng = np.random.default_rng(9)
-    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300,
-               5e-324, 1e300, 0.1, 123456789012.5, 1.0 / 3.0]
-    # a part row block, then two full blocks and a part one
-    for n in (64, 5 * cli._CSV_BLOCK_ROWS // 2):
-        t = np.arange(n) / 16.0
-        v = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-20, 20, (2, n))
-        v[0, :len(special)] = special
-        u = v[::-1].copy()
-        u[1, -len(special):] = special
-        trace = SimulationTrace(t=t, v=v, u=u, err=v - u, diverged=True,
-                                l2_err=np.nan, max_abs_err_tail=np.nan)
-        write_trace_csv(trace, tmp_path / "new.csv")
-        reference_write_trace_csv(trace, tmp_path / "old.csv")
-        new = (tmp_path / "new.csv").read_bytes()
-        assert new == (tmp_path / "old.csv").read_bytes()
-        assert b"nan" in new and b"-inf" in new and b"-0," in new
-        assert b"1e-300" in new
-
-
 def _rect_trace(rng, n, hold):
     """A trace shaped like a rect run: t distinct, v and u held over
     ``hold`` rows, err their difference (held where both are)."""
@@ -241,37 +220,41 @@ def _rect_trace(rng, n, hold):
     return v, u
 
 
-@pytest.mark.parametrize("kind", ["distinct", "rect"])
-def test_trace_csv_is_bytewise_the_per_cell_form(tmp_path, kind):
-    # runs formatted once where a column is held (rect), cell by cell
-    # where it is not (distinct): the bytes are the per-cell ones either
-    # way, -0.0 and nan runs included, over part and whole blocks
-    rng = np.random.default_rng(12)
-    n = 5 * cli._CSV_BLOCK_ROWS // 2
-    if kind == "distinct":
-        v = rng.standard_normal((2, n))
-        u = 0.5 * v + rng.standard_normal((2, n))
-    else:
-        v, u = _rect_trace(rng, n, 64)
-        # a held column that switches between -0.0 and 0.0, runs of nan
-        # and inf, and a block of the err column that is held over two
-        # rows (exactly half as many runs as rows)
-        v[1, :640] = np.repeat([0.0, -0.0] * 5, 64)
-        u[0, 700:900] = np.nan
-        u[1, 900:1000] = -np.inf
+def _special_traces(rng):
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300,
+               5e-324, 1e300, 0.1, 123456789012.5, 1.0 / 3.0]
+    # a part row block, then two full blocks and a part one
+    for n in (64, 5 * cli._CSV_BLOCK_ROWS // 2):
+        v = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-20, 20, (2, n))
+        v[0, :len(special)] = special
+        u = v[::-1].copy()
+        u[1, -len(special):] = special
+        yield np.arange(n) / 16.0, v, u, v - u
+    # held columns, whose runs are formatted once: one that switches
+    # between -0.0 and 0.0, runs of nan, 1e-300 (across a block's end) and
+    # -inf, and a block of err held over two rows (exactly half as many
+    # runs as rows)
+    v, u = _rect_trace(rng, n, 64)
+    v[1, :640] = np.repeat([0.0, -0.0] * 5, 64)
+    u[0, 700:900] = np.nan
+    u[0, 1000:1100] = 1e-300
+    u[1, 900:1000] = -np.inf
     err = v - u
-    if kind == "rect":
-        err[0, cli._CSV_BLOCK_ROWS:2 * cli._CSV_BLOCK_ROWS] = np.repeat(
-            rng.standard_normal(cli._CSV_BLOCK_ROWS // 2), 2)
-    trace = SimulationTrace(t=np.arange(n) / 64.0, v=v, u=u, err=err,
-                            diverged=False, l2_err=np.nan,
-                            max_abs_err_tail=np.nan)
-    write_trace_csv(trace, tmp_path / "new.csv")
-    reference_write_trace_csv(trace, tmp_path / "old.csv")
-    new = (tmp_path / "new.csv").read_bytes()
-    assert new == (tmp_path / "old.csv").read_bytes()
-    if kind == "rect":
-        assert b",-0," in new and b",0," in new and b"nan" in new
+    err[0, cli._CSV_BLOCK_ROWS:2 * cli._CSV_BLOCK_ROWS] = np.repeat(
+        rng.standard_normal(cli._CSV_BLOCK_ROWS // 2), 2)
+    yield np.arange(n) / 64.0, v, u, err
+
+
+def test_trace_csv_matches_per_cell_formatting(tmp_path):
+    for t, v, u, err in _special_traces(np.random.default_rng(9)):
+        trace = SimulationTrace(t=t, v=v, u=u, err=err, diverged=True,
+                                l2_err=np.nan, max_abs_err_tail=np.nan)
+        write_trace_csv(trace, tmp_path / "new.csv")
+        reference_write_trace_csv(trace, tmp_path / "old.csv")
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        assert b"nan" in new and b"-inf" in new and b"-0," in new
+        assert b"1e-300" in new
 
 
 def test_trace_csv_memory_stays_in_blocks(tmp_path):

@@ -555,15 +555,15 @@ def test_hinf_norm_logs_the_screen_failures(caplog):
     # a resonance at theta = 1 between the seeds: the points near it lie
     # above the seeds' maximum and fail the screen; an SVD in the middle
     # of their run raises the level, and the screen rebuilt there leaves
-    # one more point to the SVD
+    # one more point to the SVD: 2 fail the screen at the level they meet
     c, s = 0.9 * np.cos(1.0), 0.9 * np.sin(1.0)
     sys = StateSpace([[c, -s], [s, c]], [[1.0], [0.0]], [[1.0, 0.0]],
                      [[0.0]], dt=1.0)
     with caplog.at_level(logging.DEBUG, logger="relaycancel.lti"):
         hinf_norm(sys)
     [record] = caplog.records
-    assert ", 11 of 511 grid points by SVD (9 seeds, 37 failed the order-1 " \
-        "screen, 2 of them by SVD), " in record.getMessage()
+    assert ", 11 of 511 grid points by SVD (9 seeds, 2 failed the order-1 " \
+        "screen), " in record.getMessage()
     # and the grid's maximum is still the per-point loop's, bit for bit
     value, theta, *_ = lti._sigma_max_grid(sys, lti._HINF_GRID, 0.0)
     assert (value, theta) == _reference_sigma_max_grid(sys, lti._HINF_GRID)
@@ -763,11 +763,11 @@ def test_sigma_max_grid_is_bitwise_on_the_nominal_loop_at(nominal_loops, N):
 def _check_sigma_max_grid_on_the_nominal_loop(nominal_loops, N):
     sys = nominal_loops[N]
     assert sys.n_inputs == sys.n_outputs == 2 * N
-    value, theta, svds, points, theta_lo, failed = lti._sigma_max_grid(
+    value, theta, svds, points, theta_lo = lti._sigma_max_grid(
         sys, lti._HINF_GRID, _sigma_D(sys))
     assert (value, theta) == _reference_sigma_max_grid(sys, lti._HINF_GRID)
     # only the 9 seeds: the screen passes every other point
-    assert points == 511 and svds == 9 and failed == 0
+    assert points == 511 and svds == 9
     # the slowest pole of the bundled loops is exp(-1/2) = 0.6065
     assert theta_lo == pytest.approx(1e-2 * (1.0 - np.exp(-0.5)), rel=1e-6)
 
