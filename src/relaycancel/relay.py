@@ -241,13 +241,15 @@ class CoreSystem:
     u (n_ctrl), one delayed-u slot (n_ctrl) per delay]; outputs are [fast
     performance outputs (n_ext, one per external input), measurement y
     (n_ctrl)].  delays[k] is the delay in seconds of the held u that
-    drives delayed-u slot k.
+    drives delayed-u slot k, and path_states[k] the slice of path k's
+    states (its x_Pd, x_Fd), which only slot k drives.
     """
 
     sys: StateSpace
     n_ext: int
     n_ctrl: int
     delays: tuple
+    path_states: tuple = ()
 
 
 def delay_steps(L: float, N: int, h: float) -> int:
@@ -376,4 +378,6 @@ def assemble_core_blocks(W: StateSpace, F: StateSpace, P: StateSpace,
         D[rz2, c_dly] = W2.D @ F.D @ P.D
         D[ry, 2:4] = paths[0].alpha * paths[0].rot
     return CoreSystem(StateSpace(A, B, C, D), n_ext=n_ext, n_ctrl=2,
-                      delays=tuple(path.L for path in paths))
+                      delays=tuple(path.L for path in paths),
+                      path_states=tuple(slice(sPd.start, sFd.stop)
+                                        for sPd, sFd in path_slices))

@@ -77,6 +77,7 @@ from .relay import (
     GeneralizedPlantSpec,
     assemble_plant_core,
     build_perturbed_plant,
+    delay_steps,
 )
 
 __all__ = [
@@ -755,10 +756,27 @@ def robust_stability_sweep(plant: GeneralizedPlantSpec, K: Controller,
     Each case draws detour paths with total attenuation at most the
     channel's own detour budget (the sum of its detours' attenuations;
     ValueError when it is zero) and delays 1 to 3N fast steps of h / N
-    beyond the nominal one, lifts the perturbed plant and checks the
-    closed loop spectrum.  ``min_spectral_margin`` is the smallest margin
-    over all cases (infinite when there are none).
+    beyond the nominal one, and checks the spectrum of its lifted closed
+    loop.  ``min_spectral_margin`` is the smallest margin over all cases
+    (infinite when there are none, and then nothing is lifted).
+
+    The cases share one lift: a core with the nominal path and a
+    unit-gain detour per drawn delay step, whose measurement y is split
+    into the nominal rows and each detour's own rows.  A case keeps the
+    core states outside the detours, its own detours' states and the
+    history holds its deepest delay reads, and sums its y rows as the
+    nominal rows plus r_i times detour i's rows.  That is the case's own
+    lifted plant up to rounding and the order of its detours' states: a
+    detour's states are driven only by its own delayed-u slot and read
+    only by y, so the kept block of the shared ZOH exponential is the
+    case's own, and history holds deeper than the case's are read only by
+    the dropped detours.
     """
+    if n_cases < 0:
+        raise ValueError(f"n_cases must be nonnegative, got {n_cases}")
+    if N < 1:
+        raise ValueError("fast-rate factor N must be a positive integer")
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     channel = plant.channel
     r_budget = sum(ri for ri, _ in channel.extra_paths)
@@ -766,26 +784,75 @@ def robust_stability_sweep(plant: GeneralizedPlantSpec, K: Controller,
         raise ValueError("channel has no detour budget: the sweep perturbs "
                          "its detour paths")
     tau = plant.h / N
-    failures, margins = [], []
-    for case in range(n_cases):
+    cases = []
+    for _ in range(n_cases):
         m = int(rng.integers(1, 4))
         weights = rng.dirichlet(np.ones(m))
         scale = rng.uniform(0.3, 1.0)
         steps = rng.choice(np.arange(1, 3 * N + 1), size=m,
                            replace=False)
-        extras = tuple(
+        cases.append(tuple(
             (float(r_budget * scale * wi), float(channel.L + int(k) * tau))
             for wi, k in zip(weights, steps)
-        )
-        perturbed = CouplingChannel(r=channel.r, L=channel.L,
-                                    extra_paths=extras)
-        pspec = build_perturbed_plant(plant.params, perturbed)
-        margin = stability_margin(lifted_closed_loop(fsfh_lift(pspec, N),
-                                                     K.sys))
-        margins.append(margin)
-        if not margin > STABILITY_MARGIN:  # is_stable's test
-            failures.append({"case": case, "extra_paths": extras,
-                             "spectral_margin": margin})
+        ))
+    delays = sorted({Li for extras in cases for _, Li in extras})
+    failures, margins, n_states = [], [], 0
+    if cases:
+        shared = CouplingChannel(r=channel.r, L=channel.L, extra_paths=tuple(
+            (1.0, Li) for Li in delays))
+        core = assemble_plant_core(build_perturbed_plant(plant.params,
+                                                         shared))
+        n_ext, n_u = core.n_ext, core.n_ctrl
+        ry = slice(n_ext, n_ext + n_u)
+        # y split by path: the nominal rows, then each detour's own rows,
+        # which read only its states and its delayed-u slot
+        Cy, Dy = [core.sys.C[ry].copy()], [core.sys.D[ry].copy()]
+        for i, sl in enumerate(core.path_states[1:], 1):
+            slot = slice(n_ext + n_u * (i + 1), n_ext + n_u * (i + 2))
+            Cy.append(np.zeros_like(Cy[0]))
+            Dy.append(np.zeros_like(Dy[0]))
+            Cy[i][:, sl], Dy[i][:, slot] = Cy[0][:, sl], Dy[0][:, slot]
+            Cy[0][:, sl] = Dy[0][:, slot] = 0.0
+        split = StateSpace(core.sys.A, core.sys.B,
+                           np.vstack([core.sys.C[:n_ext], *Cy]),
+                           np.vstack([core.sys.D[:n_ext], *Dy]))
+        lp = lift_core(replace(core, sys=split), N, plant.h)
+        A, B, C = lp.sys.A, lp.sys.B, lp.sys.C
+        n_c, n_z, n_states = core.sys.n_states, lp.n_z, lp.sys.n_states
+        yC = C[n_z:].reshape(len(Cy), n_u, -1)
+        # a detour is at least one step long, so at the period start y
+        # reads its delayed u from a history hold, a state: the D rows of
+        # every case are the nominal ones
+        D = lp.sys.D[:n_z + n_u]
+        depths = [-(-delay_steps(L, N, plant.h) // N) for L in core.delays]
+        detour = {Li: i for i, Li in enumerate(delays, 1)}
+        base = np.arange(n_states) < n_c
+        for sl in core.path_states[1:]:
+            base[sl] = False
+        for case, extras in enumerate(cases):
+            paths = [detour[Li] for _, Li in extras]
+            keep = base.copy()
+            for i in paths:
+                keep[core.path_states[i]] = True
+            depth = max(depths[0], *(depths[i] for i in paths))
+            keep[n_c:n_c + n_u * depth] = True
+            cy = yC[0]
+            for (ri, _), i in zip(extras, paths):
+                cy = cy + ri * yC[i]
+            idx = np.flatnonzero(keep)
+            sys = StateSpace(A[np.ix_(idx, idx)], B[idx],
+                             np.vstack([C[:n_z, idx], cy[:, idx]]), D,
+                             dt=plant.h)
+            margin = stability_margin(lifted_closed_loop(replace(lp, sys=sys),
+                                                         K.sys))
+            margins.append(margin)
+            if not margin > STABILITY_MARGIN:  # is_stable's test
+                failures.append({"case": case, "extra_paths": extras,
+                                 "spectral_margin": margin})
+    logger.debug(
+        "robust_stability_sweep: %d cases, %d unstable, shared lift of %d "
+        "delay steps, %d states, %.3g s", n_cases, len(failures), len(delays),
+        n_states, time.perf_counter() - t0)
     return {
         "n_cases": n_cases,
         "n_unstable": len(failures),

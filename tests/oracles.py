@@ -14,18 +14,23 @@ array: the reference that ``synthesis._affine_blocks`` is bitwise equal
 to at any set of grid points.  ``reference_prepare_oracle`` and
 ``reference_cut_rows`` are ``synthesis._prepare_oracle`` and
 ``synthesis._cut_rows`` as per-point loops, which their stacked forms
-are bitwise equal to.
+are bitwise equal to.  ``reference_stability_sweep`` lifts each
+perturbation case on its own, the loop that
+``synthesis.robust_stability_sweep`` replaces by slicing one shared lift.
 """
+
+import math
 
 import numpy as np
 from scipy.signal import butter, sosfilt
 
-from relaycancel.lifting import LiftedPlant
-from relaycancel.lti import StateSpace
+from relaycancel.lifting import LiftedPlant, fsfh_lift, lifted_closed_loop
+from relaycancel.lti import STABILITY_MARGIN, StateSpace, stability_margin
 from relaycancel.relay import (
     CouplingChannel,
     GeneralizedPlantSpec,
     RelayParams,
+    build_perturbed_plant,
     rotation_matrix,
 )
 from relaycancel.synthesis import _ports
@@ -116,6 +121,47 @@ def reference_cut_rows(ch: dict, zinv_pow: np.ndarray, ks: np.ndarray,
                             * np.conj(a)[None, :, None]
                             * b[None, None, :]).reshape(-1)
     return coeffs, c0
+
+
+def reference_stability_sweep(plant: GeneralizedPlantSpec, K,
+                              n_cases: int = 50, seed: int = 0,
+                              N: int = 4) -> dict:
+    """``synthesis.robust_stability_sweep`` with one perturbed plant,
+    ZOH exponential and lift per case."""
+    rng = np.random.default_rng(seed)
+    channel = plant.channel
+    r_budget = sum(ri for ri, _ in channel.extra_paths)
+    if r_budget == 0.0:
+        raise ValueError("channel has no detour budget: the sweep perturbs "
+                         "its detour paths")
+    tau = plant.h / N
+    failures, margins = [], []
+    for case in range(n_cases):
+        m = int(rng.integers(1, 4))
+        weights = rng.dirichlet(np.ones(m))
+        scale = rng.uniform(0.3, 1.0)
+        steps = rng.choice(np.arange(1, 3 * N + 1), size=m,
+                           replace=False)
+        extras = tuple(
+            (float(r_budget * scale * wi), float(channel.L + int(k) * tau))
+            for wi, k in zip(weights, steps)
+        )
+        perturbed = CouplingChannel(r=channel.r, L=channel.L,
+                                    extra_paths=extras)
+        pspec = build_perturbed_plant(plant.params, perturbed)
+        margin = stability_margin(lifted_closed_loop(fsfh_lift(pspec, N),
+                                                     K.sys))
+        margins.append(margin)
+        if not margin > STABILITY_MARGIN:  # is_stable's test
+            failures.append({"case": case, "extra_paths": extras,
+                             "spectral_margin": margin})
+    return {
+        "n_cases": n_cases,
+        "n_unstable": len(failures),
+        "all_stable": not failures,
+        "min_spectral_margin": min(margins, default=math.inf),
+        "failures": failures,
+    }
 
 
 def plant_frequency_response(spec: GeneralizedPlantSpec,

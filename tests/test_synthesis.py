@@ -48,6 +48,7 @@ from oracles import (
     materialized_grid_responses,
     reference_cut_rows,
     reference_prepare_oracle,
+    reference_stability_sweep,
 )
 
 
@@ -855,12 +856,14 @@ def test_verify_design_uses_the_recorded_w2(small_robust, tmp_path):
         verify_design(spec, bare, N_verify=8)
 
 
+# an aggressive non-robust controller: high-gain passthrough
+K_BAD = Controller(sys=StateSpace.static(0.9 * np.eye(2), dt=1.0),
+                   gamma_achieved=0.0, method="nominal_hinf")
+
+
 def test_robust_sweep_flags_unstable_cases(small_robust):
     spec, rp = small_robust
-    # an aggressive non-robust controller: high-gain passthrough
-    K_bad = Controller(sys=StateSpace.static(0.9 * np.eye(2), dt=1.0),
-                       gamma_achieved=0.0, method="nominal_hinf")
-    sweep = robust_stability_sweep(spec, K_bad, n_cases=10, seed=3, N=4)
+    sweep = robust_stability_sweep(spec, K_BAD, n_cases=10, seed=3, N=4)
     assert not sweep["all_stable"]
     assert sweep["min_spectral_margin"] == min(
         f["spectral_margin"] for f in sweep["failures"])
@@ -872,3 +875,81 @@ def test_robust_sweep_passes_for_robust_controller(small_robust):
     sweep = robust_stability_sweep(spec, K, n_cases=20, seed=5, N=4)
     assert sweep["all_stable"], sweep["failures"]
     assert 0.0 < sweep["min_spectral_margin"] < 1.0
+
+
+@pytest.fixture(scope="module")
+def robust_40db_design():
+    cfg = load_config("robust_40db")
+    params, channel = config_objects(cfg)
+    spec = build_generalized_plant(params, channel)
+    rp, d = _bundled_design_plant("robust_40db")
+    K = synthesize_robust(rp, n_q=d["n_q"], grid_size=d["grid_size"],
+                          margin=d["margin"], tol=d["tol"])
+    return spec, K
+
+
+def test_shared_lift_sweep_matches_the_per_case_lifts(small_robust,
+                                                      robust_40db_design):
+    # the shared lift sliced per case gives each case's own lifted loop
+    # up to rounding: the same cases and verdicts, margins to 1e-12
+    spec, rp = small_robust
+    K = synthesize_robust(rp, n_q=4, grid_size=96, margin=0.05, max_iter=150)
+    spec_40, K_40 = robust_40db_design
+    # a post filter with feedthrough 0.5: y also reads each detour's
+    # delayed u directly, through the history holds the detours share
+    P_ft = scalar_block([5e-4, 1.0], [1e-3, 1.0])
+    spec_ft = build_generalized_plant(replace(spec.params, P=P_ft),
+                                      spec.channel)
+    runs = ([(spec_40, K_40, seed, 4) for seed in range(4)]
+            + [(spec, K, 5, 8), (spec, K_BAD, 3, 4), (spec_ft, K_BAD, 3, 4)])
+    n_failures = 0
+    for spec, K, seed, N in runs:
+        sweep = robust_stability_sweep(spec, K, n_cases=50, seed=seed, N=N)
+        ref = reference_stability_sweep(spec, K, n_cases=50, seed=seed, N=N)
+        for key in ("n_cases", "n_unstable", "all_stable"):
+            assert sweep[key] == ref[key]
+        assert ([(f["case"], f["extra_paths"]) for f in sweep["failures"]]
+                == [(f["case"], f["extra_paths"]) for f in ref["failures"]])
+        for f, g in zip(sweep["failures"], ref["failures"]):
+            assert abs(f["spectral_margin"] - g["spectral_margin"]) <= 1e-12
+        assert abs(sweep["min_spectral_margin"]
+                   - ref["min_spectral_margin"]) <= 1e-12
+        n_failures += ref["n_unstable"]
+    # K_BAD fails cases, so failure entries were compared too
+    assert n_failures > 0
+
+
+def test_robust_sweep_rejects_negative_counts_and_rates(small_robust):
+    spec, _ = small_robust
+    with pytest.raises(ValueError, match="n_cases"):
+        robust_stability_sweep(spec, K_BAD, n_cases=-1)
+    with pytest.raises(ValueError, match="positive integer"):
+        robust_stability_sweep(spec, K_BAD, N=0)
+
+
+def test_robust_sweep_of_no_cases_lifts_nothing(small_robust, monkeypatch):
+    spec, _ = small_robust
+
+    def no_lift(*args, **kwargs):
+        raise AssertionError("an empty sweep lifted a plant")
+
+    monkeypatch.setattr(synthesis, "lift_core", no_lift)
+    monkeypatch.setattr(synthesis, "build_perturbed_plant", no_lift)
+    assert robust_stability_sweep(spec, K_BAD, n_cases=0) == {
+        "n_cases": 0, "n_unstable": 0, "all_stable": True,
+        "min_spectral_margin": np.inf, "failures": []}
+
+
+def test_robust_sweep_logs_one_debug_line(small_robust, caplog):
+    spec, _ = small_robust
+    with caplog.at_level(logging.DEBUG, logger="relaycancel.synthesis"):
+        robust_stability_sweep(spec, K_BAD, n_cases=10, seed=3, N=4)
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG
+    # the cases draw 10 distinct steps of the 12; the core holds W and P u
+    # (4 states) and x_Pd of every path (2 each, F is static), and the
+    # deepest detour, 4 + 9 or more steps, reads 4 holds of u back:
+    # 4 + 2 * 11 + 2 * 4 = 34
+    assert re.fullmatch(
+        r"robust_stability_sweep: 10 cases, 10 unstable, shared lift of 10 "
+        r"delay steps, 34 states, [0-9.e-]+ s", record.getMessage())
