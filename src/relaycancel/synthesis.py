@@ -374,9 +374,12 @@ def _cut_rows(ch: dict, zinv_pow: np.ndarray, ks: np.ndarray,
 
 
 # bound on every Q coefficient in the LPs (widened to twice a warm
-# start's largest), and objective cuts added per LP
+# start's largest), objective cuts at a seed and at an LP iterate, and
+# constraint cuts at either (fewer where the bound is not nearly reached)
 _Q_BOX = 10.0
+_SEED_CUTS = 24
 _CUTS_PER_ITER = 12
+_CON_CUTS = 32
 
 
 def _solve_minimax(objective: dict, zinv_pow: np.ndarray, n_q: int,
@@ -386,98 +389,74 @@ def _solve_minimax(objective: dict, zinv_pow: np.ndarray, n_q: int,
     """Minimize the grid maximum of sigma_max(T_obj(Q)) over FIR Q.
 
     Optionally subject to sigma_max(T_con(Q)) <= bound on the same grid.
-    Both channels come from ``_prepare_channels``.  Returns (Q, info); info
-    says whether the relative gap reached ``rel_tol`` (``converged``) and
-    what the gap was at the end (``gap``).  Q = 0 is always feasible, so
-    the LP relaxations cannot be infeasible.  ``x_init`` seeds the
-    incumbent (it must be grid-feasible) and its cuts.
+    Both channels come from ``_prepare_channels``.  The seeds Q = 0 and
+    ``x_init`` (if given), then each LP iterate, take one step: score the
+    point with the oracle, cut at its worst grid points, and keep it if it
+    is the best grid-feasible point so far.  Returns (Q, info); info says
+    whether the relative gap reached ``rel_tol`` (``converged``) and what
+    the gap was at the end (``gap``).  The uncertainty channel is zero at
+    Q = 0, so under a positive bound on it the LP relaxations cannot be
+    infeasible.
     """
     n_vars = 4 * n_q
-    n_freq = zinv_pow.shape[0]
-    # LP rows [coefficients, t-coefficient] <= rhs, objective cuts first
-    A_obj, b_obj = np.empty((0, n_vars + 1)), np.empty(0)
-    A_con, b_con = np.empty((0, n_vars + 1)), np.empty(0)
+    # blocks of LP rows [coefficients, t-coefficient] <= rhs; every LP
+    # stacks the objective blocks, then the constraint blocks
+    obj_rows, con_rows = [], []
     oracle_calls, oracle_s, lp_s, cut_s = 0, 0.0, 0.0, 0.0
+    x_best, best = None, math.inf
 
-    def add_obj_cuts(Qz, gains, n_cuts):
-        nonlocal A_obj, b_obj, cut_s
-        t0 = time.perf_counter()
-        ks = np.argsort(gains)[::-1][:n_cuts]
-        coeffs, c0 = _cut_rows(objective, zinv_pow, ks, Qz)
-        A_obj = np.concatenate(
-            [A_obj, np.column_stack([coeffs, np.full(len(ks), -1.0)])])
-        b_obj = np.concatenate([b_obj, -c0])
-        cut_s += time.perf_counter() - t0
+    def cuts(ch, Qz, ks, t_coeff):
+        coeffs, c0 = _cut_rows(ch, zinv_pow, ks, Qz)
+        return np.column_stack([coeffs, np.full(len(ks), t_coeff)]), c0
 
-    def add_con_cuts(Qz, gains, n_cuts):
-        # constraint cuts at the most violated grid points
-        nonlocal A_con, b_con, cut_s
-        t0 = time.perf_counter()
-        ks = np.argsort(gains)[::-1][:n_cuts]
-        ks = ks[gains[ks] > bound - 1e-12]
-        if ks.size:
-            coeffs, c0 = _cut_rows(constraint, zinv_pow, ks, Qz)
-            A_con = np.concatenate(
-                [A_con, np.column_stack([coeffs, np.zeros(len(ks))])])
-            b_con = np.concatenate([b_con, bound - c0])
-        cut_s += time.perf_counter() - t0
-
-    def evaluate(x):
-        nonlocal oracle_calls, oracle_s
+    def visit(x, n_obj_cuts):
+        nonlocal oracle_calls, oracle_s, cut_s, x_best, best
         t0 = time.perf_counter()
         Qz = _q_response(zinv_pow, x.reshape(n_q, 2, 2))
         g_obj = _channel_gains(objective, Qz)
         g_con = _channel_gains(constraint, Qz) if constraint else None
-        oracle_s += time.perf_counter() - t0
+        t1 = time.perf_counter()
+        oracle_s += t1 - t0
         oracle_calls += 1 if constraint is None else 2
-        return Qz, g_obj, g_con
-
-    seeds = [np.zeros(n_vars)]
-    box = _Q_BOX
-    if x_init is not None:
-        seeds.append(np.asarray(x_init, float).reshape(-1))
-        box = max(box, 2.0 * float(np.max(np.abs(x_init))))
-    x_best = seeds[0]
-    best = math.inf
-    feasible_best = False
-    for x_seed in seeds:
-        Qz0, g_obj0, g_con0 = evaluate(x_seed)
-        val = float(np.max(g_obj0))
-        feas = constraint is None or np.max(g_con0) <= bound + 1e-9
-        add_obj_cuts(Qz0, g_obj0, min(24, n_freq))
+        A, c0 = cuts(objective, Qz, np.argsort(g_obj)[::-1][:n_obj_cuts],
+                     -1.0)
+        obj_rows.append((A, -c0))
         if constraint is not None:
-            add_con_cuts(Qz0, g_con0, min(32, n_freq))
-        if feas and val < best:
-            best, x_best, feasible_best = val, x_seed, True
+            # constraint cuts at the most violated grid points
+            ks = np.argsort(g_con)[::-1][:_CON_CUTS]
+            ks = ks[g_con[ks] > bound - 1e-12]
+            if ks.size:
+                A, c0 = cuts(constraint, Qz, ks, 0.0)
+                con_rows.append((A, bound - c0))
+        cut_s += time.perf_counter() - t1
+        val = float(np.max(g_obj))
+        feasible = constraint is None or np.max(g_con) <= bound + 1e-9
+        if feasible and val < best:
+            x_best, best = x, val
+
+    box = _Q_BOX
+    visit(np.zeros(n_vars), _SEED_CUTS)
+    if x_init is not None:
+        x_init = np.asarray(x_init, float).reshape(-1)
+        box = max(box, 2.0 * float(np.max(np.abs(x_init))))
+        visit(x_init, _SEED_CUTS)
 
     c = np.zeros(n_vars + 1)
     c[-1] = 1.0
     bounds = [(-box, box)] * n_vars + [(0.0, None)]
-    lower = 0.0
-    n_iter = 0
-    converged = False
+    lower, n_iter, converged = 0.0, 0, False
     for n_iter in range(1, max_iter + 1):
         t0 = time.perf_counter()
-        res = linprog(c, A_ub=np.concatenate([A_obj, A_con]),
-                      b_ub=np.concatenate([b_obj, b_con]),
-                      bounds=bounds, method="highs")
+        A_ub, b_ub = map(np.concatenate, zip(*obj_rows, *con_rows))
+        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
         lp_s += time.perf_counter() - t0
         if not res.success:
-            raise SynthesisError(f"LP relaxation failed: {res.message}")
-        x_cand = res.x[:n_vars]
+            raise SynthesisError(
+                f"LP relaxation failed at iteration {n_iter} (HiGHS status "
+                f"{res.status}): {res.message}")
         lower = res.x[-1]
-        Qz, g_obj, g_con = evaluate(x_cand)
-        cand_val = float(np.max(g_obj))
-        cand_feasible = constraint is None or np.max(g_con) <= bound + 1e-9
-        add_obj_cuts(Qz, g_obj, _CUTS_PER_ITER)
-        if constraint is not None:
-            add_con_cuts(Qz, g_con, 32)
-        if cand_feasible and cand_val < best:
-            best = cand_val
-            x_best = x_cand
-            feasible_best = True
-        gap = best - lower
-        if feasible_best and gap <= rel_tol * max(best, 1e-9):
+        visit(res.x[:n_vars], _CUTS_PER_ITER)
+        if x_best is not None and best - lower <= rel_tol * max(best, 1e-9):
             converged = True
             break
     rel_gap = (best - lower) / max(best, 1e-9)
@@ -486,13 +465,13 @@ def _solve_minimax(objective: dict, zinv_pow: np.ndarray, n_q: int,
             "cutting-plane reached the iteration cap (%d) with relative "
             "gap %.2e", max_iter, rel_gap,
         )
-    n_cuts = len(b_obj) + len(b_con)
+    n_cuts = sum(len(b) for _, b in obj_rows + con_rows)
     logger.debug(
         "minimax: %d iterations, %d cuts, %d oracle evaluations in %.3f s, "
         "%d LPs in %.3f s, cut rows in %.3f s", n_iter, n_cuts, oracle_calls,
         oracle_s, n_iter, lp_s, cut_s,
     )
-    if not feasible_best:
+    if x_best is None:
         raise SynthesisError(
             "no FIR parameter satisfied the uncertainty-channel bound "
             f"{bound:.4f} on the grid (n_q too small or uncertainty too large)"

@@ -1,7 +1,16 @@
+import time
+
 import pytest
 from hypothesis import settings
 
-from relaycancel.relay import CouplingChannel, RelayParams, scalar_block
+from relaycancel.lifting import fsfh_lift
+from relaycancel.relay import (
+    CouplingChannel,
+    RelayParams,
+    build_generalized_plant,
+    scalar_block,
+)
+from relaycancel.synthesis import synthesize_nominal
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic; numerical kernels have no meaningful per-example deadline.
@@ -31,3 +40,19 @@ def example_params():
 @pytest.fixture
 def example_channel():
     return CouplingChannel(r=0.2, L=1.0)
+
+
+@pytest.fixture(scope="session")
+def nominal_design():
+    """The bundled nominal_60db design (a2 = 1000, nominal channel, N = 16,
+    n_q = 8, grid 256), bitwise what ``cli._design`` gives for that config,
+    made once per session; design_time is its wall time."""
+    t0 = time.perf_counter()
+    params = make_example_params(a2=1000.0)
+    channel = CouplingChannel(r=0.2, L=1.0)
+    spec = build_generalized_plant(params, channel)
+    lp = fsfh_lift(spec, 16)
+    K = synthesize_nominal(lp, tol=1e-3, n_q=8, grid_size=256)
+    elapsed = time.perf_counter() - t0
+    return {"params": params, "channel": channel, "spec": spec, "lp": lp,
+            "K": K, "design_time": elapsed}

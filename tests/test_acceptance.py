@@ -60,17 +60,7 @@ def report(criterion, ok, detail):
     assert ok, f"criterion {criterion}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def nominal_design():
-    t0 = time.perf_counter()
-    params = make_example_params(a2=1000.0)
-    channel = CouplingChannel(r=0.2, L=1.0)
-    spec = build_generalized_plant(params, channel)
-    lp = fsfh_lift(spec, 16)
-    K = synthesize_nominal(lp, tol=1e-3, n_q=8, grid_size=256)
-    elapsed = time.perf_counter() - t0
-    return {"params": params, "channel": channel, "spec": spec, "lp": lp,
-            "K": K, "design_time": elapsed}
+# nominal_design, the bundled nominal_60db design, is shared from conftest
 
 
 @pytest.fixture(scope="module")

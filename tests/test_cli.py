@@ -21,7 +21,9 @@ from relaycancel.cli import (
     write_controller,
     write_trace_csv,
 )
+from relaycancel.lifting import fsfh_lift
 from relaycancel.lti import StateSpace
+from relaycancel.relay import build_generalized_plant
 from relaycancel.sim import SimulationTrace
 from relaycancel.synthesis import Controller, SynthesisError
 
@@ -72,6 +74,20 @@ def test_config_round_trip(tmp_path):
     path.write_text(yaml.safe_dump(cfg))
     again = load_config(str(path))
     assert again == cfg
+
+
+def test_shared_nominal_design_is_the_bundled_config(nominal_design):
+    # the session's nominal design stands in for cli._design of
+    # nominal_60db: the same lifted plant, byte for byte, at its settings
+    cfg = load_config("nominal_60db")
+    d = cfg["design"]
+    lp = fsfh_lift(build_generalized_plant(*cli.config_objects(cfg)), d["N"])
+    for name in "ABCD":
+        assert (getattr(lp.sys, name).tobytes()
+                == getattr(nominal_design["lp"].sys, name).tobytes())
+    meta = nominal_design["K"].meta
+    assert d["mode"] == "nominal"
+    assert all(meta[k] == d[k] for k in ("N", "n_q", "grid_size", "tol"))
 
 
 def test_unknown_keys_rejected():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from relaycancel import cli, lti
+from relaycancel import lti
 from relaycancel.lifting import fsfh_lift, lifted_closed_loop
 from relaycancel.lti import (
     StateSpace,
@@ -737,11 +737,11 @@ def test_loop_shift_is_a_congruence(case, theta):
 
 
 @pytest.fixture(scope="module")
-def nominal_loops():
+def nominal_loops(nominal_design):
     """The bundled nominal_60db design's loops at N = 16 (the design
     rate), 32 (``verify``'s 2N) and 64 (``lift-check``'s range), each
     balanced-truncated as hinf_norm does."""
-    spec, K = cli._design(cli.load_config("nominal_60db"))
+    spec, K = nominal_design["spec"], nominal_design["K"]
     loops = {}
     for N in (16, 32, 64):
         lp = fsfh_lift(spec, N)

@@ -4,6 +4,7 @@ import re
 import time
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -683,6 +684,44 @@ def test_solver_limits_travel_with_the_controller(small_lifted, tmp_path,
     assert capped.meta["gap"] > SMALL_DESIGN["tol"]
     assert capped.meta["iterations"] == 2
     assert "iteration cap (2)" in caplog.text
+
+
+def _small_channels(small_robust):
+    """Both channels of the small robust plant at n_q = 2 on 16 points."""
+    _, omegas, zinv_pow = synthesis._design_grid(small_robust[1], 2, 16, 1e-3)
+    return synthesis._prepare_channels(small_robust[1], omegas), zinv_pow
+
+
+def test_minimax_names_the_failed_lp(small_robust, monkeypatch):
+    (ch1, _), zinv_pow = _small_channels(small_robust)
+    real, calls = synthesis.linprog, []
+
+    def third_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) < 3:
+            return real(*args, **kwargs)
+        return SimpleNamespace(success=False, status=4,
+                               message="numerical difficulties")
+
+    monkeypatch.setattr(synthesis, "linprog", third_fails)
+    with pytest.raises(SynthesisError, match=re.escape(
+            "LP relaxation failed at iteration 3 (HiGHS status 4): "
+            "numerical difficulties")):
+        synthesis._solve_minimax(ch1, zinv_pow, 2)
+
+
+def test_minimax_without_a_feasible_point_says_so(small_robust):
+    # the performance channel as its own constraint, bounded below the LP
+    # lower bound of its unconstrained minimax: no Q in the box meets the
+    # bound, yet the first LP (its cuts are lower bounds) is solvable
+    (ch1, _), zinv_pow = _small_channels(small_robust)
+    _, info = synthesis._solve_minimax(ch1, zinv_pow, 2)
+    bound = 0.99 * info["lp_lower_bound"]
+    with pytest.raises(SynthesisError, match=re.escape(
+            f"no FIR parameter satisfied the uncertainty-channel bound "
+            f"{bound:.4f} on the grid")):
+        synthesis._solve_minimax(ch1, zinv_pow, 2, constraint=ch1,
+                                 bound=bound, max_iter=1)
 
 
 # ---------------------------------------------------------------------------
