@@ -22,9 +22,10 @@ length n_q makes the worst-case-gain objective convex in the Q
 coefficients.  The minimax
 design is solved by a cutting-plane method on a logarithmic frequency
 grid (largest-singular-value constraints are approximated from below by
-linear cuts generated from singular vectors, and the LP relaxations are
-solved with HiGHS).  The grid maximum of sigma_max(T(Q)) that each
-candidate Q is scored by comes from a secular equation, not an SVD:
+linear cuts generated from singular vectors, and each LP relaxation is
+one direct call, ``linprog``, into the HiGHS dual simplex that scipy
+bundles).  The grid maximum of sigma_max(T(Q)) that each candidate Q
+is scored by comes from a secular equation, not an SVD:
 T2 Q T3 has rank 2, so after a Q-independent factorization per grid
 point (``_prepare_oracle``) sigma_max^2 is the largest root of
 det(I - W (lambda - Lam)^{-1} W^H) = 0 with a 2 x 2N matrix W affine in
@@ -95,15 +96,74 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported at the first call.
+@dataclass
+class LPResult:
+    """A ``linprog`` solution (``x`` is None unless optimal), with the
+    ``HighsModelStatus`` value, its name and the simplex iterations."""
 
-    Importing ``scipy.optimize`` takes about 0.3 s and 20 MB, and only a
-    design solves LPs, so ``simulate`` and ``verify`` never load it.
+    x: np.ndarray | None
+    success: bool
+    status: int
+    message: str
+    nit: int
+
+
+def linprog(c, A_ub, b_ub, bounds, method="highs") -> LPResult:
+    """min c x  s.t.  A_ub x <= b_ub, bounds, by HiGHS's dual simplex.
+
+    One fresh ``_Highs`` per call, given the model and options that
+    scipy's own ``linprog(..., method="highs")`` passes it (column-wise,
+    exact zeros dropped, presolve on, console output off), so ``x`` is
+    bitwise scipy's, without its input cleaning, sparse conversion and
+    result post-processing.  ``bounds`` holds one (lower, upper) pair per
+    variable, ``None`` for no bound; non-finite c, A_ub or b_ub raise
+    ``ValueError``.  The bindings are imported at the first call: only a
+    design solves LPs, and ``scipy.optimize`` costs about 0.3 s and 20 MB
+    to import.
     """
-    from scipy.optimize import linprog as scipy_linprog
+    from scipy.optimize._highspy._core import (
+        HighsModelStatus,
+        HighsStatus,
+        _Highs,
+        kHighsInf,
+    )
 
-    return scipy_linprog(*args, **kwargs)
+    if method != "highs":
+        raise ValueError(f"unsupported LP method {method!r}")
+    c, A_ub, b_ub = (np.asarray(a, dtype=float) for a in (c, A_ub, b_ub))
+    # HiGHS would load a NaN and report the model optimal
+    if not all(np.isfinite(a).all() for a in (c, A_ub, b_ub)):
+        raise ValueError("LP data must be finite")
+    (n_rows, n_cols), At = A_ub.shape, A_ub.T
+    # column-wise pattern; exact zeros are dropped, as csc_array drops them
+    nonzero = At != 0
+    a_start = np.zeros(n_cols + 1, dtype=np.int32)
+    np.cumsum(nonzero.sum(axis=1), out=a_start[1:])
+    lb = np.array([-kHighsInf if lo is None else lo for lo, _ in bounds],
+                  dtype=float)
+    ub = np.array([kHighsInf if hi is None else hi for _, hi in bounds],
+                  dtype=float)
+
+    highs = _Highs()
+    for option, value in (("output_flag", False), ("log_to_console", False),
+                          ("presolve", "on"), ("simplex_strategy", 1)):
+        highs.setOptionValue(option, value)
+    # (format 1, sense 1, offset 0) = (kColwise, kMinimize, no offset); an
+    # all-continuous integrality array, since an empty one is a load error
+    loaded = highs.passModel(
+        n_cols, n_rows, int(a_start[-1]), 1, 1, 0.0, c, lb, ub,
+        np.full(n_rows, -kHighsInf), b_ub, a_start,
+        np.nonzero(nonzero)[1].astype(np.int32), At[nonzero],
+        np.zeros(n_cols, dtype=np.int32))
+    if loaded != HighsStatus.kError:  # else the status stays "Not Set"
+        highs.run()
+    status = highs.getModelStatus()
+    success = status == HighsModelStatus.kOptimal
+    return LPResult(
+        x=np.array(highs.getSolution().col_value) if success else None,
+        success=bool(success), status=int(status),
+        message=highs.modelStatusToString(status),
+        nit=int(highs.getInfo().simplex_iteration_count))
 
 
 class SynthesisError(RuntimeError):
@@ -402,7 +462,7 @@ def _solve_minimax(objective: dict, zinv_pow: np.ndarray, n_q: int,
     # blocks of LP rows [coefficients, t-coefficient] <= rhs; every LP
     # stacks the objective blocks, then the constraint blocks
     obj_rows, con_rows = [], []
-    oracle_calls, oracle_s, lp_s, cut_s = 0, 0.0, 0.0, 0.0
+    oracle_calls, oracle_s, lp_s, lp_nit, cut_s = 0, 0.0, 0.0, 0, 0.0
     x_best, best = None, math.inf
 
     def cuts(ch, Qz, ks, t_coeff):
@@ -450,6 +510,7 @@ def _solve_minimax(objective: dict, zinv_pow: np.ndarray, n_q: int,
         A_ub, b_ub = map(np.concatenate, zip(*obj_rows, *con_rows))
         res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
         lp_s += time.perf_counter() - t0
+        lp_nit += res.nit
         if not res.success:
             raise SynthesisError(
                 f"LP relaxation failed at iteration {n_iter} (HiGHS status "
@@ -459,22 +520,22 @@ def _solve_minimax(objective: dict, zinv_pow: np.ndarray, n_q: int,
         if x_best is not None and best - lower <= rel_tol * max(best, 1e-9):
             converged = True
             break
-    rel_gap = (best - lower) / max(best, 1e-9)
-    if not converged:
-        logger.warning(
-            "cutting-plane reached the iteration cap (%d) with relative "
-            "gap %.2e", max_iter, rel_gap,
-        )
     n_cuts = sum(len(b) for _, b in obj_rows + con_rows)
     logger.debug(
         "minimax: %d iterations, %d cuts, %d oracle evaluations in %.3f s, "
-        "%d LPs in %.3f s, cut rows in %.3f s", n_iter, n_cuts, oracle_calls,
-        oracle_s, n_iter, lp_s, cut_s,
+        "%d LPs (%d simplex iterations) in %.3f s, cut rows in %.3f s",
+        n_iter, n_cuts, oracle_calls, oracle_s, n_iter, lp_nit, lp_s, cut_s,
     )
     if x_best is None:
         raise SynthesisError(
             "no FIR parameter satisfied the uncertainty-channel bound "
             f"{bound:.4f} on the grid (n_q too small or uncertainty too large)"
+        )
+    rel_gap = (best - lower) / max(best, 1e-9)
+    if not converged:
+        logger.warning(
+            "cutting-plane reached the iteration cap (%d) with relative "
+            "gap %.2e", max_iter, rel_gap,
         )
     info = {
         "iterations": n_iter,

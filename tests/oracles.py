@@ -17,11 +17,14 @@ to at any set of grid points.  ``reference_prepare_oracle`` and
 are bitwise equal to.  ``reference_stability_sweep`` lifts each
 perturbation case on its own, the loop that
 ``synthesis.robust_stability_sweep`` replaces by slicing one shared lift.
+``reference_linprog`` is ``scipy.optimize.linprog`` with HiGHS, whose
+model and options ``synthesis.linprog`` passes to HiGHS directly.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.signal import butter, sosfilt
 
 from relaycancel.lifting import LiftedPlant, fsfh_lift, lifted_closed_loop
@@ -121,6 +124,11 @@ def reference_cut_rows(ch: dict, zinv_pow: np.ndarray, ks: np.ndarray,
                             * np.conj(a)[None, :, None]
                             * b[None, None, :]).reshape(-1)
     return coeffs, c0
+
+
+def reference_linprog(c, A_ub, b_ub, bounds, method="highs"):
+    """``synthesis.linprog`` through ``scipy.optimize.linprog``."""
+    return linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=method)
 
 
 def reference_stability_sweep(plant: GeneralizedPlantSpec, K,

@@ -1,9 +1,11 @@
 import importlib
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relaycancel
@@ -30,3 +32,32 @@ def test_import_leaves_out_the_heavy_scipy_subpackages():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_the_highs_bindings_linprog_calls_exist():
+    # synthesis.linprog calls scipy's private HiGHS bindings directly; the
+    # scipy floor in pyproject.toml is a release that has all of these
+    from scipy.optimize._highspy import _core
+
+    assert _core.kHighsInf == math.inf
+    highs = _core._Highs()
+    for option, value in (("output_flag", False), ("log_to_console", False),
+                          ("presolve", "on"), ("simplex_strategy", 1)):
+        assert highs.setOptionValue(option, value) == _core.HighsStatus.kOk
+    # the numpy-array overload of passModel, column-wise and minimizing:
+    # min x0 + x1  s.t.  -x0 - x1 <= -1,  0 <= x <= 1
+    model = (2, 1, 2, 1, 1, 0.0, np.ones(2), np.zeros(2), np.ones(2),
+             np.array([-_core.kHighsInf]), np.array([-1.0]),
+             np.array([0, 1, 2], dtype=np.int32),
+             np.array([0, 0], dtype=np.int32), np.array([-1.0, -1.0]))
+    # an empty integrality array is a load error, an all-continuous one not
+    assert (_core._Highs().passModel(*model, np.empty(0, dtype=np.int32))
+            == _core.HighsStatus.kError)
+    assert (highs.passModel(*model, np.zeros(2, dtype=np.int32))
+            == _core.HighsStatus.kOk)
+    assert highs.run() == _core.HighsStatus.kOk
+    status = highs.getModelStatus()
+    assert status == _core.HighsModelStatus.kOptimal
+    assert highs.modelStatusToString(status) == "Optimal"
+    assert sum(highs.getSolution().col_value) == 1.0
+    assert highs.getInfo().simplex_iteration_count >= 0

@@ -3,8 +3,8 @@ import logging
 import re
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,6 +48,7 @@ from oracles import (
     frequency_response,
     materialized_grid_responses,
     reference_cut_rows,
+    reference_linprog,
     reference_prepare_oracle,
     reference_stability_sweep,
 )
@@ -485,21 +486,36 @@ def test_stacked_cut_rows_are_bitwise_the_per_point_loop(name):
 
 
 def _hashed_design(monkeypatch, design):
-    """SHA-256 of every LP's inputs over ``design()``, and its result."""
+    """SHA-256 of every LP's inputs and solution over ``design()``, and
+    its result."""
     digest = hashlib.sha256()
     real = synthesis.linprog
 
     def hashed(c, A_ub, b_ub, bounds, method):
-        for arr in (c, A_ub, b_ub, np.array(bounds, dtype=float)):
+        res = real(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=method)
+        for arr in (c, A_ub, b_ub, np.array(bounds, dtype=float), res.x):
             arr = np.ascontiguousarray(arr)
             digest.update(f"{arr.shape}{arr.dtype}".encode())
             digest.update(arr.tobytes())
-        return real(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=method)
+        return res
 
     with monkeypatch.context() as m:
         m.setattr(synthesis, "linprog", hashed)
         K = design()
     return digest.hexdigest(), K
+
+
+def _small_design(kind, small_robust):
+    if kind == "nominal":
+        return synthesize_nominal(_small_lp(), **SMALL_DESIGN)
+    return synthesize_robust(small_robust[1], **SMALL_DESIGN)
+
+
+def _assert_same_controller(K, K_ref):
+    for name in "ABCD":
+        assert (getattr(K.sys, name).tobytes()
+                == getattr(K_ref.sys, name).tobytes())
+    assert K.gamma_achieved == K_ref.gamma_achieved
 
 
 @pytest.mark.parametrize("kind", ["nominal", "robust"])
@@ -508,19 +524,82 @@ def test_minimax_lps_are_bitwise_the_per_point_loops(monkeypatch, kind,
     # the same LPs, byte for byte, and the same controller whether the
     # minimax factors the grid and forms its cuts stacked or point by point
     def design():
-        if kind == "nominal":
-            return synthesize_nominal(_small_lp(), **SMALL_DESIGN)
-        return synthesize_robust(small_robust[1], **SMALL_DESIGN)
+        return _small_design(kind, small_robust)
     stacked, K = _hashed_design(monkeypatch, design)
     monkeypatch.setattr(synthesis, "_prepare_oracle",
                         reference_prepare_oracle)
     monkeypatch.setattr(synthesis, "_cut_rows", reference_cut_rows)
     looped, K_ref = _hashed_design(monkeypatch, design)
     assert stacked == looped
-    for name in "ABCD":
-        assert (getattr(K.sys, name).tobytes()
-                == getattr(K_ref.sys, name).tobytes())
-    assert K.gamma_achieved == K_ref.gamma_achieved
+    _assert_same_controller(K, K_ref)
+
+
+@pytest.mark.parametrize("kind", ["nominal", "robust"])
+def test_minimax_lps_are_bitwise_scipy_linprog(monkeypatch, kind,
+                                               small_robust):
+    # every LP, its solution included, byte for byte, and the same
+    # controller whether HiGHS is called directly or through
+    # scipy.optimize.linprog
+    def design():
+        return _small_design(kind, small_robust)
+    direct, K = _hashed_design(monkeypatch, design)
+    monkeypatch.setattr(synthesis, "linprog", reference_linprog)
+    via_scipy, K_ref = _hashed_design(monkeypatch, design)
+    assert direct == via_scipy
+    _assert_same_controller(K, K_ref)
+
+
+@st.composite
+def cut_lps(draw):
+    """A small cutting-plane LP: min t over [x, t] with x in a box, t >= 0,
+    objective cuts [a, -1] and constraint cuts [a, 0]; constraint cuts
+    can leave it infeasible."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 10))
+    entry = st.one_of(st.just(0.0), st.floats(-5.0, 5.0))
+    a = np.array(draw(st.lists(entry, min_size=m * n, max_size=m * n)))
+    t_coeffs = draw(st.lists(st.sampled_from((-1.0, 0.0)), min_size=m,
+                             max_size=m))
+    A_ub = np.column_stack([a.reshape(m, n), t_coeffs])
+    b_ub = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=m,
+                                  max_size=m)))
+    box = draw(st.floats(0.1, 10.0))
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    return c, A_ub, b_ub, [(-box, box)] * n + [(0.0, None)]
+
+
+@settings(max_examples=200)
+@given(cut_lps())
+def test_linprog_is_bitwise_scipy_linprog(lp):
+    c, A_ub, b_ub, bounds = lp
+    res = synthesis.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
+                            method="highs")
+    ref = reference_linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
+    assert res.success == ref.success
+    if res.success:
+        assert res.x.tobytes() == ref.x.tobytes()
+
+
+@pytest.mark.parametrize("field", ["c", "A_ub", "b_ub"])
+def test_linprog_rejects_non_finite_data(field):
+    lp = dict(c=np.array([0.0, 1.0]), A_ub=np.array([[1.0, -1.0]]),
+              b_ub=np.array([1.0]))
+    lp[field] = np.where(lp[field] == 1.0, np.nan, lp[field])
+    with pytest.raises(ValueError, match="finite"):
+        synthesis.linprog(**lp, bounds=[(-1.0, 1.0), (0.0, None)],
+                          method="highs")
+
+
+def test_linprog_reports_an_infeasible_lp():
+    from scipy.optimize._highspy._core import HighsModelStatus
+
+    # x <= -1 and -x <= -1: constraint rows only, and no x meets both
+    res = synthesis.linprog(np.array([1.0]), A_ub=np.array([[1.0], [-1.0]]),
+                            b_ub=np.array([-1.0, -1.0]),
+                            bounds=[(None, None)], method="highs")
+    assert res.success is False and res.x is None
+    assert res.status == int(HighsModelStatus.kInfeasible)
+    assert res.message == "Infeasible"
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +724,16 @@ def test_minimax_path_is_the_svd_oracle_path(monkeypatch):
     assert np.max(np.abs(_q(fast) - _q(slow))) <= 1e-12
 
 
-def test_minimax_logs_one_debug_line(caplog):
+def test_minimax_logs_one_debug_line(caplog, monkeypatch):
     lp = _small_lp()
+    real, nits = synthesis.linprog, []
+
+    def counted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        nits.append(res.nit)
+        return res
+
+    monkeypatch.setattr(synthesis, "linprog", counted)
     with caplog.at_level(logging.DEBUG, logger="relaycancel.synthesis"):
         t0 = time.perf_counter()
         K = synthesize_nominal(lp, **SMALL_DESIGN)
@@ -655,15 +742,18 @@ def test_minimax_logs_one_debug_line(caplog):
     assert record.levelno == logging.DEBUG
     match = re.fullmatch(r"minimax: (\d+) iterations, (\d+) cuts, (\d+) "
                          r"oracle evaluations in (\d+\.\d{3}) s, (\d+) LPs "
-                         r"in (\d+\.\d{3}) s, cut rows in (\d+\.\d{3}) s",
+                         r"\((\d+) simplex iterations\) in (\d+\.\d{3}) s, "
+                         r"cut rows in (\d+\.\d{3}) s",
                          record.getMessage())
     assert match
-    iterations, cuts, evaluations, lps = map(int, match.group(1, 2, 3, 5))
+    iterations, cuts, evaluations, lps, lp_nit = map(
+        int, match.group(1, 2, 3, 5, 6))
     # the three stages are timed apart, so their seconds, each rounded to
     # the millisecond, add up to no more than the design's
-    oracle_s, lp_s, cut_s = map(float, match.group(4, 6, 7))
+    oracle_s, lp_s, cut_s = map(float, match.group(4, 7, 8))
     assert oracle_s + lp_s + cut_s <= elapsed + 1.5e-3
-    assert iterations == lps == K.meta["iterations"]
+    assert iterations == lps == len(nits) == K.meta["iterations"]
+    assert lp_nit == sum(nits) > 0
     assert cuts == K.meta["n_cuts"]
     assert evaluations == iterations + 1  # the Q = 0 seed, then one per LP
 
@@ -700,28 +790,35 @@ def test_minimax_names_the_failed_lp(small_robust, monkeypatch):
         calls.append(None)
         if len(calls) < 3:
             return real(*args, **kwargs)
-        return SimpleNamespace(success=False, status=4,
-                               message="numerical difficulties")
+        # HighsModelStatus.kSolveError, as linprog reports it
+        return synthesis.LPResult(x=None, success=False, status=4,
+                                  message="Solve error", nit=0)
 
     monkeypatch.setattr(synthesis, "linprog", third_fails)
     with pytest.raises(SynthesisError, match=re.escape(
             "LP relaxation failed at iteration 3 (HiGHS status 4): "
-            "numerical difficulties")):
+            "Solve error")):
         synthesis._solve_minimax(ch1, zinv_pow, 2)
 
 
-def test_minimax_without_a_feasible_point_says_so(small_robust):
+def test_minimax_without_a_feasible_point_says_so(small_robust, caplog):
     # the performance channel as its own constraint, bounded below the LP
     # lower bound of its unconstrained minimax: no Q in the box meets the
     # bound, yet the first LP (its cuts are lower bounds) is solvable
     (ch1, _), zinv_pow = _small_channels(small_robust)
     _, info = synthesis._solve_minimax(ch1, zinv_pow, 2)
     bound = 0.99 * info["lp_lower_bound"]
-    with pytest.raises(SynthesisError, match=re.escape(
-            f"no FIR parameter satisfied the uncertainty-channel bound "
-            f"{bound:.4f} on the grid")):
-        synthesis._solve_minimax(ch1, zinv_pow, 2, constraint=ch1,
-                                 bound=bound, max_iter=1)
+    with warnings.catch_warnings(record=True) as caught, \
+            caplog.at_level(logging.WARNING, logger="relaycancel.synthesis"):
+        warnings.simplefilter("always")
+        with pytest.raises(SynthesisError, match=re.escape(
+                f"no FIR parameter satisfied the uncertainty-channel bound "
+                f"{bound:.4f} on the grid")):
+            synthesis._solve_minimax(ch1, zinv_pow, 2, constraint=ch1,
+                                     bound=bound, max_iter=1)
+    # with no incumbent there is no gap to form or to report
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "relative gap" not in caplog.text
 
 
 # ---------------------------------------------------------------------------
