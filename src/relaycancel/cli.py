@@ -112,22 +112,34 @@ def _mapping(value, where: str) -> dict:
     return dict(value)
 
 
+def _number(value, kind):
+    """value as kind (float or int); TypeError or ValueError for a
+    boolean, and for a float with a fractional part when kind is int."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    x = kind(value)
+    if kind is int and isinstance(value, float) and x != value:
+        raise ValueError("not an integer")
+    return x
+
+
 def _convert(section: dict, keys, kind, where: str):
     """Convert section[key] to kind (float or int) in place, per key."""
     for key in keys:
         if key not in section:
             raise ConfigError(f"{where} is missing {key!r}")
         try:
-            section[key] = kind(section[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}.{key} must be a number, got "
+            section[key] = _number(section[key], kind)
+        except (TypeError, ValueError, OverflowError):
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{where}.{key} must be {what}, got "
                               f"{section[key]!r}") from None
 
 
 def _float_list(value, where: str) -> list:
     try:
         if isinstance(value, list) and value:
-            return [float(x) for x in value]
+            return [_number(x, float) for x in value]
     except (TypeError, ValueError):
         pass
     raise ConfigError(f"{where} must be a non-empty list of numbers, got "

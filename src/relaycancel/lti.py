@@ -332,13 +332,10 @@ def _sigma_max_grid(sys: StateSpace, n_grid: int,
 
     Every ``_SCREEN_STRIDE``-th point and the last one seed the maximum
     ``best`` by an SVD.  ``_screen`` passes others only where sigma_max(G)
-    < best (1 - 1e-9), so they cannot be the maximizer.  Where some
-    fail, the middle point of each run of consecutive failures gets an
-    SVD, and if that raises ``best`` the screen is rebuilt at the new
-    level for the other failures.  The points left get an SVD of the
-    single-point response, the expression a per-point loop would use,
-    so the maximum is the same float.  ``sigma_D`` is sigma_max(sys.D),
-    for the screen.
+    < best (1 - 1e-9), so they cannot be the maximizer.  Each point that
+    fails gets an SVD of the single-point response, the expression a
+    per-point loop would use, so the maximum is the same float.
+    ``sigma_D`` is sigma_max(sys.D), for the screen.
     """
     rho = float(np.max(np.abs(_eigenvalues(sys)), initial=0.0))
     theta_lo = max(1e-6, 1e-2 * (1.0 - rho))
@@ -359,19 +356,7 @@ def _sigma_max_grid(sys: StateSpace, n_grid: int,
     best = max(svd_at(i) for i in seeds)
     rest = np.setdiff1d(np.arange(thetas.size), seeds)
     passed = _screen(sys, best * (1.0 - 1e-9), thetas[rest], sigma_D)
-    todo = rest if passed is None else rest[~passed]
-    if passed is not None and todo.size:
-        # a peak between seeds: an SVD in the middle of each run of
-        # failures raises the level, and the screen rebuilt there passes
-        # most of the others
-        runs = np.split(todo, np.flatnonzero(np.diff(todo) > 1) + 1)
-        mids = [run[run.size // 2] for run in runs]
-        raised = max(best, *(svd_at(i) for i in mids))
-        todo = np.setdiff1d(todo, mids)
-        if raised > best:
-            todo = todo[~_screen(sys, raised * (1.0 - 1e-9), thetas[todo],
-                                 sigma_D)]
-    for i in todo:
+    for i in rest if passed is None else rest[~passed]:
         svd_at(i)
     # the per-point loop's walk: a strict > keeps the first maximizer
     best, theta_best = 0.0, 0.0
@@ -573,11 +558,12 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6,
     below which sigma_max stays within about 1e-4 relative of its value
     at theta = 0.  The grid maximum is bitwise the one an SVD at every
     grid point gives, but ``_sigma_max_grid`` takes an SVD only at 9
-    seeds and where the Cholesky test of a loop-shifted response fails
-    (``_screen``, 17 x 17 on the nominal loops, where it leaves 9 of 511
-    points to the SVD at N = 16 to 128).  A point it passes can never be
-    the maximizer.  The DEBUG line gives the grid's start, the SVD count,
-    the screen's order and failures, and the pencil eigensolves.
+    seeds and where the Cholesky test of a loop-shifted response, run
+    once at the seeds' maximum, fails (``_screen``, 17 x 17 on the
+    nominal loops, where it leaves 9 of 511 points to the SVD at N = 16
+    to 128).  A point it passes can never be the maximizer.  The DEBUG
+    line gives the grid's start, the SVD count, the screen's order and
+    failures, and the pencil eigensolves.
 
     Above the grid maximum a level is crossed exactly when it lies below
     the norm (Boyd & Balakrishnan, Systems & Control Letters 15, 1990).

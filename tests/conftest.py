@@ -3,14 +3,20 @@ import time
 import pytest
 from hypothesis import settings
 
+from relaycancel.cli import config_objects, load_config
 from relaycancel.lifting import fsfh_lift
 from relaycancel.relay import (
     CouplingChannel,
     RelayParams,
     build_generalized_plant,
     scalar_block,
+    uncertainty_weight,
 )
-from relaycancel.synthesis import synthesize_nominal
+from relaycancel.synthesis import (
+    build_robust_plant,
+    synthesize_nominal,
+    synthesize_robust,
+)
 
 # Property tests draw the same examples on every run, so the suite stays
 # deterministic; numerical kernels have no meaningful per-example deadline.
@@ -56,3 +62,19 @@ def nominal_design():
     elapsed = time.perf_counter() - t0
     return {"params": params, "channel": channel, "spec": spec, "lp": lp,
             "K": K, "design_time": elapsed}
+
+
+@pytest.fixture(scope="session")
+def robust_40db_design():
+    """The bundled robust_40db design (N = 4), bitwise what ``cli._design``
+    gives for that config, with its lifted robust plant ``rp``, made once
+    per session."""
+    cfg = load_config("robust_40db")
+    d = cfg["design"]
+    params, channel = config_objects(cfg)
+    spec = build_generalized_plant(params, channel)
+    rp = build_robust_plant(spec, uncertainty_weight(channel, d["epsilon"]),
+                            d["N"])
+    K = synthesize_robust(rp, n_q=d["n_q"], grid_size=d["grid_size"],
+                          margin=d["margin"], tol=d["tol"])
+    return {"spec": spec, "rp": rp, "K": K}

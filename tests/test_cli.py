@@ -146,8 +146,18 @@ def test_bad_transfer_function_entry_exits_one(tmp_path, capsys, key, entry,
     (("design",), 5, "design must be a mapping, got 5"),
     (("sim", "input"), 5, "sim.input must be a mapping, got 5"),
     (("relay", "h"), [1.0], "relay.h must be a number, got [1.0]"),
+    # int() and float() alone would read these as 16, 64, 1 and 1.0
+    (("design", "N"), 16.7, "design.N must be an integer, got 16.7"),
+    (("sim", "oversample"), 64.9,
+     "sim.oversample must be an integer, got 64.9"),
+    (("sim", "seed"), True, "sim.seed must be an integer, got True"),
+    (("relay", "h"), True, "relay.h must be a number, got True"),
+    (("relay", "F"), {"num": [True], "den": [1.0]},
+     "relay.F.num must be a non-empty list of numbers, got [True]"),
 ], ids=["W.num", "P.num_empty", "extra_path", "extra_paths", "relay",
-        "design", "sim.input", "relay.h"])
+        "design", "sim.input", "relay.h", "design.N_fraction",
+        "sim.oversample_fraction", "sim.seed_bool", "relay.h_bool",
+        "F.num_bool"])
 def test_malformed_config_shape_exits_one(tmp_path, capsys, path, value,
                                           message):
     cfg = json.loads(json.dumps(FAST_CONFIG))
@@ -422,6 +432,40 @@ def test_verify_command(tmp_path):
     assert rc == 0
     vr = json.loads((tmp_path / "verify.json").read_text())
     assert vr["closed_loop_stable"]
+
+
+def test_verify_command_runs_the_perturbation_sweep(tmp_path):
+    # a robust design with a detour on the N = 4 grid (1.25 h = 5 h/4)
+    cfg = json.loads(json.dumps(FAST_CONFIG))
+    cfg["relay"]["a2"] = 100.0
+    cfg["channel"]["extra_paths"] = [{"r": 0.02, "L": 1.25}]
+    cfg["design"] = {"mode": "robust", "N": 4, "n_q": 2, "grid_size": 32}
+    cfg_path = write_cfg(tmp_path, cfg)
+    report_path = tmp_path / "report.json"
+    assert cmd_design(cfg_path, str(report_path)) == 0
+    ctrl = json.loads(report_path.read_text())["controller_file"]
+    rc = main(["verify", "--config", cfg_path, "--controller", ctrl,
+               "--out", str(tmp_path / "verify.json")])
+    assert rc == 0
+    sweep = json.loads((tmp_path / "verify.json").read_text())[
+        "perturbation_sweep"]
+    assert sorted(sweep) == ["all_stable", "min_spectral_margin", "n_cases",
+                             "n_unstable"]
+    assert sweep["n_cases"] == 50
+    assert sweep["all_stable"] and sweep["n_unstable"] == 0
+
+
+def test_lift_check_command(tmp_path):
+    cfg_path = write_cfg(tmp_path, FAST_CONFIG)
+    out = tmp_path / "lift.json"
+    assert main(["lift-check", "--config", cfg_path, "--n-list", "2,4",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    gammas = report["gamma_by_N"]
+    assert sorted(gammas) == ["2", "4"]
+    assert all(np.isfinite(g) and g > 0 for g in gammas.values())
+    assert list(report["relative_successive_change"]) == ["2->4"]
+    assert np.isfinite(report["relative_successive_change"]["2->4"])
 
 
 @pytest.fixture

@@ -1013,24 +1013,13 @@ def test_robust_sweep_passes_for_robust_controller(small_robust):
     assert 0.0 < sweep["min_spectral_margin"] < 1.0
 
 
-@pytest.fixture(scope="module")
-def robust_40db_design():
-    cfg = load_config("robust_40db")
-    params, channel = config_objects(cfg)
-    spec = build_generalized_plant(params, channel)
-    rp, d = _bundled_design_plant("robust_40db")
-    K = synthesize_robust(rp, n_q=d["n_q"], grid_size=d["grid_size"],
-                          margin=d["margin"], tol=d["tol"])
-    return spec, K
-
-
 def test_shared_lift_sweep_matches_the_per_case_lifts(small_robust,
                                                       robust_40db_design):
     # the shared lift sliced per case gives each case's own lifted loop
     # up to rounding: the same cases and verdicts, margins to 1e-12
     spec, rp = small_robust
     K = synthesize_robust(rp, n_q=4, grid_size=96, margin=0.05, max_iter=150)
-    spec_40, K_40 = robust_40db_design
+    spec_40, K_40 = robust_40db_design["spec"], robust_40db_design["K"]
     # a post filter with feedthrough 0.5: y also reads each detour's
     # delayed u directly, through the history holds the detours share
     P_ft = scalar_block([5e-4, 1.0], [1e-3, 1.0])
