@@ -545,6 +545,28 @@ def cmd_lift_check(config: str, out: str | None, n_list) -> int:
 _LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: a malformed option of a command is an input
+    error and exits 1, as a bad configuration does, not argparse's 2,
+    which is the infeasible-synthesis code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _fast_rate_factors(text: str) -> list[int]:
+    """``--n-list``: comma-separated positive integers."""
+    try:
+        factors = [int(x) for x in text.split(",") if x]
+    except ValueError:
+        factors = []
+    if not factors or min(factors) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}")
+    return factors
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relaycancel",
@@ -554,7 +576,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         type=str.upper, choices=_LOG_LEVELS,
                         help="level of the log records printed to stderr "
                              "(default WARNING)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
 
     p = sub.add_parser("design", help="synthesize a canceler from a config")
     p.add_argument("--config", required=True)
@@ -579,7 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift-check", help="FSFH convergence study")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--n-list", default="8,16,32",
+    p.add_argument("--n-list", default="8,16,32", type=_fast_rate_factors,
                    help="comma-separated fast-rate factors")
     return parser
 
@@ -599,8 +622,7 @@ def main(argv=None) -> int:
         if args.command == "reproduce-paper":
             return cmd_reproduce_paper(args.out)
         if args.command == "lift-check":
-            n_list = [int(x) for x in args.n_list.split(",") if x]
-            return cmd_lift_check(args.config, args.out, n_list)
+            return cmd_lift_check(args.config, args.out, args.n_list)
     except SynthesisError as exc:
         print(f"synthesis infeasible: {exc}", file=sys.stderr)
         return 2

@@ -23,14 +23,12 @@ safe to share across threads.
 from __future__ import annotations
 
 import logging
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo
 from scipy.linalg import eig as geig
-from scipy.linalg import expm, solve_triangular
-from scipy.linalg.blas import zherk
-from scipy.linalg.lapack import zpotrf
+from scipy.linalg import expm, schur, solve_triangular
 
 __all__ = [
     "StateSpace",
@@ -51,10 +49,13 @@ STABILITY_MARGIN = 1e-9
 # Points of the theta grid that gives hinf_norm its lower bracket.
 _HINF_GRID = 512
 # _sigma_max_grid takes an SVD at every _SCREEN_STRIDE-th grid point and
-# screens the rest by a Cholesky test of order min(n, p, m), _SCREEN_CHUNK
-# points per stacked solve; from N = 64 on the p x m seed SVDs cost more.
+# screens the rest by a Cholesky test of order min(n, p, m); from N = 64
+# on the p x m seed SVDs cost more.  The screen runs on a Schur form
+# (Laub 1981), _SCREEN_CHUNK points per back-substitution: each step costs
+# a few numpy calls whatever the chunk, and the chunk's buffers, 3 x 74 kB
+# at order 17, are what tracemalloc sees of the grid at N = 32.
 _SCREEN_STRIDE = 64
-_SCREEN_CHUNK = 8
+_SCREEN_CHUNK = 16
 
 logger = logging.getLogger(__name__)
 
@@ -259,12 +260,7 @@ def interconnect(plant: StateSpace, K: StateSpace, partition) -> StateSpace:
     D21, D22 = D[n_z:, :n_w], D[n_z:, n_w:]
     Ak, Bk, Ck, Dk = K.A, K.B, K.C, K.D
 
-    loop = np.eye(n_u) - Dk @ D22
-    cond = np.linalg.cond(loop)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise np.linalg.LinAlgError(
-            "singular algebraic loop: I - D22*Dk is not invertible")
-    Y = np.linalg.solve(loop, np.eye(n_u))  # (I - Dk D22)^-1
+    Y = _loop_gain(Dk, D22)
 
     # u = Y (Ck xk + Dk C2 x + Dk D21 w)
     u_x = Y @ Dk @ C2
@@ -284,6 +280,18 @@ def interconnect(plant: StateSpace, K: StateSpace, partition) -> StateSpace:
     Ccl = np.hstack([C1 + D12 @ u_x, D12 @ u_xk])
     Dcl = D11 + D12 @ u_w
     return StateSpace(Acl, Bcl, Ccl, Dcl, plant.dt)
+
+
+def _loop_gain(Dk: np.ndarray, D22: np.ndarray) -> np.ndarray:
+    """Y = (I - Dk D22)^-1, which closing u = K y around a plant with
+    feedthrough D22 from u to y needs; LinAlgError when the algebraic
+    loop is singular (condition number above 1e12)."""
+    loop = np.eye(Dk.shape[0]) - Dk @ D22
+    cond = np.linalg.cond(loop)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise np.linalg.LinAlgError(
+            "singular algebraic loop: I - D22*Dk is not invertible")
+    return np.linalg.solve(loop, np.eye(Dk.shape[0]))
 
 
 def _eigenvalues(sys: StateSpace) -> np.ndarray:
@@ -383,32 +391,70 @@ def _screen(sys: StateSpace, beta: float, thetas,
     of T, about cond(zI - At) / (1 - d^2) eps relative, moves sigma_max(G)
     by at most 199 x that, inside the grid's 1e-9 margin while the
     product is well below 1e4 (below 100 on the bundled loops).
+
+    T comes from one complex Schur form At = Q S Q' per screen, T = (Rc
+    Q) (zI - S)^-1 (Q' Lb), in place of a solve of zI - At per point
+    (Laub, IEEE TAC 26, 1981).  Both the Schur form and the triangular
+    solve are backward stable, so the rounding of T, and the argument
+    above, are unchanged.  ``_SCREEN_CHUNK`` points at a time share each
+    step: a back-substitution on zI - S with one product per row of S,
+    one product for T, one stacked product for I - T'T and one stacked
+    Cholesky factorization, which leaves nan in a factor that fails.
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     if D.shape[0] < D.shape[1]:
         A, B, C, D = A.T, C.T, B.T, D.T
     if not (beta > 0 and sigma_D <= 0.99 * beta):
         return None
+    S, W, V = _shifted_schur(A, B, C, D, beta)
+    (n, r), q, c = W.shape, V.shape[0], _SCREEN_CHUNK
+    # buffers every chunk reuses: row i of X holds x_i of (zI - S) X = W
+    # for the c points side by side; the c Gram matrices overwrite X and
+    # their factors conj(T), as r <= n and r <= q
+    X = np.empty((n, c * r), complex)
+    T = np.empty((q, c * r), complex)
+    Tc = np.empty((q, c * r), complex)
+    gram = X.reshape(-1)[:c * r * r].reshape(c, r, r)
+    factor = Tc.reshape(-1)[:c * r * r].reshape(c, r, r)
+    diagonal = factor.diagonal(axis1=1, axis2=2)
+    # per point k, Tt[k] = T_k' and Tcs[k] = conj(T_k)
+    Tt = T.reshape(q, c, r).transpose(1, 2, 0)
+    Tcs = Tc.reshape(q, c, r).transpose(1, 0, 2)
+    inv = np.zeros((n, c), complex)  # 1 / (z - s_ii)
+    rows = [(S[i, i + 1:], X[i + 1:], X[i], X[i].reshape(c, r), W[i],
+             inv[i][:, None]) for i in reversed(range(n))]
+    eigs, Ir = np.diag(S)[:, None], np.eye(r)
+    passed = np.zeros(thetas.size, dtype=bool)
+    # a z on an eigenvalue of At or an overflow leaves nan in the factor
+    with np.errstate(all="ignore"):
+        for start in range(0, thetas.size, c):
+            z = np.exp(1j * thetas[start:start + c])
+            np.divide(1.0, z - eigs, out=inv[:, :z.size])
+            for s, x_below, x, x_points, w, inv_points in rows:
+                np.matmul(s, x_below, out=x)
+                x_points += w
+                x_points *= inv_points
+            np.matmul(V, X, out=T)
+            np.conjugate(T, out=Tc)
+            np.matmul(Tt, Tcs, out=gram)  # conj(T'T), Hermitian as T'T
+            np.subtract(Ir, gram, out=gram)
+            cholesky_lo(gram, out=factor)
+            passed[start:start + z.size] = np.isfinite(
+                diagonal[:z.size]).all(axis=1)
+    return passed
+
+
+def _shifted_schur(A, B, C, D, beta: float):
+    """(S, W, V) with T = V (zI - S)^-1 W for ``_screen``'s loop-shifted
+    response, S upper triangular: W = Q' Lb and V = Rc Q."""
     C, D = C / beta, D / beta
     Lp = np.linalg.cholesky(np.eye(D.shape[1]) - D.T @ D)
     F = solve_triangular(Lp, D.T @ C, lower=True)
     Bc = solve_triangular(Lp, B.T, lower=True).T
     Rc = np.linalg.qr(np.vstack([C, F]), mode="r")
     Lb = np.linalg.qr(Bc.T, mode="r").T
-    At, In, Ir = A + Bc @ F, np.eye(A.shape[0]), np.eye(Lb.shape[1])
-    passed = np.zeros(thetas.size, dtype=bool)
-    for start in range(0, thetas.size, _SCREEN_CHUNK):
-        z = np.exp(1j * thetas[start:start + _SCREEN_CHUNK])[:, None, None]
-        # the solve raises where a z is an eigenvalue of At: no pass
-        with np.errstate(all="ignore"), suppress(np.linalg.LinAlgError):
-            T = Rc @ np.linalg.solve(z * In - At, Lb)
-            for k, t in enumerate(T, start):
-                # on the Fortran-ordered view t.T this is I - conj(T'T)
-                gap = zherk(-1.0, t.T, 1.0, Ir, lower=1)
-                L, info = zpotrf(gap, lower=1, clean=0, overwrite_a=1)
-                # overflow's nan entries pass zpotrf but reach L's diagonal
-                passed[k] = not info and np.isfinite(L.diagonal()).all()
-    return passed
+    S, Q = schur(A + Bc @ F, output="complex")
+    return S, Q.conj().T @ Lb, Rc @ Q
 
 
 def _has_unit_circle_crossing(sys: StateSpace, gamma: float) -> bool:
@@ -561,7 +607,9 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6,
     seeds and where the Cholesky test of a loop-shifted response, run
     once at the seeds' maximum, fails (``_screen``, 17 x 17 on the
     nominal loops, where it leaves 9 of 511 points to the SVD at N = 16
-    to 128).  A point it passes can never be the maximizer.  The DEBUG
+    to 128).  The screen evaluates that response through one Schur form
+    of its state matrix (Laub, IEEE TAC 26, 1981) instead of a solve per
+    point.  A point it passes can never be the maximizer.  The DEBUG
     line gives the grid's start, the SVD count, the screen's order and
     failures, and the pencil eigensolves.
 

@@ -19,11 +19,17 @@ perturbation case on its own, the loop that
 ``synthesis.robust_stability_sweep`` replaces by slicing one shared lift.
 ``reference_linprog`` is ``scipy.optimize.linprog`` with HiGHS, whose
 model and options ``synthesis.linprog`` passes to HiGHS directly.
+``reference_screen`` is ``lti._screen`` with a resolvent solve and a
+Cholesky factorization per point, in place of its Schur form.
 """
 
 import math
+from contextlib import suppress
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.linalg.blas import zherk
+from scipy.linalg.lapack import zpotrf
 from scipy.optimize import linprog
 from scipy.signal import butter, sosfilt
 
@@ -129,6 +135,38 @@ def reference_cut_rows(ch: dict, zinv_pow: np.ndarray, ks: np.ndarray,
 def reference_linprog(c, A_ub, b_ub, bounds, method="highs"):
     """``synthesis.linprog`` through ``scipy.optimize.linprog``."""
     return linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=method)
+
+
+def reference_screen(sys: StateSpace, beta: float, thetas,
+                     sigma_D: float) -> np.ndarray | None:
+    """``lti._screen`` by the same loop shift, with T from a solve of
+    zI - At, eight points at a time, and one Cholesky factorization of
+    I - T'T per point."""
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    if D.shape[0] < D.shape[1]:
+        A, B, C, D = A.T, C.T, B.T, D.T
+    if not (beta > 0 and sigma_D <= 0.99 * beta):
+        return None
+    C, D = C / beta, D / beta
+    Lp = np.linalg.cholesky(np.eye(D.shape[1]) - D.T @ D)
+    F = solve_triangular(Lp, D.T @ C, lower=True)
+    Bc = solve_triangular(Lp, B.T, lower=True).T
+    Rc = np.linalg.qr(np.vstack([C, F]), mode="r")
+    Lb = np.linalg.qr(Bc.T, mode="r").T
+    At, In, Ir = A + Bc @ F, np.eye(A.shape[0]), np.eye(Lb.shape[1])
+    passed = np.zeros(thetas.size, dtype=bool)
+    for start in range(0, thetas.size, 8):
+        z = np.exp(1j * thetas[start:start + 8])[:, None, None]
+        # the solve raises where a z is an eigenvalue of At: no pass
+        with np.errstate(all="ignore"), suppress(np.linalg.LinAlgError):
+            T = Rc @ np.linalg.solve(z * In - At, Lb)
+            for k, t in enumerate(T, start):
+                # on the Fortran-ordered view t.T this is I - conj(T'T)
+                gap = zherk(-1.0, t.T, 1.0, Ir, lower=1)
+                L, info = zpotrf(gap, lower=1, clean=0, overwrite_a=1)
+                # overflow's nan entries pass zpotrf but reach L's diagonal
+                passed[k] = not info and np.isfinite(L.diagonal()).all()
+    return passed
 
 
 def reference_stability_sweep(plant: GeneralizedPlantSpec, K,

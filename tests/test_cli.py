@@ -468,6 +468,21 @@ def test_lift_check_command(tmp_path):
     assert np.isfinite(report["relative_successive_change"]["2->4"])
 
 
+@pytest.mark.parametrize("n_list", ["0", "2.5"])
+def test_lift_check_rejects_a_bad_n_list_before_designing(
+        tmp_path, capsys, monkeypatch, n_list):
+    def no_design(cfg):
+        raise AssertionError("designed before checking --n-list")
+
+    monkeypatch.setattr(cli, "_design", no_design)
+    cfg_path = write_cfg(tmp_path, FAST_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main(["lift-check", "--config", cfg_path, "--n-list", n_list])
+    assert exc.value.code == 1
+    assert (f"error: argument --n-list: expected comma-separated positive "
+            f"integers, got '{n_list}'") in capsys.readouterr().err
+
+
 @pytest.fixture
 def package_log_level():
     logger = logging.getLogger("relaycancel")

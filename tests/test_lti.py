@@ -20,7 +20,7 @@ from relaycancel.lti import (
     zoh_discretize,
 )
 
-from oracles import frequency_response
+from oracles import frequency_response, reference_screen
 
 
 def random_stable(rng, n, m, p, dt=None, margin=0.3):
@@ -728,6 +728,24 @@ def test_screen_passes_only_points_below_beta(case):
     assert np.all(passed[sigma < beta * (1.0 - 1e-6)])
 
 
+@settings(max_examples=200)
+@given(screen_cases(), st.sampled_from((1, 16, 17, 129)))
+def test_screen_agrees_with_the_per_point_reference(case, n_thetas):
+    # the Schur-form screen and the per-point solve differ only in
+    # rounding: they pass the same points wherever sigma_max is not
+    # within 1e-9 relative of beta, also in a partial chunk
+    sys, beta = case
+    thetas = np.linspace(0.0, np.pi, n_thetas)
+    passed = lti._screen(sys, beta, thetas, _sigma_D(sys))
+    reference = reference_screen(sys, beta, thetas, _sigma_D(sys))
+    assert (passed is None) == (reference is None)
+    assume(passed is not None)
+    sigma = np.array([np.linalg.svd(G, compute_uv=False)[0]
+                      for G in _responses(sys, thetas)])
+    clear = np.abs(sigma - beta) > 1e-9 * beta
+    assert np.array_equal(passed[clear], reference[clear])
+
+
 @settings(max_examples=100)
 @given(screen_cases(), st.floats(0.0, np.pi))
 def test_loop_shift_is_a_congruence(case, theta):
@@ -816,8 +834,9 @@ def test_sigma_max_grid_is_bitwise_on_the_robust_loop(robust_loops, channel,
 
 
 def test_sigma_max_grid_memory_stays_chunked(nominal_loops):
-    # measured 0.21 MB at N=32; a chunk of eight 64 x 64 complex responses,
-    # as a screen of the p x m response would stack, is 0.52 MB by itself
+    # measured 0.35 MB at N=32, most of it the screen's three chunk
+    # buffers; a chunk of sixteen 64 x 64 complex responses, as a screen
+    # of the p x m response would stack, is 1.05 MB by itself
     tracemalloc.start()
     try:
         lti._sigma_max_grid(nominal_loops[32], lti._HINF_GRID,

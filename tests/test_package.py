@@ -61,3 +61,20 @@ def test_the_highs_bindings_linprog_calls_exist():
     assert highs.modelStatusToString(status) == "Optimal"
     assert sum(highs.getSolution().col_value) == 1.0
     assert highs.getInfo().simplex_iteration_count >= 0
+
+
+def test_the_stacked_cholesky_the_screen_calls_exists():
+    # lti._screen factors a chunk of Gram matrices by numpy's private
+    # gufunc: a failed factor is left as nan instead of raising, and the
+    # result goes to a buffer the screen keeps
+    from numpy.linalg._umath_linalg import cholesky_lo
+
+    spd = np.array([[4.0, 2.0 - 2.0j], [2.0 + 2.0j, 6.0]])
+    stack = np.stack([spd, np.array([[1.0, 2.0], [2.0, 1.0]], complex)])
+    out = np.empty_like(stack)
+    with np.errstate(all="ignore"):
+        L = cholesky_lo(stack, out=out)
+    assert L is out
+    assert np.allclose(L[0] @ L[0].conj().T, spd)
+    assert L[0, 0, 1] == 0.0 and np.all(L[0].diagonal().real > 0.0)
+    assert np.isnan(L[1]).all()
