@@ -2,13 +2,14 @@
 
 Configuration is a single YAML document; unknown keys are rejected and
 every report embeds the full effective configuration including defaults,
-so reports are re-runnable.  Exit codes: 0 success, 1 configuration or
-I/O error, 2 infeasible synthesis (``SynthesisError``, reported as
-"synthesis infeasible: ..." by every command) or a failed experiment
-expectation, 3 internal numerical failure (a ``RuntimeError`` such as a
-norm bisection that does not converge, or a ``LinAlgError`` such as a
-singular resolvent, a singular algebraic loop or a matrix exponential
-with non-finite entries; reported as "numerical failure: ...").
+so reports are re-runnable.  Exit codes: 0 success, 1 usage,
+configuration or I/O error, 2 infeasible synthesis (``SynthesisError``,
+reported as "synthesis infeasible: ..." by every command) or a failed
+experiment expectation, 3 internal numerical failure (a ``RuntimeError``
+such as a norm bisection that does not converge, or a ``LinAlgError``
+such as a singular resolvent, a singular algebraic loop or a matrix
+exponential with non-finite entries; reported as "numerical failure:
+...").
 ``simulate --out PREFIX`` appends ``.csv`` and ``.metrics.json`` to the
 prefix, dots and all; ``design --out REPORT`` writes the controller to
 REPORT with ``.controller.yaml`` in place of a trailing ``.json``, or
@@ -79,17 +80,17 @@ _INPUT_DEFAULTS = {
     "filter": "through_P",
 }
 
-# perturbation used by the reference divergence/robustness experiments
-_FIG10_PERTURBATION = {"r_factor": 0.07, "L_factor": 1.1}
-
-# reference experiments: figure, config, perturbed channel, expected
-# outcome, message when it is not met; each simulates at its config's
-# oversample, which for a perturbed run puts the 1.1 h detour on the grid
+# reference experiments: figure, design config, run config, expected
+# outcome, message when it is not met.  fig10 and fig11 run on
+# nominal_40db, whose detour path (unmodeled by the nominal design)
+# is the paper's perturbation.
 _EXPERIMENTS = (
-    ("fig9", "nominal_60db", False, "stable", "nominal cancelation diverged"),
-    ("fig10", "nominal_40db", True, "diverged",
+    ("fig9", "nominal_60db", "nominal_60db", "stable",
+     "nominal cancelation diverged"),
+    ("fig10", "nominal_40db", "nominal_40db", "diverged",
      "perturbed nominal loop did not diverge"),
-    ("fig11", "robust_40db", True, "stable", "robust cancelation diverged"),
+    ("fig11", "robust_40db", "nominal_40db", "stable",
+     "robust cancelation diverged"),
 )
 
 
@@ -114,10 +115,13 @@ def _mapping(value, where: str) -> dict:
 
 def _number(value, kind):
     """value as kind (float or int); TypeError or ValueError for a
-    boolean, and for a float with a fractional part when kind is int."""
+    boolean, for an infinite or NaN float, and for a float with a
+    fractional part when kind is int."""
     if isinstance(value, bool):
         raise TypeError("a boolean is not a number")
     x = kind(value)
+    if kind is float and not np.isfinite(x):
+        raise ValueError("not finite")
     if kind is int and isinstance(value, float) and x != value:
         raise ValueError("not an integer")
     return x
@@ -252,12 +256,6 @@ def config_objects(cfg: dict):
         extra_paths=tuple((p["r"], p["L"]) for p in ch["extra_paths"]),
     )
     return params, channel
-
-
-def _input_spec(cfg: dict) -> InputSpec:
-    inp = cfg["sim"]["input"]
-    return InputSpec(kind=inp["kind"], period=inp["period"],
-                     filter=inp["filter"])
 
 
 # ---------------------------------------------------------------------------
@@ -396,30 +394,37 @@ def cmd_design(config: str, out: str) -> int:
     return 0
 
 
+def _simulate(cfg: dict, K: Controller, csv_path: Path,
+              seed: int | None = None, oversample: int | None = None):
+    """Simulate K in a config's relay, channel and sim sections, seed and
+    oversample overriding the config's when given, and write the trace
+    to csv_path."""
+    params, channel = config_objects(cfg)
+    sim, inp = cfg["sim"], cfg["sim"]["input"]
+    trace = simulate_closed_loop(SimConfig(
+        params=params, channel=channel, K=K, duration=sim["duration"],
+        oversample=sim["oversample"] if oversample is None else oversample,
+        input=InputSpec(kind=inp["kind"], period=inp["period"],
+                        filter=inp["filter"]),
+        seed=sim["seed"] if seed is None else seed))
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    write_trace_csv(trace, csv_path)
+    return trace
+
+
 def cmd_simulate(config: str, controller: str, out_prefix: str,
                  seed: int | None = None,
                  oversample: int | None = None) -> int:
     cfg = load_config(config)
     K = read_controller(controller)
-    params, channel = config_objects(cfg)
-    sim_cfg = SimConfig(
-        params=params, channel=channel, K=K,
-        duration=cfg["sim"]["duration"],
-        oversample=(oversample if oversample is not None
-                    else cfg["sim"]["oversample"]),
-        input=_input_spec(cfg),
-        seed=seed if seed is not None else cfg["sim"]["seed"],
-    )
-    trace = simulate_closed_loop(sim_cfg)
+    # suffixes are appended, so a dotted prefix such as runs/v1.2 is kept
+    csv_path = Path(f"{out_prefix}.csv")
+    trace = _simulate(cfg, K, csv_path, seed=seed, oversample=oversample)
     # the induced-gain bound applies to unit-energy shaped disturbances only
     gamma = (K.gamma_achieved
              if isinstance(K.gamma_achieved, float)
-             and sim_cfg.input.kind == "unit_norm_l2" else None)
+             and cfg["sim"]["input"]["kind"] == "unit_norm_l2" else None)
     m = metrics(trace, gamma=gamma)
-    # suffixes are appended, so a dotted prefix such as runs/v1.2 is kept
-    csv_path = Path(f"{out_prefix}.csv")
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(trace, csv_path)
     _write_json({"config": cfg, "metrics": m},
                 Path(f"{out_prefix}.metrics.json"))
     print(f"trace written to {csv_path}; diverged={m['diverged']}")
@@ -452,23 +457,17 @@ def cmd_verify(config: str, controller: str, out: str | None = None) -> int:
     return 0 if ok else 2
 
 
-def _fig10_channel(channel: CouplingChannel) -> CouplingChannel:
-    return CouplingChannel(
-        r=channel.r, L=channel.L,
-        extra_paths=((_FIG10_PERTURBATION["r_factor"] * channel.r,
-                      _FIG10_PERTURBATION["L_factor"] * channel.L),),
-    )
-
-
 def cmd_reproduce_paper(out_dir: str) -> int:
     """Run the three reference experiments end to end with pinned seeds.
 
-    fig9 is the nominal design on its nominal channel; fig10 the nominal
-    design at the lower transmit gain on the perturbed channel, where the
-    unmodeled detour path destabilizes the loop; fig11 the robust design
-    under the same perturbation.  The nominal Q* does not depend on the
-    transmit gain, so fig10 reuses fig9's (checked to fit); G22, the
-    closed loop and gamma are fig10's own.
+    Each figure designs from one bundled config and simulates on one, as
+    ``design`` and ``simulate`` would (see ``_EXPERIMENTS``).  fig9 is the nominal design on
+    its nominal channel; fig10 the nominal design at the lower transmit
+    gain on nominal_40db's channel, where the detour path the design
+    does not model destabilizes the loop; fig11 the robust design on the
+    same channel.  The nominal Q* does not depend on the transmit gain,
+    so fig10 reuses fig9's (checked to fit); G22, the closed loop and
+    gamma are fig10's own.
 
     fig11's design does not depend on the other two, so it runs on a
     worker thread of a one-thread pool scoped to this call while this
@@ -486,18 +485,10 @@ def cmd_reproduce_paper(out_dir: str) -> int:
     with ThreadPoolExecutor(max_workers=1) as pool:
         robust = pool.submit(_design, cfgs["robust_40db"])
         K = None
-        for fig, config, perturbed, expected, failure in _EXPERIMENTS:
-            cfg = cfgs[config]
-            spec, K = (robust.result() if config == "robust_40db"
-                       else _design(cfg, reuse=K))
-            params, channel = config_objects(cfg)
-            trace = simulate_closed_loop(SimConfig(
-                params=params,
-                channel=_fig10_channel(channel) if perturbed else channel,
-                K=K, duration=cfg["sim"]["duration"],
-                oversample=cfg["sim"]["oversample"],
-                input=_input_spec(cfg), seed=cfg["sim"]["seed"]))
-            write_trace_csv(trace, out / f"{fig}.csv")
+        for fig, design, run, expected, failure in _EXPERIMENTS:
+            _, K = (robust.result() if design == "robust_40db"
+                    else _design(cfgs[design], reuse=K))
+            trace = _simulate(cfgs[run], K, out / f"{fig}.csv")
             g = K.gamma_achieved
             gammas = ({**g, "small_gain": g["gamma2"] <= 1.0}
                       if isinstance(g, dict) else {"gamma": g})
@@ -546,9 +537,9 @@ _LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """A command's parser: a malformed option of a command is an input
-    error and exits 1, as a bad configuration does, not argparse's 2,
-    which is the infeasible-synthesis code here."""
+    """A malformed command line, before or after the command, is an
+    input error and exits 1, as a bad configuration does, not argparse's
+    2, which is the infeasible-synthesis code here."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -568,7 +559,7 @@ def _fast_rate_factors(text: str) -> list[int]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _CommandParser(
         prog="relaycancel",
         description="design and simulate digital coupling-wave cancelers",
     )

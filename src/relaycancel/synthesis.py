@@ -107,7 +107,7 @@ class LPResult:
     nit: int
 
 
-def linprog(c, A_ub, b_ub, bounds, method="highs") -> LPResult:
+def linprog(c, A_ub, b_ub, bounds) -> LPResult:
     """min c x  s.t.  A_ub x <= b_ub, bounds, by HiGHS's dual simplex.
 
     One fresh ``_Highs`` per call, given the model and options that
@@ -127,8 +127,6 @@ def linprog(c, A_ub, b_ub, bounds, method="highs") -> LPResult:
         kHighsInf,
     )
 
-    if method != "highs":
-        raise ValueError(f"unsupported LP method {method!r}")
     c, A_ub, b_ub = (np.asarray(a, dtype=float) for a in (c, A_ub, b_ub))
     # HiGHS would load a NaN and report the model optimal
     if not all(np.isfinite(a).all() for a in (c, A_ub, b_ub)):
@@ -507,7 +505,7 @@ def _solve_minimax(objective: dict, zinv_pow: np.ndarray, n_q: int,
     for n_iter in range(1, max_iter + 1):
         t0 = time.perf_counter()
         A_ub, b_ub = map(np.concatenate, zip(*obj_rows, *con_rows))
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
         lp_s += time.perf_counter() - t0
         lp_nit += res.nit
         if not res.success:

@@ -434,6 +434,7 @@ def test_criterion_7_reproduction_determinism(tmp_path, monkeypatch):
     configs = {name: cli.load_config(name) for name in names}
     local = threading.local()
     per_design = {name: [] for name in names}
+    controllers = {}
 
     def counted_minimax(*args, **kwargs):
         local.solves += 1
@@ -444,6 +445,7 @@ def test_criterion_7_reproduction_determinism(tmp_path, monkeypatch):
         result = design(cfg, *args, **kwargs)
         [name] = [n for n, c in configs.items() if c == cfg]
         per_design[name].append(local.solves)
+        controllers[name] = result[1]
         return result
 
     solve_minimax, design = synthesis._solve_minimax, cli._design
@@ -459,6 +461,26 @@ def test_criterion_7_reproduction_determinism(tmp_path, monkeypatch):
         (out1 / name).read_bytes() == (out2 / name).read_bytes()
         for name in ("fig9.csv", "fig10.csv", "fig11.csv", "summary.json")
     )
-    ok = rc1 == 0 and rc2 == 0 and same
+    # fig10 and fig11 are `simulate --config nominal_40db` of the two
+    # 40 dB controllers
+    as_simulated = True
+    for fig, name in (("fig10", "nominal_40db"), ("fig11", "robust_40db")):
+        ctrl = tmp_path / f"{name}.controller.yaml"
+        cli.write_controller(controllers[name], ctrl)
+        assert cli.cmd_simulate("nominal_40db", str(ctrl),
+                                str(tmp_path / fig)) == 0
+        as_simulated &= ((tmp_path / f"{fig}.csv").read_bytes()
+                         == (out1 / f"{fig}.csv").read_bytes())
+    ok = rc1 == 0 and rc2 == 0 and same and as_simulated
     report("7 (byte-identical reproduction)", ok,
-           f"exit codes {rc1},{rc2}; identical CSVs and summary={same}")
+           f"exit codes {rc1},{rc2}; identical CSVs and summary={same}; "
+           f"fig10/fig11 equal to simulate's={as_simulated}")
+
+
+def test_nominal_40db_detour_is_the_paper_perturbation():
+    # reproduce-paper's fig10 and fig11 run on nominal_40db as written, so
+    # its one detour path must be the paper's: 0.07 r at 1.1 L
+    ch = cli.load_config("nominal_40db")["channel"]
+    [path] = ch["extra_paths"]
+    assert path["r"] == pytest.approx(0.07 * ch["r"], rel=1e-15, abs=0.0)
+    assert path["L"] == 1.1 * ch["L"]

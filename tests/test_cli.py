@@ -154,10 +154,18 @@ def test_bad_transfer_function_entry_exits_one(tmp_path, capsys, key, entry,
     (("relay", "h"), True, "relay.h must be a number, got True"),
     (("relay", "F"), {"num": [True], "den": [1.0]},
      "relay.F.num must be a non-empty list of numbers, got [True]"),
+    # YAML's .inf and .nan are floats, but no config number may be one
+    (("sim", "duration"), float("inf"),
+     "sim.duration must be a number, got inf"),
+    (("relay", "a1"), float("nan"), "relay.a1 must be a number, got nan"),
+    (("design", "tol"), float("inf"), "design.tol must be a number, got inf"),
+    (("relay", "W"), {"num": [float("-inf")], "den": [1.0]},
+     "relay.W.num must be a non-empty list of numbers, got [-inf]"),
 ], ids=["W.num", "P.num_empty", "extra_path", "extra_paths", "relay",
         "design", "sim.input", "relay.h", "design.N_fraction",
         "sim.oversample_fraction", "sim.seed_bool", "relay.h_bool",
-        "F.num_bool"])
+        "F.num_bool", "sim.duration_inf", "relay.a1_nan", "design.tol_inf",
+        "W.num_inf"])
 def test_malformed_config_shape_exits_one(tmp_path, capsys, path, value,
                                           message):
     cfg = json.loads(json.dumps(FAST_CONFIG))
@@ -505,8 +513,17 @@ def test_log_level_flag(tmp_path, caplog, capsys, package_log_level):
     assert not [r for r in caplog.records if r.levelno < logging.INFO]
     with pytest.raises(SystemExit) as exc:
         main(["--log-level", "LOUD"] + argv)
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert "invalid choice: 'LOUD'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [([], 1), (["--help"], 0)],
+                         ids=["no_command", "help"])
+def test_top_level_usage_exit_codes(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert "usage: relaycancel" in "".join(capsys.readouterr())
 
 
 @pytest.mark.parametrize("command", ["design", "reproduce-paper",

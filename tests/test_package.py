@@ -78,3 +78,12 @@ def test_the_stacked_cholesky_the_screen_calls_exists():
     assert np.allclose(L[0] @ L[0].conj().T, spd)
     assert L[0, 0, 1] == 0.0 and np.all(L[0].diagonal().real > 0.0)
     assert np.isnan(L[1]).all()
+
+
+def test_the_numpy_2_names_the_package_uses_exist():
+    # synthesis transposes stacks by ndarray.mT and sim integrates by
+    # np.trapezoid; both arrived in numpy 2.0, the floor in pyproject.toml
+    stack = np.arange(12.0).reshape(2, 2, 3)
+    assert np.array_equal(stack.mT, np.swapaxes(stack, -1, -2))
+    x = np.array([0.0, 1.0, 2.0])
+    assert np.trapezoid(x, x) == 2.0

@@ -491,8 +491,8 @@ def _hashed_design(monkeypatch, design):
     digest = hashlib.sha256()
     real = synthesis.linprog
 
-    def hashed(c, A_ub, b_ub, bounds, method):
-        res = real(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method=method)
+    def hashed(c, A_ub, b_ub, bounds):
+        res = real(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
         for arr in (c, A_ub, b_ub, np.array(bounds, dtype=float), res.x):
             arr = np.ascontiguousarray(arr)
             digest.update(f"{arr.shape}{arr.dtype}".encode())
@@ -572,8 +572,7 @@ def cut_lps(draw):
 @given(cut_lps())
 def test_linprog_is_bitwise_scipy_linprog(lp):
     c, A_ub, b_ub, bounds = lp
-    res = synthesis.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
-                            method="highs")
+    res = synthesis.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
     ref = reference_linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
     assert res.success == ref.success
     if res.success:
@@ -586,8 +585,7 @@ def test_linprog_rejects_non_finite_data(field):
               b_ub=np.array([1.0]))
     lp[field] = np.where(lp[field] == 1.0, np.nan, lp[field])
     with pytest.raises(ValueError, match="finite"):
-        synthesis.linprog(**lp, bounds=[(-1.0, 1.0), (0.0, None)],
-                          method="highs")
+        synthesis.linprog(**lp, bounds=[(-1.0, 1.0), (0.0, None)])
 
 
 def test_linprog_reports_an_infeasible_lp():
@@ -596,7 +594,7 @@ def test_linprog_reports_an_infeasible_lp():
     # x <= -1 and -x <= -1: constraint rows only, and no x meets both
     res = synthesis.linprog(np.array([1.0]), A_ub=np.array([[1.0], [-1.0]]),
                             b_ub=np.array([-1.0, -1.0]),
-                            bounds=[(None, None)], method="highs")
+                            bounds=[(None, None)])
     assert res.success is False and res.x is None
     assert res.status == int(HighsModelStatus.kInfeasible)
     assert res.message == "Infeasible"
