@@ -114,11 +114,12 @@ def _mapping(value, where: str) -> dict:
 
 
 def _number(value, kind):
-    """value as kind (float or int); TypeError or ValueError for a
-    boolean, for an infinite or NaN float, and for a float with a
-    fractional part when kind is int."""
-    if isinstance(value, bool):
-        raise TypeError("a boolean is not a number")
+    """value as kind (float or int); TypeError or ValueError for anything
+    but an int or a float (a boolean or a quoted "1.0" among them), for
+    an infinite or NaN float, and for a float with a fractional part when
+    kind is int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("not a number")
     x = kind(value)
     if kind is float and not np.isfinite(x):
         raise ValueError("not finite")
@@ -144,7 +145,7 @@ def _float_list(value, where: str) -> list:
     try:
         if isinstance(value, list) and value:
             return [_number(x, float) for x in value]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{where} must be a non-empty list of numbers, got "
                       f"{value!r}")
@@ -178,7 +179,8 @@ def effective_config(raw: dict) -> dict:
     channel = _mapping(raw["channel"], "channel")
     _check_keys(channel, {"r", "L", "extra_paths"}, "channel")
     _convert(channel, ("r", "L"), float, "channel")
-    paths = channel.get("extra_paths") or []
+    paths = channel.get("extra_paths")
+    paths = [] if paths is None else paths  # missing or null: no detours
     if not isinstance(paths, list):
         raise ConfigError("channel.extra_paths must be a list of r/L "
                           f"mappings, got {paths!r}")
@@ -202,6 +204,9 @@ def effective_config(raw: dict) -> dict:
     _check_keys(sim, set(_SIM_DEFAULTS) | {"input"}, "sim")
     _convert(sim, ("duration",), float, "sim")
     _convert(sim, ("oversample", "seed"), int, "sim")
+    if sim["seed"] < 0:
+        raise ConfigError("sim.seed must be a non-negative integer, got "
+                          f"{sim['seed']!r}")
     inp = {**_INPUT_DEFAULTS, **_mapping(sim.get("input"), "sim.input")}
     _check_keys(inp, _INPUT_DEFAULTS, "sim.input")
     _convert(inp, ("period",), float, "sim.input")
@@ -296,7 +301,7 @@ def read_controller(path) -> Controller:
     try:
         return controller_from_dict(
             yaml.load(Path(path).read_text(), Loader=_SAFE_LOADER))
-    except (OSError, yaml.YAMLError, KeyError, TypeError) as exc:
+    except (OSError, yaml.YAMLError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read controller {path}: {exc}") from exc
 
 
@@ -461,11 +466,12 @@ def cmd_reproduce_paper(out_dir: str) -> int:
     """Run the three reference experiments end to end with pinned seeds.
 
     Each figure designs from one bundled config and simulates on one, as
-    ``design`` and ``simulate`` would (see ``_EXPERIMENTS``).  fig9 is the nominal design on
-    its nominal channel; fig10 the nominal design at the lower transmit
-    gain on nominal_40db's channel, where the detour path the design
-    does not model destabilizes the loop; fig11 the robust design on the
-    same channel.  The nominal Q* does not depend on the transmit gain,
+    ``design`` and ``simulate`` would (see ``_EXPERIMENTS``, each of whose
+    configs is loaded once, before any design).  fig9 is the nominal
+    design on its nominal channel; fig10 the nominal design at the lower
+    transmit gain on nominal_40db's channel, where the detour path the
+    design does not model destabilizes the loop; fig11 the robust design
+    on the same channel.  The nominal Q* does not depend on the transmit gain,
     so fig10 reuses fig9's (checked to fit); G22, the closed loop and
     gamma are fig10's own.
 
@@ -479,7 +485,8 @@ def cmd_reproduce_paper(out_dir: str) -> int:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfgs = {config: load_config(config) for _, config, *_ in _EXPERIMENTS}
+    cfgs = {name: load_config(name) for name in dict.fromkeys(
+        name for _, design, run, *_ in _EXPERIMENTS for name in (design, run))}
     summary = {"criteria": {}}
     failures = []
     with ThreadPoolExecutor(max_workers=1) as pool:
@@ -546,6 +553,14 @@ class _CommandParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a non-negative integer, as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _fast_rate_factors(text: str) -> list[int]:
     """``--n-list``: comma-separated positive integers."""
     try:
@@ -578,7 +593,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--controller", required=True)
     p.add_argument("--out", required=True, help="output prefix")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--oversample", type=int, default=None)
 
     p = sub.add_parser("verify", help="re-check a design on a finer lifting")

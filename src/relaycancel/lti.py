@@ -46,8 +46,10 @@ __all__ = [
 # unstable (conservative: avoids false stability claims).
 STABILITY_MARGIN = 1e-9
 
-# Points of the theta grid that gives hinf_norm its lower bracket.
+# Points of the theta grid that gives hinf_norm its lower bracket, and the
+# most halvings its bisection may take before it raises RuntimeError.
 _HINF_GRID = 512
+_HINF_MAX_ITER = 200
 # _sigma_max_grid takes an SVD at every _SCREEN_STRIDE-th grid point and
 # screens the rest by a Cholesky test of order min(n, p, m); from N = 64
 # on the p x m seed SVDs cost more.  The screen runs on a Schur form
@@ -154,8 +156,9 @@ class StateSpace:
         )
 
 
-def from_tf(num, den, dt: float | None = None) -> StateSpace:
-    """SISO transfer function (descending coefficients) to state space.
+def from_tf(num, den) -> StateSpace:
+    """SISO continuous transfer function (descending coefficients) to
+    state space.
 
     The realization is the controller-canonical form of
     ``scipy.signal.tf2ss``, bit for bit: with den = [1, a1, ..., an] and
@@ -191,11 +194,11 @@ def from_tf(num, den, dt: float | None = None) -> StateSpace:
                          "den after trimming")
     n = den.size - 1
     if n == 0:
-        return StateSpace.static(num.reshape(1, 1), dt)
+        return StateSpace.static(num.reshape(1, 1))
     num = np.concatenate([np.zeros(den.size - num.size), num])
     A = np.vstack([-den[1:], np.eye(n - 1, n)])
     C = (num[1:] - num[0] * den[1:]).reshape(1, n)
-    return StateSpace(A, np.eye(n, 1), C, num[:1].reshape(1, 1), dt)
+    return StateSpace(A, np.eye(n, 1), C, num[:1].reshape(1, 1))
 
 
 def subsystem(sys: StateSpace, outputs, inputs) -> StateSpace:
@@ -258,66 +261,61 @@ def interconnect(plant: StateSpace, K: StateSpace, partition) -> StateSpace:
     C1, C2 = C[:n_z, :], C[n_z:, :]
     D11, D12 = D[:n_z, :n_w], D[:n_z, n_w:]
     D21, D22 = D[n_z:, :n_w], D[n_z:, n_w:]
-    Ak, Bk, Ck, Dk = K.A, K.B, K.C, K.D
-
-    Y = _loop_gain(Dk, D22)
-
-    # u = Y (Ck xk + Dk C2 x + Dk D21 w)
-    u_x = Y @ Dk @ C2
-    u_xk = Y @ Ck
-    u_w = Y @ Dk @ D21
-    # y = C2 x + D21 w + D22 u
-    y_x = C2 + D22 @ u_x
-    y_xk = D22 @ u_xk
-    y_w = D21 + D22 @ u_w
-
-    n, nk = plant.n_states, K.n_states
-    Acl = np.block([
-        [A + B2 @ u_x, B2 @ u_xk],
-        [Bk @ y_x, Ak + Bk @ y_xk],
-    ]) if n + nk else np.zeros((0, 0))
-    Bcl = np.vstack([B1 + B2 @ u_w, Bk @ y_w])
-    Ccl = np.hstack([C1 + D12 @ u_x, D12 @ u_xk])
+    side = _controller_side(K, D22)
+    Acl, u_x = _closed_loop_a(A, B2, C2, D22, side)
+    YDk, YCk, Bk, _ = side
+    # u = Y (Ck xk + Dk C2 x + Dk D21 w) and y = C2 x + D21 w + D22 u
+    u_w = YDk @ D21
+    Bcl = np.vstack([B1 + B2 @ u_w, Bk @ (D21 + D22 @ u_w)])
+    Ccl = np.hstack([C1 + D12 @ u_x, D12 @ YCk])
     Dcl = D11 + D12 @ u_w
     return StateSpace(Acl, Bcl, Ccl, Dcl, plant.dt)
 
 
-def _loop_gain(Dk: np.ndarray, D22: np.ndarray) -> np.ndarray:
-    """Y = (I - Dk D22)^-1, which closing u = K y around a plant with
-    feedthrough D22 from u to y needs; LinAlgError when the algebraic
-    loop is singular (condition number above 1e12)."""
+def _controller_side(K: StateSpace, D22: np.ndarray) -> tuple:
+    """(Y Dk, Y Ck, Bk, Ak + Bk D22 Y Ck), Y = (I - Dk D22)^-1: what closing
+    u = K y takes of K and of the plant's feedthrough D22 from u to y;
+    LinAlgError for a singular algebraic loop (condition above 1e12)."""
+    Dk = K.D
     loop = np.eye(Dk.shape[0]) - Dk @ D22
     cond = np.linalg.cond(loop)
     if not np.isfinite(cond) or cond > 1e12:
         raise np.linalg.LinAlgError(
             "singular algebraic loop: I - D22*Dk is not invertible")
-    return np.linalg.solve(loop, np.eye(Dk.shape[0]))
+    Y = np.linalg.solve(loop, np.eye(Dk.shape[0]))
+    YCk = Y @ K.C
+    return Y @ Dk, YCk, K.B, K.A + K.B @ (D22 @ YCk)
 
 
-def _eigenvalues(sys: StateSpace) -> np.ndarray:
-    if sys.n_states == 0:
-        return np.zeros(0, dtype=complex)
-    return np.linalg.eigvals(sys.A)
+def _closed_loop_a(A, B2, C2, D22, side) -> tuple:
+    """(closed-loop A, Y Dk C2) of a plant with state matrix A, u columns
+    B2 and y rows C2, closed by the K of ``side = _controller_side(K,
+    D22)``: [[A + B2 Y Dk C2, B2 Y Ck], [Bk (C2 + D22 Y Dk C2), Ak_cl]]."""
+    YDk, YCk, Bk, Ak_cl = side
+    u_x = YDk @ C2
+    return np.block([[A + B2 @ u_x, B2 @ YCk],
+                     [Bk @ (C2 + D22 @ u_x), Ak_cl]]), u_x
+
+
+def _spectral_margin(A: np.ndarray) -> float:
+    """1 - rho(A), the spectral margin of a discrete system with state
+    matrix A; infinite when it has no states."""
+    return float(1.0 - np.max(np.abs(np.linalg.eigvals(A)), initial=-np.inf))
 
 
 def stability_margin(sys: StateSpace) -> float:
-    """Distance of the spectrum to the stability boundary (>0 means stable)."""
-    lam = _eigenvalues(sys)
-    if lam.size == 0:
-        return np.inf
+    """Distance of the spectrum to the stability boundary (>0 means
+    stable); infinite for a system without states."""
     if sys.is_discrete:
-        return float(1.0 - np.max(np.abs(lam)))
-    return float(-np.max(lam.real))
+        return _spectral_margin(sys.A)
+    return float(-np.max(np.linalg.eigvals(sys.A).real, initial=-np.inf))
 
 
-def is_stable(sys: StateSpace, margin: float = STABILITY_MARGIN) -> bool:
-    """Spectral stability test with a conservative boundary margin.
-
-    Continuous systems must have all eigenvalues with real part below
-    -margin, discrete systems all eigenvalue moduli below 1 - margin;
-    marginal eigenvalues count as unstable.
-    """
-    return stability_margin(sys) > margin
+def is_stable(sys: StateSpace) -> bool:
+    """Spectral stability test: every eigenvalue's real part below
+    -STABILITY_MARGIN (continuous) or modulus below 1 - STABILITY_MARGIN
+    (discrete); marginal eigenvalues count as unstable."""
+    return stability_margin(sys) > STABILITY_MARGIN
 
 
 def _sigma_max_grid(sys: StateSpace, n_grid: int,
@@ -345,7 +343,7 @@ def _sigma_max_grid(sys: StateSpace, n_grid: int,
     per-point loop would use, so the maximum is the same float.
     ``sigma_D`` is sigma_max(sys.D), for the screen.
     """
-    rho = float(np.max(np.abs(_eigenvalues(sys)), initial=0.0))
+    rho = float(np.max(np.abs(np.linalg.eigvals(sys.A)), initial=0.0))
     theta_lo = max(1e-6, 1e-2 * (1.0 - rho))
     thetas = np.unique(np.concatenate([
         np.linspace(0.0, np.pi, n_grid // 2),
@@ -505,16 +503,16 @@ def _has_unit_circle_crossing(sys: StateSpace, gamma: float) -> bool:
     return bool(np.any(np.abs(np.abs(lam) - 1.0) < 1e-8))
 
 
-def _bisect(lo: float, hi: float, crossing, tol: float,
-            max_iter: int) -> tuple[float, float]:
+def _bisect(lo: float, hi: float, crossing,
+            tol: float) -> tuple[float, float]:
     """Halve [lo, hi] until it is at most tol wide; crossing(mid) moves lo."""
     it = 0
     while hi - lo > tol:
         it += 1
-        if it > max_iter:
+        if it > _HINF_MAX_ITER:
             raise RuntimeError(
-                f"hinf_norm bisection did not converge within {max_iter} iterations"
-            )
+                "hinf_norm bisection did not converge within "
+                f"{_HINF_MAX_ITER} iterations")
         mid = 0.5 * (lo + hi)
         if crossing(mid):
             lo = mid
@@ -576,8 +574,7 @@ def _balanced_truncation(sys: StateSpace) -> tuple[StateSpace, float]:
     return reduced, float(2.0 * np.sum(hsv[r:]))
 
 
-def hinf_norm(sys: StateSpace, tol: float = 1e-6,
-              max_iter: int = 200) -> float:
+def hinf_norm(sys: StateSpace, tol: float = 1e-6) -> float:
     """H-infinity norm of a stable discrete-time system by bisection.
 
     The grid, the replay and the pencil probe below all run on the
@@ -647,7 +644,7 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6,
         probes += 1
         return _has_unit_circle_crossing(sys, level)
 
-    _, top = _bisect(lo, hi, lambda level: False, tol, max_iter)
+    _, top = _bisect(lo, hi, lambda level: False, tol)
     if not crossing(top):
         hi = top
     else:
@@ -656,7 +653,7 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6,
         while crossing(hi) and grow < 40:
             hi *= 10.0
             grow += 1
-        lo, hi = _bisect(lo, hi, crossing, tol, max_iter)
+        lo, hi = _bisect(lo, hi, crossing, tol)
     seeds = len(range(0, points - 1, _SCREEN_STRIDE)) + 1
     r = min(sys.n_states, sys.n_inputs, sys.n_outputs)
     logger.debug(

@@ -183,6 +183,12 @@ class GeneralizedPlantSpec:
         return self.params.h
 
 
+def _coupling_path(params: RelayParams, r: float, L: float) -> CouplingPath:
+    """The path of attenuation r and delay L: gain a1 a2 r, rotation R(f, L)."""
+    return CouplingPath(params.a1 * params.a2 * r, L,
+                        rotation_matrix(params.f, L))
+
+
 def build_generalized_plant(params: RelayParams,
                             channel: CouplingChannel) -> GeneralizedPlantSpec:
     """Design plant with only the nominal coupling path.
@@ -190,24 +196,16 @@ def build_generalized_plant(params: RelayParams,
     Detour paths never enter the design plant; they are covered by the
     multiplicative uncertainty weight instead.
     """
-    nominal = CouplingPath(
-        alpha=params.a1 * params.a2 * channel.r,
-        L=channel.L,
-        rot=rotation_matrix(params.f, channel.L),
-    )
-    return GeneralizedPlantSpec(params=params, channel=channel, paths=(nominal,))
+    return GeneralizedPlantSpec(params=params, channel=channel, paths=(
+        _coupling_path(params, channel.r, channel.L),))
 
 
 def build_perturbed_plant(params: RelayParams,
                           channel: CouplingChannel) -> GeneralizedPlantSpec:
     """Analysis plant carrying the nominal path and every detour path."""
-    paths = [CouplingPath(params.a1 * params.a2 * channel.r, channel.L,
-                          rotation_matrix(params.f, channel.L))]
-    for ri, Li in channel.extra_paths:
-        paths.append(CouplingPath(params.a1 * params.a2 * ri, Li,
-                                  rotation_matrix(params.f, Li)))
-    return GeneralizedPlantSpec(params=params, channel=channel,
-                                paths=tuple(paths))
+    return GeneralizedPlantSpec(params=params, channel=channel, paths=tuple(
+        _coupling_path(params, r, L)
+        for r, L in ((channel.r, channel.L), *channel.extra_paths)))
 
 
 def uncertainty_weight(channel: CouplingChannel,
@@ -275,9 +273,10 @@ def assemble_plant_core(spec: GeneralizedPlantSpec,
     Inputs: [w (2), u (2), one delayed-u slot (2) per path]; outputs
     [z (2), y (2)].  With ``external_input`` the W block is replaced by a
     unit feedthrough so the first input is the already-shaped signal v
-    (used by the simulator, which generates v separately).  With an
-    uncertainty weight ``W2`` the core also carries the uncertainty
-    channel of the robust design plant (see ``assemble_core_blocks``).
+    (used by the simulator, which generates v separately).  With a static
+    uncertainty weight ``W2`` (``uncertainty_weight``'s) the core also
+    carries the uncertainty channel of the robust design plant (see
+    ``assemble_core_blocks``).
     """
     params = spec.params
     W = StateSpace.static(np.eye(2)) if external_input else params.W
@@ -290,26 +289,25 @@ def assemble_core_blocks(W: StateSpace, F: StateSpace, P: StateSpace,
                          paths, W2: StateSpace | None = None) -> CoreSystem:
     """Delay-free core from raw blocks (no parameter validation).
 
-    With ``W2`` (single-path plants only) the uncertainty channel
+    With a static gain ``W2`` (single-path plants only) the uncertainty
+    channel
 
         z2 = W2 F P u(t-L),    y += alpha R w2
 
     is appended, so that closing w2 = Delta z2 with any ||Delta|| < 1
     reproduces every admissible channel perturbation.  z2 reads the
-    nominal path's own F P u(t-L) states and delayed-u slot; its parts go
-    last: states x_W2, input w2 after w, output z2 after z.
+    nominal path's own F P u(t-L) states and delayed-u slot, so it adds
+    no states; input w2 goes after w, output z2 after z.
     """
     M = len(paths)
     robust = W2 is not None
-    if robust and M != 1:
-        raise ValueError("robust core expects the nominal single-path plant")
+    if robust and (M != 1 or W2.n_states):
+        raise ValueError("robust core expects the nominal single-path plant "
+                         "and a static gain W2")
 
     nW, nF, nP = W.n_states, F.n_states, P.n_states
-    # state layout: x_W | x_Pu | (x_Pd_i, x_Fd_i) per path | x_Fv,
-    # then x_W2 with W2
+    # state layout: x_W | x_Pu | (x_Pd_i, x_Fd_i) per path | x_Fv
     sizes = [nW, nP] + [nP + nF] * M + [nF]
-    if robust:
-        sizes += [W2.n_states]
     offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
     n = offsets[-1]
     sW = slice(offsets[0], offsets[1])
@@ -365,17 +363,10 @@ def assemble_core_blocks(W: StateSpace, F: StateSpace, P: StateSpace,
     if robust:
         (sPd, sFd), = path_slices
         c_dly = slice(n_ext + 2, n_ext + 4)
-        sW2 = slice(offsets[3 + M], offsets[4 + M])
-        rz2 = slice(2, 4)
-        # W2 on the nominal path's F P u(t-L), from its x_Pd, x_Fd, u_d
-        A[sW2, sW2] = W2.A
-        A[sW2, sFd] = W2.B @ F.C
-        A[sW2, sPd] = W2.B @ F.D @ P.C
-        B[sW2, c_dly] = W2.B @ F.D @ P.D
-        C[rz2, sW2] = W2.C
-        C[rz2, sFd] = W2.D @ F.C
-        C[rz2, sPd] = W2.D @ F.D @ P.C
-        D[rz2, c_dly] = W2.D @ F.D @ P.D
+        # z2 = W2 F P u(t-L), from the nominal path's x_Pd, x_Fd and u_d
+        C[2:4, sFd] = W2.D @ F.C
+        C[2:4, sPd] = W2.D @ F.D @ P.C
+        D[2:4, c_dly] = W2.D @ F.D @ P.D
         D[ry, 2:4] = paths[0].alpha * paths[0].rot
     return CoreSystem(StateSpace(A, B, C, D), n_ext=n_ext, n_ctrl=2,
                       delays=tuple(path.L for path in paths),

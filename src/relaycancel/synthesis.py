@@ -61,7 +61,9 @@ import numpy as np
 from .lti import (
     STABILITY_MARGIN,
     StateSpace,
-    _loop_gain,
+    _closed_loop_a,
+    _controller_side,
+    _spectral_margin,
     interconnect,
     is_stable,
     subsystem,
@@ -808,9 +810,10 @@ def robust_stability_sweep(plant: GeneralizedPlantSpec, K: Controller,
     only by y, so the kept block of the shared ZOH exponential is the
     case's own, and history holds deeper than the case's are read only by
     the dropped detours.  The cases share y's feedthrough and the
-    controller, so the controller's side of ``lti.interconnect`` is
-    formed once (a singular algebraic loop raises LinAlgError before any
-    case), and each case forms only its closed-loop A and its spectrum.
+    controller, so ``lti._controller_side`` is formed once (a singular
+    algebraic loop raises LinAlgError before any case), and each case
+    forms only its closed-loop A (``lti._closed_loop_a``) and its
+    spectral margin.
     """
     if n_cases < 0:
         raise ValueError(f"n_cases must be nonnegative, got {n_cases}")
@@ -863,12 +866,9 @@ def robust_stability_sweep(plant: GeneralizedPlantSpec, K: Controller,
         # a detour is at least one step long, so at the period start y
         # reads its delayed u from a history hold, a state: the D rows of
         # every case are the nominal ones, and so is the controller's side
-        # of lti.interconnect, formed here once for every case
+        # of the loop, formed here once for every case
         D22 = lp.sys.D[n_z:n_z + n_u, lp.n_w:]
-        Ak, Bk, Ck, Dk = K.sys.A, K.sys.B, K.sys.C, K.sys.D
-        Y = _loop_gain(Dk, D22)
-        YDk, YCk = Y @ Dk, Y @ Ck
-        Ak_cl = Ak + Bk @ (D22 @ YCk)
+        side = _controller_side(K.sys, D22)
         depths = [-(-delay_steps(L, N, plant.h) // N) for L in core.delays]
         detour = {Li: i for i, Li in enumerate(delays, 1)}
         base = np.arange(n_states) < n_c
@@ -885,15 +885,11 @@ def robust_stability_sweep(plant: GeneralizedPlantSpec, K: Controller,
             for (ri, _), i in zip(extras, paths):
                 cy = cy + ri * yC[i]
             idx = np.flatnonzero(keep)
-            # the case's closed-loop A, as lti.interconnect forms it
-            B2, C2 = B[idx, lp.n_w:], cy[:, idx]
-            u_x = YDk @ C2
-            Acl = np.block([[A[np.ix_(idx, idx)] + B2 @ u_x, B2 @ YCk],
-                            [Bk @ (C2 + D22 @ u_x), Ak_cl]])
-            # stability_margin of a discrete loop
-            margin = float(1.0 - np.max(np.abs(np.linalg.eigvals(Acl))))
+            Acl, _ = _closed_loop_a(A[np.ix_(idx, idx)], B[idx, lp.n_w:],
+                                    cy[:, idx], D22, side)
+            margin = _spectral_margin(Acl)
             margins.append(margin)
-            if not margin > STABILITY_MARGIN:  # is_stable's test
+            if not margin > STABILITY_MARGIN:
                 failures.append({"case": case, "extra_paths": extras,
                                  "spectral_margin": margin})
     logger.debug(

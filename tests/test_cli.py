@@ -43,6 +43,10 @@ FAST_CONFIG = {
 }
 
 
+# a config entry that test_malformed_config_shape_exits_one deletes
+MISSING = object()
+
+
 def write_cfg(tmp_path, cfg, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
@@ -161,18 +165,54 @@ def test_bad_transfer_function_entry_exits_one(tmp_path, capsys, key, entry,
     (("design", "tol"), float("inf"), "design.tol must be a number, got inf"),
     (("relay", "W"), {"num": [float("-inf")], "den": [1.0]},
      "relay.W.num must be a non-empty list of numbers, got [-inf]"),
+    # a quoted number is a string
+    (("relay", "h"), "1.0", "relay.h must be a number, got '1.0'"),
+    (("design", "N"), "16", "design.N must be an integer, got '16'"),
+    (("relay", "W"), {"num": ["1"], "den": [2.0, 1.0]},
+     "relay.W.num must be a non-empty list of numbers, got ['1']"),
+    # an integer beyond float range
+    (("relay", "W"), {"num": [10**400], "den": [2.0, 1.0]},
+     f"relay.W.num must be a non-empty list of numbers, got [{10**400}]"),
+    # only a missing or null extra_paths means no detours
+    (("channel", "extra_paths"), 0,
+     "channel.extra_paths must be a list of r/L mappings, got 0"),
+    (("channel", "extra_paths"), False,
+     "channel.extra_paths must be a list of r/L mappings, got False"),
+    (("channel", "extra_paths"), "",
+     "channel.extra_paths must be a list of r/L mappings, got ''"),
+    (("sim", "seed"), -1, "sim.seed must be a non-negative integer, got -1"),
+    ((), [1, 2], "config document must be a mapping"),
+    (("channel",), MISSING, "missing config section 'channel'"),
+    (("relay", "h"), MISSING, "relay section is missing 'h'"),
+    (("channel", "r"), MISSING, "channel is missing 'r'"),
+    (("channel", "extra_paths"), [{"r": 0.02}],
+     "channel.extra_paths[0] is missing 'L'"),
+    (("design", "mode"), "hybrid", "design.mode must be nominal or robust"),
+    (("relay", "W"), {"num": [1.0], "den": [2.0, 1.0], "gain": 2.0},
+     "unknown keys in relay.W: ['gain']"),
 ], ids=["W.num", "P.num_empty", "extra_path", "extra_paths", "relay",
         "design", "sim.input", "relay.h", "design.N_fraction",
         "sim.oversample_fraction", "sim.seed_bool", "relay.h_bool",
         "F.num_bool", "sim.duration_inf", "relay.a1_nan", "design.tol_inf",
-        "W.num_inf"])
+        "W.num_inf", "relay.h_string", "design.N_string", "W.num_string",
+        "W.num_overflow",
+        "extra_paths_zero", "extra_paths_false", "extra_paths_empty_string",
+        "sim.seed_negative", "document", "missing_section", "relay.h_missing",
+        "channel.r_missing", "extra_path_L_missing", "design.mode",
+        "W_unknown_key"])
 def test_malformed_config_shape_exits_one(tmp_path, capsys, path, value,
                                           message):
     cfg = json.loads(json.dumps(FAST_CONFIG))
-    section = cfg
-    for key in path[:-1]:
-        section = section[key]
-    section[path[-1]] = value
+    if not path:
+        cfg = value
+    else:
+        section = cfg
+        for key in path[:-1]:
+            section = section[key]
+        if value is MISSING:
+            del section[path[-1]]
+        else:
+            section[path[-1]] = value
     rc = main(["design", "--config", write_cfg(tmp_path, cfg),
                "--out", str(tmp_path / "r.json")])
     assert rc == 1
@@ -317,6 +357,29 @@ def test_read_controller_bad_file(tmp_path):
         read_controller(path)
 
 
+@pytest.mark.parametrize("entry, value, message", [
+    ("period", 0.0, "dt must be positive for a discrete system"),
+    ("A", [[0.5, 0.0]], "A must be square, got (1, 2)"),
+], ids=["period_zero", "A_not_square"])
+def test_bad_controller_entry_names_the_file(tmp_path, capsys, entry, value,
+                                             message):
+    # a controller that parses but does not make a system exits 1, and the
+    # message names the file
+    path = tmp_path / "bad.controller.yaml"
+    write_controller(Controller(sys=StateSpace.static(np.zeros((2, 2)),
+                                                      dt=1.0),
+                                gamma_achieved=None, method="nominal_hinf"),
+                     path)
+    d = yaml.safe_load(path.read_text())
+    d[entry] = value
+    path.write_text(yaml.safe_dump(d))
+    rc = main(["simulate", "--config", write_cfg(tmp_path, FAST_CONFIG),
+               "--controller", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == (
+        f"error: cannot read controller {path}: {message}")
+
+
 # ---------------------------------------------------------------------------
 # commands and exit codes
 
@@ -394,6 +457,21 @@ def test_simulate_rejects_oversample_zero(tmp_path, capsys):
         "error: oversample must be at least 8")
     assert not (tmp_path / "run.csv").exists()
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_simulate_rejects_a_bad_seed(tmp_path, capsys, seed):
+    # numpy's generators take non-negative integers only; the flag is
+    # checked before any work
+    argv = ["simulate", "--config", write_cfg(tmp_path, FAST_CONFIG),
+            "--controller", str(tmp_path / "none.yaml"),
+            "--out", str(tmp_path / "run"), "--seed", seed]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.strip().endswith(
+        f"error: argument --seed: expected a non-negative integer, got "
+        f"{seed!r}")
 
 
 def test_simulate_keeps_a_dotted_prefix(tmp_path):
@@ -550,6 +628,36 @@ def _zero_nominal(lp, **kwargs):
     """A stand-in nominal design: the zero canceler, designed at once."""
     return Controller(sys=StateSpace.static(np.zeros((2, 2)), dt=lp.h),
                       gamma_achieved=1.0, method="nominal_hinf")
+
+
+def test_reproduce_paper_loads_each_config_once(tmp_path, monkeypatch):
+    # a run config that designs nothing is loaded too, and a config named
+    # twice is loaded once
+    run_cfg = write_cfg(tmp_path, FAST_CONFIG, "run.yaml")
+    monkeypatch.setattr(cli, "_EXPERIMENTS", (
+        ("fig9", "nominal_60db", run_cfg, "stable", "fig9 diverged"),
+        ("fig10", "nominal_60db", "nominal_60db", "stable", "fig10 diverged"),
+        ("fig11", "robust_40db", run_cfg, "stable", "fig11 diverged"),
+    ))
+    loaded = []
+
+    def load(name):
+        loaded.append(name)
+        return load_config(name)
+
+    def zero_design(cfg, reuse=None):
+        # the zero canceler transmits nothing: the error is the input
+        return None, Controller(
+            sys=StateSpace.static(np.zeros((2, 2)), dt=cfg["relay"]["h"]),
+            gamma_achieved=1.0, method="nominal_hinf")
+
+    monkeypatch.setattr(cli, "load_config", load)
+    monkeypatch.setattr(cli, "_design", zero_design)
+    assert main(["reproduce-paper", "--out", str(tmp_path / "rp")]) == 0
+    assert sorted(loaded) == sorted(["nominal_60db", run_cfg, "robust_40db"])
+    summary = json.loads((tmp_path / "rp" / "summary.json").read_text())
+    assert summary["criteria"] == {"fig9": "stable", "fig10": "stable",
+                                   "fig11": "stable"}
 
 
 def test_reproduce_paper_reports_a_robust_failure_from_the_worker(

@@ -200,7 +200,7 @@ def test_lift_of_a_delayed_fast_source_matches_oracle(L):
     W = scalar_block([0.8], [1.3, 1.0])
     F = scalar_block([1.0, 2.0], [0.7, 3.0])
     P = scalar_block([0.5], [0.2, 1.0])
-    W2 = scalar_block([0.3], [0.5, 1.0])
+    W2 = scalar_block([0.3], [1.0])  # static, as uncertainty_weight's
     paths = (CouplingPath(alpha=1.7, L=L, rot=np.array([[0.0, 1.0],
                                                         [-1.0, 0.0]])),)
     core = assemble_core_blocks(W, F, P, paths, W2)

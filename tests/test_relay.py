@@ -222,3 +222,13 @@ def test_uncertainty_weight_dominates_error_on_grid():
 def test_uncertainty_weight_rejects_bad_epsilon(example_channel):
     with pytest.raises(ValueError, match="epsilon"):
         uncertainty_weight(example_channel, epsilon=0.0)
+
+
+def test_core_rejects_a_dynamic_uncertainty_weight(example_params,
+                                                   example_channel):
+    # the uncertainty channel reads the nominal path's own states, so W2
+    # must be a static gain, as uncertainty_weight returns
+    spec = build_generalized_plant(example_params, example_channel)
+    assert uncertainty_weight(example_channel).n_states == 0
+    with pytest.raises(ValueError, match="static"):
+        assemble_plant_core(spec, W2=scalar_block([0.3], [0.5, 1.0]))
