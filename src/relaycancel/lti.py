@@ -297,10 +297,15 @@ def _closed_loop_a(A, B2, C2, D22, side) -> tuple:
                      [Bk @ (C2 + D22 @ u_x), Ak_cl]]), u_x
 
 
+def _spectral_radius(A: np.ndarray) -> float:
+    """rho(A), the largest eigenvalue modulus; -inf when A is empty."""
+    return float(np.max(np.abs(np.linalg.eigvals(A)), initial=-np.inf))
+
+
 def _spectral_margin(A: np.ndarray) -> float:
     """1 - rho(A), the spectral margin of a discrete system with state
     matrix A; infinite when it has no states."""
-    return float(1.0 - np.max(np.abs(np.linalg.eigvals(A)), initial=-np.inf))
+    return 1.0 - _spectral_radius(A)
 
 
 def stability_margin(sys: StateSpace) -> float:
@@ -318,8 +323,8 @@ def is_stable(sys: StateSpace) -> bool:
     return stability_margin(sys) > STABILITY_MARGIN
 
 
-def _sigma_max_grid(sys: StateSpace, n_grid: int,
-                    sigma_D: float) -> tuple[float, float, int, int, float]:
+def _sigma_max_grid(sys: StateSpace, n_grid: int, sigma_D: float,
+                    rho: float) -> tuple[float, float, int, int, float]:
     """Largest singular value over a [0, pi] theta grid and its theta.
 
     Returns ``(value, theta, svds, points, theta_lo)``: the first two
@@ -341,9 +346,9 @@ def _sigma_max_grid(sys: StateSpace, n_grid: int,
     < best (1 - 1e-9), so they cannot be the maximizer.  Each point that
     fails gets an SVD of the single-point response, the expression a
     per-point loop would use, so the maximum is the same float.
-    ``sigma_D`` is sigma_max(sys.D), for the screen.
+    ``sigma_D`` is sigma_max(sys.D), for the screen, and ``rho`` the
+    spectral radius of sys.A (``_spectral_radius``).
     """
-    rho = float(np.max(np.abs(np.linalg.eigvals(sys.A)), initial=0.0))
     theta_lo = max(1e-6, 1e-2 * (1.0 - rho))
     thetas = np.unique(np.concatenate([
         np.linspace(0.0, np.pi, n_grid // 2),
@@ -545,33 +550,36 @@ def _gramian_factor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("Gramian series did not converge")
 
 
-def _balanced_truncation(sys: StateSpace) -> tuple[StateSpace, float]:
+def _balanced_truncation(sys: StateSpace,
+                         rho: float) -> tuple[StateSpace, float, float]:
     """Square-root balanced truncation of a stable discrete system.
 
     Keeps the Hankel singular values above 1e-12 x the largest (Enns
     1984) and returns the reduced system with the bound 2 x (sum of the
     dropped ones) on the H-infinity norm of the error (Al-Saggaf &
-    Franklin, IEEE TAC 32, 1987).  Returns ``sys`` itself and 0.0 when
-    nothing would be cut, when a Gramian factor cannot be formed, or
-    when the truncation is not stable.
+    Franklin, IEEE TAC 32, 1987), and the spectral radius of its state
+    matrix.  Returns ``sys`` itself, 0.0 and ``rho``, the spectral radius
+    of sys.A, when nothing would be cut, when a Gramian factor cannot be
+    formed, or when the truncation is not stable.
     """
     try:
         Lp = _gramian_factor(sys.A, sys.B)
         Lq = _gramian_factor(sys.A.T, sys.C.T)
     except np.linalg.LinAlgError:
-        return sys, 0.0
+        return sys, 0.0, rho
     U, hsv, Vt = np.linalg.svd(Lq.T @ Lp)
     r = int(np.count_nonzero(hsv > 1e-12 * hsv[0]))
     if not 0 < r < sys.n_states:
-        return sys, 0.0
+        return sys, 0.0, rho
     scale = 1.0 / np.sqrt(hsv[:r])
     right = (Lp @ Vt[:r].T) * scale             # n x r
     left = (U[:, :r] * scale).T @ Lq.T          # r x n, left @ right = I
     reduced = StateSpace(left @ sys.A @ right, left @ sys.B, sys.C @ right,
                          sys.D, sys.dt)
-    if not is_stable(reduced):
-        return sys, 0.0
-    return reduced, float(2.0 * np.sum(hsv[r:]))
+    rho_reduced = _spectral_radius(reduced.A)
+    if not 1.0 - rho_reduced > STABILITY_MARGIN:  # is_stable's test
+        return sys, 0.0, rho
+    return reduced, float(2.0 * np.sum(hsv[r:])), rho_reduced
 
 
 def hinf_norm(sys: StateSpace, tol: float = 1e-6) -> float:
@@ -619,8 +627,16 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6) -> float:
     """
     if not sys.is_discrete:
         raise ValueError("hinf_norm is implemented for discrete-time systems")
-    if not is_stable(sys):
+    rho = _spectral_radius(sys.A)
+    if not 1.0 - rho > STABILITY_MARGIN:  # is_stable's test
         raise ValueError("hinf_norm requires a stable system")
+    return _hinf_norm(sys, tol, rho)
+
+
+def _hinf_norm(sys: StateSpace, tol: float, rho: float) -> float:
+    """``hinf_norm`` of a discrete system already found stable, whose
+    state matrix has spectral radius ``rho`` (``_spectral_radius``): each
+    state matrix's spectrum is solved once per norm."""
     if sys.n_inputs == 0 or sys.n_outputs == 0:
         return 0.0
     sv_D = np.linalg.svd(sys.D, compute_uv=False)[0] if sys.D.size else 0.0
@@ -630,9 +646,9 @@ def hinf_norm(sys: StateSpace, tol: float = 1e-6) -> float:
         return float(sv_D)
 
     n_full = sys.n_states
-    sys, tail = _balanced_truncation(sys)
+    sys, tail, rho = _balanced_truncation(sys, rho)
     grid_max, theta_max, svds, points, theta_lo = _sigma_max_grid(
-        sys, _HINF_GRID, sv_D)
+        sys, _HINF_GRID, sv_D, rho)
     lo = max(grid_max, sv_D * (1.0 + 1e-12))
     if lo == 0.0:
         return tail

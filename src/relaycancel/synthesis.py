@@ -53,8 +53,13 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import os
+import sys
+import threading
 import time
 from dataclasses import dataclass, field, replace
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -109,6 +114,42 @@ class LPResult:
     nit: int
 
 
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+_highs_lock = threading.Lock()
+
+
+def _highs_core():
+    """scipy's HiGHS extension module, loaded without ``scipy.optimize``.
+
+    Importing it by name would first run ``scipy/optimize/__init__.py``,
+    which loads about 240 modules the package never calls (sparse,
+    spatial, special, fft): 19 MB of resident memory with scipy 1.17,
+    against 2.5 MB for the extension alone.  So unless it is loaded, the
+    extension is found in scipy's ``optimize/_highspy`` folder and
+    registered in ``sys.modules`` under its full name, where a later
+    ``import scipy.optimize`` finds and reuses it (pybind11 registers its
+    types once per process).  The lock keeps two threads' first LPs from
+    loading it twice.
+    """
+    with _highs_lock:
+        core = sys.modules.get(_HIGHS_CORE)
+        if core is None:
+            import scipy
+
+            folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+            spec = PathFinder.find_spec(_HIGHS_CORE, [folder])
+            if spec is None:
+                raise ImportError(f"no HiGHS bindings in {folder}")
+            core = module_from_spec(spec)
+            sys.modules[_HIGHS_CORE] = core
+            try:
+                spec.loader.exec_module(core)
+            except BaseException:
+                del sys.modules[_HIGHS_CORE]
+                raise
+        return core
+
+
 def linprog(c, A_ub, b_ub, bounds) -> LPResult:
     """min c x  s.t.  A_ub x <= b_ub, bounds, by HiGHS's dual simplex.
 
@@ -118,16 +159,12 @@ def linprog(c, A_ub, b_ub, bounds) -> LPResult:
     bitwise scipy's, without its input cleaning, sparse conversion and
     result post-processing.  ``bounds`` holds one (lower, upper) pair per
     variable, ``None`` for no bound; non-finite c, A_ub or b_ub raise
-    ``ValueError``.  The bindings are imported at the first call: only a
-    design solves LPs, and ``scipy.optimize`` costs about 0.3 s and 20 MB
-    to import.
+    ``ValueError``.  The bindings are loaded at the first call, by
+    ``_highs_core`` and without the rest of ``scipy.optimize``: only a
+    design solves LPs.
     """
-    from scipy.optimize._highspy._core import (
-        HighsModelStatus,
-        HighsStatus,
-        _Highs,
-        kHighsInf,
-    )
+    core = _highs_core()
+    kHighsInf = core.kHighsInf
 
     c, A_ub, b_ub = (np.asarray(a, dtype=float) for a in (c, A_ub, b_ub))
     # HiGHS would load a NaN and report the model optimal
@@ -143,7 +180,7 @@ def linprog(c, A_ub, b_ub, bounds) -> LPResult:
     ub = np.array([kHighsInf if hi is None else hi for _, hi in bounds],
                   dtype=float)
 
-    highs = _Highs()
+    highs = core._Highs()
     for option, value in (("output_flag", False), ("log_to_console", False),
                           ("presolve", "on"), ("simplex_strategy", 1)):
         highs.setOptionValue(option, value)
@@ -154,10 +191,10 @@ def linprog(c, A_ub, b_ub, bounds) -> LPResult:
         np.full(n_rows, -kHighsInf), b_ub, a_start,
         np.nonzero(nonzero)[1].astype(np.int32), At[nonzero],
         np.zeros(n_cols, dtype=np.int32))
-    if loaded != HighsStatus.kError:  # else the status stays "Not Set"
+    if loaded != core.HighsStatus.kError:  # else the status stays "Not Set"
         highs.run()
     status = highs.getModelStatus()
-    success = status == HighsModelStatus.kOptimal
+    success = status == core.HighsModelStatus.kOptimal
     return LPResult(
         x=np.array(highs.getSolution().col_value) if success else None,
         success=bool(success), status=int(status),
@@ -547,6 +584,18 @@ def _solve_minimax(objective: dict, zinv_pow: np.ndarray, n_q: int,
     return x_best.reshape(n_q, 2, 2), info
 
 
+def _check_certificate(gamma: float, grid_objective: float, tol: float):
+    """Log one WARNING when the certified performance norm exceeds the
+    minimax's grid objective by more than ``tol`` relative: the design
+    grid then misses the closed loop's peak, and the minimax optimized
+    a gain the certificate does not see."""
+    if gamma > grid_objective * (1.0 + tol):
+        logger.warning(
+            "certified gamma %.10g exceeds the grid objective %.10g by "
+            "more than tol = %g relative; the design grid misses the "
+            "closed loop's peak", gamma, grid_objective, tol)
+
+
 def _design_grid(lp: LiftedPlant, n_q: int, grid_size: int, tol: float):
     """Check the settings, then return the u -> y block G22 (stable, or
     the Youla parametrization used here does not apply), the design grid
@@ -648,6 +697,7 @@ def synthesize_nominal(lp: LiftedPlant, tol: float = 1e-3, n_q: int = 8,
     if math.isinf(gamma):
         raise SynthesisError("closed loop unstable after synthesis "
                              "(numerical failure)")
+    _check_certificate(gamma, meta["grid_objective"], tol)
     meta["controller_stable"] = is_stable(K)
     meta["reconstruction_reused"] = reuse is not None
     return Controller(sys=K, gamma_achieved=gamma, method="nominal_hinf",
@@ -705,6 +755,7 @@ def synthesize_robust(rp: LiftedPlant, n_q: int = 8, grid_size: int = 256,
         _, (gamma1, gamma2) = closed_loop_norms(rp, K)
         grid_gamma2 = float(np.max(_channel_gains(ch2, _q_response(zinv_pow, Q))))
         if gamma2 <= 1.0:
+            _check_certificate(gamma1, info["grid_objective"], tol)
             meta = {
                 "n_q": n_q,
                 "N": rp.N,

@@ -281,7 +281,8 @@ def test_norm_of_the_truncated_loop(nominal_design, monkeypatch):
     # the N=16 closed loop has 30 states and 17 Hankel singular values
     # above 1e-12 of the largest; its norm moves by far less than 1e-9
     cl = lifted_closed_loop(nominal_design["lp"], nominal_design["K"].sys)
-    reduced, tail = lti._balanced_truncation(cl)
+    reduced, tail, rho = lti._balanced_truncation(
+        cl, lti._spectral_radius(cl.A))
     assert reduced.n_states == 17 < cl.n_states == 30
     assert 0.0 < tail < 1e-12
     gamma = lti.hinf_norm(cl, 1e-6)
@@ -294,7 +295,8 @@ def test_norm_of_the_truncated_loop(nominal_design, monkeypatch):
     assert abs(gamma - full) <= 1e-9 * full
     # the pencil test misses crossings on the flat full loop but
     # resolves the peak of the truncation
-    peak = lti._sigma_max_grid(reduced, 512, np.linalg.norm(reduced.D, 2))[0]
+    peak = lti._sigma_max_grid(reduced, 512, np.linalg.norm(reduced.D, 2),
+                               rho)[0]
     assert not lti._has_unit_circle_crossing(cl, 0.999 * peak)
     assert lti._has_unit_circle_crossing(reduced, (1.0 - 1e-6) * peak)
     assert not lti._has_unit_circle_crossing(reduced, (1.0 + 1e-6) * peak)

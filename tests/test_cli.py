@@ -712,7 +712,7 @@ def test_numerical_failure_exits_three(tmp_path, capsys, monkeypatch, exc):
     def failing(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr("relaycancel.lifting.hinf_norm", failing)
+    monkeypatch.setattr("relaycancel.lifting._hinf_norm", failing)
     cfg_path = write_cfg(tmp_path, FAST_CONFIG)
     rc = main(["design", "--config", cfg_path,
                "--out", str(tmp_path / "r.json")])

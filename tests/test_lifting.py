@@ -306,8 +306,8 @@ def test_closed_loop_norms_unstable_loop_is_one_eigensolve(
     lp = fsfh_lift(build_generalized_plant(example_params, example_channel),
                    4)
     K_bad = StateSpace.static(0.1 * np.eye(2), dt=1.0)
-    margins = _count_calls(monkeypatch, "stability_margin")
-    norms = _count_calls(monkeypatch, "hinf_norm")
+    margins = _count_calls(monkeypatch, "_spectral_radius")
+    norms = _count_calls(monkeypatch, "_hinf_norm")
     margin, gammas = closed_loop_norms(lp, K_bad)
     assert gammas == [np.inf]
     assert len(margins) == 1 and not norms
@@ -315,16 +315,43 @@ def test_closed_loop_norms_unstable_loop_is_one_eigensolve(
         lifted_closed_loop(lp, K_bad).A)))
 
 
+def _robust_plant(params):
+    """A two-channel robust plant at N = 4."""
+    channel = CouplingChannel(0.2, 1.0, extra_paths=((0.02, 1.25),))
+    spec = build_generalized_plant(params, channel)
+    core = assemble_plant_core(spec, W2=uncertainty_weight(channel, 0.01))
+    return lift_core(core, 4, spec.h)
+
+
 def test_closed_loop_norms_per_channel(example_params):
     # the robust plant has two channels; each norm is that diagonal
     # block's bisection norm
-    channel = CouplingChannel(0.2, 1.0, extra_paths=((0.02, 1.25),))
-    spec = build_generalized_plant(example_params, channel)
-    core = assemble_plant_core(spec, W2=uncertainty_weight(channel, 0.01))
-    rp = lift_core(core, 4, spec.h)
+    rp = _robust_plant(example_params)
     K0 = StateSpace.static(np.zeros((2, 2)), dt=1.0)
     margin, gammas = closed_loop_norms(rp, K0)
     cl = lifted_closed_loop(rp, K0)
     assert margin > 0.0 and len(gammas) == 2
     for gamma, idx in zip(gammas, rp.channel_indices()):
         assert gamma == hinf_norm(subsystem(cl, idx, idx), 1e-6)
+
+
+def test_closed_loop_norms_solve_each_spectrum_once(example_params,
+                                                    monkeypatch):
+    # the loop's spectrum gives the margin and is handed to both channels'
+    # norms; a channel's truncation solves its own state matrix once more
+    rp = _robust_plant(example_params)
+    K0 = StateSpace.static(np.zeros((2, 2)), dt=1.0)
+    expected = closed_loop_norms(rp, K0)
+    solved = []
+    real = np.linalg.eigvals
+
+    def counted(A):
+        solved.append(np.array(A))
+        return real(A)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    assert closed_loop_norms(rp, K0) == expected
+    assert np.array_equal(solved[0], lifted_closed_loop(rp, K0).A)
+    assert 1 <= len(solved) <= 1 + len(rp.channel_indices())
+    assert not any(a.shape == b.shape and np.array_equal(a, b)
+                   for i, a in enumerate(solved) for b in solved[:i])

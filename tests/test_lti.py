@@ -299,6 +299,11 @@ def _sigma_D(sys):
     return np.linalg.norm(sys.D, 2)
 
 
+def _rho(sys):
+    """The spectral radius of sys.A, which hinf_norm hands on as well."""
+    return lti._spectral_radius(sys.A)
+
+
 def _reference_sigma_max_grid(sys, n_grid):
     """Largest singular value of the response over a [0, pi] theta grid
     and its first maximizer, by an SVD at every grid point.  The grid's
@@ -419,8 +424,8 @@ def _sigma_max(sys, thetas):
 @given(stable_discrete_systems())
 def test_hinf_norm_equals_the_plain_bisection(sys):
     # these systems are minimal, so no state is cut and nothing moves
-    reduced, tail = lti._balanced_truncation(sys)
-    assert reduced is sys and tail == 0.0
+    reduced, tail, rho = lti._balanced_truncation(sys, _rho(sys))
+    assert reduced is sys and tail == 0.0 and rho == _rho(sys)
     assert hinf_norm(sys) == reference_hinf_norm(sys)
 
 
@@ -451,7 +456,7 @@ def test_hinf_norm_falls_back_to_bisection_between_grid_points(monkeypatch):
     coarse = _sigma_max(sys, thetas)
     th = thetas[np.argmax(coarse)]
     dense_max = _sigma_max(sys, np.linspace(th - 2e-6, th + 2e-6, 4001)).max()
-    assert lti._sigma_max_grid(sys, 512, _sigma_D(sys))[0] \
+    assert lti._sigma_max_grid(sys, 512, _sigma_D(sys), _rho(sys))[0] \
         < 0.9 * dense_max
     assert dense_max - tol / 2 <= val <= dense_max + tol
 
@@ -471,7 +476,8 @@ def test_hinf_norm_grows_its_upper_bracket():
     thetas = np.linspace(theta0 - 1e-2, theta0 + 1e-2, 20001)
     th = thetas[np.argmax(_sigma_max(sys, thetas))]
     dense_max = _sigma_max(sys, np.linspace(th - 2e-6, th + 2e-6, 4001)).max()
-    grid_max = lti._sigma_max_grid(sys, lti._HINF_GRID, _sigma_D(sys))[0]
+    grid_max = lti._sigma_max_grid(sys, lti._HINF_GRID, _sigma_D(sys),
+                                   _rho(sys))[0]
     assert 10.0 * grid_max + 1.0 < 0.99 * dense_max
     # the pencil test misses crossings just below so sharp a peak: the
     # norm comes out 0.3% low (4985.15), so only 1% is asked for here
@@ -535,7 +541,8 @@ def test_hinf_norm_resolves_peaks_near_slow_poles(sys):
     # phi stays above 0.85 of its peak
     tol = 1e-6
     peak = _dense_peak(sys)
-    grid_max = lti._sigma_max_grid(sys, lti._HINF_GRID, _sigma_D(sys))[0]
+    grid_max = lti._sigma_max_grid(sys, lti._HINF_GRID, _sigma_D(sys),
+                                   _rho(sys))[0]
     assert grid_max >= 0.8 * peak
     val = hinf_norm(sys, tol)
     # the pencil test's 1e-8 window on the unit circle moves the upper end
@@ -585,7 +592,8 @@ def test_hinf_norm_logs_the_screen_failures(caplog):
     assert ", 46 of 511 grid points by SVD (9 seeds, 37 failed the order-1 " \
         "screen), " in record.getMessage()
     # and the grid's maximum is still the per-point loop's, bit for bit
-    value, theta, *_ = lti._sigma_max_grid(sys, lti._HINF_GRID, 0.0)
+    value, theta, *_ = lti._sigma_max_grid(sys, lti._HINF_GRID, 0.0,
+                                           _rho(sys))
     assert (value, theta) == _reference_sigma_max_grid(sys, lti._HINF_GRID)
 
 
@@ -674,8 +682,8 @@ def grid_screen_systems(draw):
 @given(grid_screen_systems(), st.sampled_from((512, 100, 33, 2)))
 def test_sigma_max_grid_equals_the_per_point_loop(case, n_grid):
     kind, sys = case
-    value, theta, svds, points, *_ = lti._sigma_max_grid(sys, n_grid,
-                                                        _sigma_D(sys))
+    value, theta, svds, points, *_ = lti._sigma_max_grid(
+        sys, n_grid, _sigma_D(sys), _rho(sys))
     assert (value, theta) == _reference_sigma_max_grid(sys, n_grid)
     assert 0 < svds <= points
     if kind == "zero_response":
@@ -786,7 +794,7 @@ def nominal_loops(nominal_design):
         lp = fsfh_lift(spec, N)
         (idx,) = lp.channel_indices()
         loop = subsystem(lifted_closed_loop(lp, K.sys), idx, idx)
-        loops[N] = lti._balanced_truncation(loop)[0]
+        loops[N] = lti._balanced_truncation(loop, _rho(loop))[0]
     return loops
 
 
@@ -803,7 +811,7 @@ def _check_sigma_max_grid_on_the_nominal_loop(nominal_loops, N):
     sys = nominal_loops[N]
     assert sys.n_inputs == sys.n_outputs == 2 * N
     value, theta, svds, points, theta_lo = lti._sigma_max_grid(
-        sys, lti._HINF_GRID, _sigma_D(sys))
+        sys, lti._HINF_GRID, _sigma_D(sys), _rho(sys))
     assert (value, theta) == _reference_sigma_max_grid(sys, lti._HINF_GRID)
     # only the 9 seeds: the screen passes every other point
     assert points == 511 and svds == 9
@@ -818,7 +826,7 @@ def robust_loops(robust_40db_design):
     does."""
     rp, K = robust_40db_design["rp"], robust_40db_design["K"]
     cl = lifted_closed_loop(rp, K.sys)
-    return [lti._balanced_truncation(subsystem(cl, idx, idx))[0]
+    return [lti._balanced_truncation(subsystem(cl, idx, idx), _rho(cl))[0]
             for idx in rp.channel_indices()]
 
 
@@ -829,7 +837,7 @@ def test_sigma_max_grid_is_bitwise_on_the_robust_loop(robust_loops, channel,
                                                       svds_expected):
     sys = robust_loops[channel]
     value, theta, svds, points, _ = lti._sigma_max_grid(
-        sys, lti._HINF_GRID, _sigma_D(sys))
+        sys, lti._HINF_GRID, _sigma_D(sys), _rho(sys))
     assert (value, theta) == _reference_sigma_max_grid(sys, lti._HINF_GRID)
     assert points == 511 and svds == svds_expected
 
@@ -841,7 +849,8 @@ def test_sigma_max_grid_memory_stays_chunked(nominal_loops):
     tracemalloc.start()
     try:
         lti._sigma_max_grid(nominal_loops[32], lti._HINF_GRID,
-                            _sigma_D(nominal_loops[32]))
+                            _sigma_D(nominal_loops[32]),
+                            _rho(nominal_loops[32]))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -905,7 +914,7 @@ def padded_systems(draw, kinds=("random", "d_dominated", "near_circle")):
 @given(padded_systems())
 def test_truncation_recovers_the_minimal_order(pair):
     minimal, padded = pair
-    reduced, tail = lti._balanced_truncation(padded)
+    reduced, tail, _ = lti._balanced_truncation(padded, _rho(padded))
     assert reduced.n_states == minimal.n_states < padded.n_states
     assert 0.0 <= tail < 1e-9 * _hankel_singular_values(minimal)[0]
     # the truncation's contract: the responses differ by at most the tail
@@ -937,20 +946,21 @@ def test_truncation_fallback_is_the_plain_path(monkeypatch):
     padded = StateSpace(A, np.vstack([minimal.B, np.zeros((2, 2))]),
                         np.hstack([minimal.C, np.zeros((2, 2))]), minimal.D,
                         dt=1.0)
-    assert lti._balanced_truncation(padded)[0].n_states == 3
+    assert lti._balanced_truncation(padded, _rho(padded))[0].n_states == 3
 
     def failing(A, B):
         raise np.linalg.LinAlgError("no Gramian")
 
     monkeypatch.setattr(lti, "_gramian_factor", failing)
-    reduced, tail = lti._balanced_truncation(padded)
-    assert reduced is padded and tail == 0.0
+    reduced, tail, rho = lti._balanced_truncation(padded, _rho(padded))
+    assert reduced is padded and tail == 0.0 and rho == _rho(padded)
     assert hinf_norm(padded) == reference_hinf_norm(padded)
 
 
 def test_hinf_norm_adds_the_truncation_bound(monkeypatch):
     sys = random_stable(np.random.default_rng(37), 3, 2, 2, dt=1.0)
-    monkeypatch.setattr(lti, "_balanced_truncation", lambda s: (s, 0.5))
+    monkeypatch.setattr(lti, "_balanced_truncation",
+                        lambda s, rho: (s, 0.5, rho))
     assert hinf_norm(sys) == reference_hinf_norm(sys) + 0.5
 
 

@@ -20,18 +20,114 @@ def test_exported_names_resolve(module):
     assert not missing
 
 
-def test_import_leaves_out_the_heavy_scipy_subpackages():
-    # a fresh interpreter: tests/oracles.py imports scipy.signal into this
-    # one; scipy.optimize waits for the first LP of a design
+def _fresh(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter with the package on
+    its path: tests/oracles.py imports scipy.signal and scipy.optimize
+    into this one."""
     src = str(Path(relaycancel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return out.stdout.strip()
+
+
+def test_import_leaves_out_the_heavy_scipy_subpackages():
     code = ("import sys, relaycancel.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'], "
             "['scipy', 'interpolate'], ['scipy', 'optimize'])))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert _fresh(code) == "[]"
+
+
+# min x0 + 2 x1  s.t.  -x0 - x1 <= -1,  0 <= x0 <= 0.75,  x1 >= 0.25,
+# solved by x = (0.75, 0.25) alone
+_SMALL_LP = """
+import sys
+import numpy as np
+from relaycancel import synthesis
+lp = dict(c=np.array([1.0, 2.0]), A_ub=np.array([[-1.0, -1.0]]),
+          b_ub=np.array([-1.0]), bounds=[(0.0, 0.75), (0.25, None)])
+CORE = "scipy.optimize._highspy._core"
+"""
+
+
+def test_the_highs_loader_loads_the_extension_alone():
+    code = _SMALL_LP + """
+res = synthesis.linprog(**lp)
+assert res.x.tolist() == [0.75, 0.25], res
+assert CORE in sys.modules
+print(sorted(m for m in ("scipy.optimize", "scipy.optimize._highspy",
+                         "scipy.sparse", "scipy.spatial", "scipy.special",
+                         "scipy.fft") if m in sys.modules))
+"""
+    assert _fresh(code) == "[]"
+
+
+def test_scipy_optimize_reuses_the_loaded_extension():
+    # pybind11 registers the bindings' types once per process, so a later
+    # import has to find the loader's module, and scipy's linprog then
+    # solves on it bit for bit as synthesis.linprog does
+    code = _SMALL_LP + """
+x = synthesis.linprog(**lp).x
+core = sys.modules[CORE]
+import scipy.optimize
+from scipy.optimize._highspy import _core
+ref = scipy.optimize.linprog(**lp, method="highs")
+print(_core is core is sys.modules[CORE], ref.x.tobytes() == x.tobytes())
+"""
+    assert _fresh(code) == "True True"
+
+
+def test_threads_share_one_first_load():
+    # four threads on two cores, switching often; the slowed search holds
+    # the first one inside the load until the others arrive, and they must
+    # wait for it and take its module
+    code = _SMALL_LP + """
+import threading
+import time
+from importlib.machinery import PathFinder
+
+searches = []
+
+class SlowFinder:
+    @staticmethod
+    def find_spec(name, path):
+        searches.append(name)
+        time.sleep(0.05)
+        return PathFinder.find_spec(name, path)
+
+synthesis.PathFinder = SlowFinder
+sys.setswitchinterval(1e-5)
+start = threading.Barrier(4)
+results = []
+
+def solve():
+    start.wait()
+    results.append(synthesis.linprog(**lp).x.tolist())
+
+threads = [threading.Thread(target=solve) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads)
+print(results == [[0.75, 0.25]] * 4, searches == [CORE])
+"""
+    assert _fresh(code) == "True True"
+
+
+def test_the_highs_extension_is_found_without_scipy_optimize():
+    # synthesis._highs_core finds the bindings' extension module in
+    # scipy's optimize/_highspy folder by path, without importing the
+    # scipy.optimize package around it
+    import scipy
+    from importlib.machinery import ExtensionFileLoader, PathFinder
+
+    folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    spec = PathFinder.find_spec("scipy.optimize._highspy._core", [folder])
+    assert spec is not None and isinstance(spec.loader, ExtensionFileLoader)
+    assert spec.name == "scipy.optimize._highspy._core"
+    assert os.path.dirname(spec.origin) == folder
 
 
 def test_the_highs_bindings_linprog_calls_exist():

@@ -427,23 +427,27 @@ DESIGN_PEAK_BOUNDS = {
 
 
 @pytest.mark.parametrize("name", list(DESIGN_PEAK_BOUNDS))
-def test_design_memory_holds_no_t1_grid(name):
+def test_design_memory_holds_no_t1_grid(name, caplog):
     lp, d = _bundled_design_plant(name)
     settings = {k: d[k] for k in ("tol", "n_q", "grid_size")}
     if d["mode"] == "robust":
         design, settings["margin"] = synthesize_robust, d["margin"]
     else:
         design = synthesize_nominal
-    # a design imports scipy.optimize at its first LP; that is not the
+    # a design loads the HiGHS bindings at its first LP; that is not the
     # design's memory
-    import scipy.optimize  # noqa: F401
+    synthesis._highs_core()
     tracemalloc.start()
     try:
-        design(lp, **settings)
+        with caplog.at_level(logging.WARNING, logger="relaycancel.synthesis"):
+            design(lp, **settings)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < DESIGN_PEAK_BOUNDS[name]
+    # the certificate sits within tol of the grid objective (1.6e-6 and
+    # 2.5e-6 relative above it), so the design logs no warning
+    assert not caplog.records
 
 
 @pytest.mark.parametrize("name", ["nominal_60db", "robust_40db"])
@@ -772,6 +776,20 @@ def test_solver_limits_travel_with_the_controller(small_lifted, tmp_path,
     assert capped.meta["gap"] > SMALL_DESIGN["tol"]
     assert capped.meta["iterations"] == 2
     assert "iteration cap (2)" in caplog.text
+
+
+def test_a_grid_that_misses_the_peak_is_logged(caplog):
+    # on 8 grid points the minimax flattens the gain there and leaves the
+    # certified norm at about 2.9 x the grid objective
+    with caplog.at_level(logging.WARNING, logger="relaycancel.synthesis"):
+        K = synthesize_nominal(_small_lp(), tol=1e-3, n_q=4, grid_size=8)
+    gamma, grid_objective = K.gamma_achieved, K.meta["grid_objective"]
+    assert gamma > 2.0 * grid_objective
+    [record] = [r for r in caplog.records if r.name == synthesis.__name__]
+    assert record.levelno == logging.WARNING
+    assert record.getMessage().startswith(
+        f"certified gamma {gamma:.10g} exceeds the grid objective "
+        f"{grid_objective:.10g} by more than tol = 0.001 relative")
 
 
 def _small_channels(small_robust):
