@@ -10,6 +10,21 @@ stored as dense real matrices; the orders encountered here (tens of
 states after lifting) are small enough that dense linear algebra is both
 simpler and fast.
 
+Beyond numpy, the module needs four dense kernels: a triangular solve,
+a complex Schur form, the eigenvalues of a pencil (LAPACK's dtrtrs,
+zgees and dggev; Anderson et al., LAPACK Users' Guide, 1999) and the
+matrix exponential (scipy's compiled scaling-and-squaring Pade kernel;
+Al-Mohy & Higham, SIMAX 31, 2009).  ``_scipy_extension`` loads scipy's
+``linalg._flapack`` and ``linalg._matfuncs_expm`` extension modules by
+their paths, without ``scipy.linalg``, whose import would also load
+numpy's ``f2py``, ``testing``, ``ma``, ``random`` and ``polynomial``
+through scipy's array-API layer (20 MB more resident memory at import
+with scipy 1.17).  ``_solve_lower``, ``_complex_schur``,
+``_pencil_eigenvalues`` and ``_expm`` make the calls that scipy 1.17's
+``solve_triangular``, ``schur``, ``eig`` and ``expm`` make for the one
+case the package passes each, with their finiteness and LAPACK ``info``
+checks, so their results are bitwise scipy's.
+
 A system is
 
     continuous:  dx/dt = A x + B u,   y = C x + D u
@@ -23,12 +38,16 @@ safe to share across threads.
 from __future__ import annotations
 
 import logging
+import os
+import sys
+import threading
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
+import scipy
 from numpy.linalg._umath_linalg import cholesky_lo
-from scipy.linalg import eig as geig
-from scipy.linalg import expm, schur, solve_triangular
 
 __all__ = [
     "StateSpace",
@@ -60,6 +79,162 @@ _SCREEN_STRIDE = 64
 _SCREEN_CHUNK = 16
 
 logger = logging.getLogger(__name__)
+
+_extension_lock = threading.Lock()
+
+
+def _scipy_extension(name: str):
+    """scipy's compiled module ``name`` (a full dotted name), loaded
+    without running the ``__init__.py`` of the packages around it.
+
+    When the module is already in ``sys.modules`` (as after an import of
+    its package) that one is returned.  Otherwise the extension is found
+    in its folder under ``scipy.__path__[0]`` and registered in
+    ``sys.modules`` under its full name before it runs (and removed if
+    that fails), where a later import of its package finds and reuses it:
+    pybind11 registers HiGHS's types, for one, once per process.  (The
+    package then has no attribute for it; ``from`` imports, which scipy's
+    own modules use, find it in ``sys.modules``.)  The lock keeps two
+    threads' first loads of a module from loading it twice.
+    """
+    with _extension_lock:
+        module = sys.modules.get(name)
+        if module is None:
+            folder = os.path.join(scipy.__path__[0], *name.split(".")[1:-1])
+            spec = PathFinder.find_spec(name, [folder])
+            if spec is None:
+                raise ImportError(f"no {name} in {folder}")
+            module = module_from_spec(spec)
+            sys.modules[name] = module
+            try:
+                spec.loader.exec_module(module)
+            except BaseException:
+                del sys.modules[name]
+                raise
+        return module
+
+
+_flapack = _scipy_extension("scipy.linalg._flapack")
+_expm_kernels = _scipy_extension("scipy.linalg._matfuncs_expm")
+
+
+def _solve_lower(L, b) -> np.ndarray:
+    """x with L x = b, L lower triangular: scipy's ``solve_triangular(L,
+    b, lower=True)``, by dtrtrs.  dtrtrs reads Fortran order, so a
+    C-ordered L is passed as its transpose, solved transposed."""
+    L, b = np.asarray_chkfinite(L), np.asarray_chkfinite(b)
+    if L.flags.f_contiguous:
+        x, info = _flapack.dtrtrs(L, b, overwrite_b=False, lower=True,
+                                  trans=0, unitdiag=False)
+    else:
+        x, info = _flapack.dtrtrs(L.T, b, overwrite_b=False, lower=False,
+                                  trans=True, unitdiag=False)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal "
+                         "trtrs")
+    return x
+
+
+def _complex_schur(A) -> tuple[np.ndarray, np.ndarray]:
+    """(S, Q) with A = Q S Q', S upper triangular: scipy's ``schur(A,
+    output="complex")``, by a zgees work query and then zgees, unsorted,
+    on a complex copy of A."""
+    a = np.asarray_chkfinite(A).astype("D")
+    query = _flapack.zgees(lambda x: None, a, lwork=-1)
+    S, _, _, Q, _, info = _flapack.zgees(
+        lambda x: None, a, lwork=query[-2][0].real.astype(np.int_),
+        overwrite_a=True, sort_t=0)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal "
+                         "gees")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            "Schur form not found. Possibly ill-conditioned.")
+    return S, Q
+
+
+def _pencil_eigenvalues(M, L) -> np.ndarray:
+    """[alpha; beta], the pencil's generalized eigenvalues alpha / beta in
+    homogeneous form: scipy's ``eig(M, L, right=False,
+    homogeneous_eigvals=True)``, by a dggev work query and then dggev
+    without eigenvectors."""
+    M, L = np.asarray_chkfinite(M), np.asarray_chkfinite(L)
+    query = _flapack.dggev(M, L, lwork=-1)
+    alphar, alphai, beta, _, _, _, info = _flapack.dggev(
+        M, L, False, False, query[-2][0].real.astype(np.int_), False, False)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal "
+                         "generalized eig algorithm (ggev)")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            "generalized eig algorithm (ggev) did not converge (LAPACK "
+            f"info={info})")
+    return np.vstack((alphar + 1j * alphai, beta))
+
+
+def _expm(A) -> np.ndarray:
+    """exp(A) of a real square matrix: scipy's ``expm``.  A diagonal A
+    gets exp of its diagonal; any other is scaled by 2^-s and given a
+    Pade approximant by scipy's compiled kernels, then squared s times.
+    A triangular A is squared as in Code Fragment 2.1 of Al-Mohy &
+    Higham, which recomputes the diagonal and the first off-diagonal
+    after each squaring.  Like scipy's, it makes no finiteness check.
+    """
+    a = np.asarray(A, dtype=float)
+    if a.shape == (1, 1):
+        return np.exp(a)
+    lower, upper = np.tril(a, -1).any(), np.triu(a, 1).any()
+    if not (lower or upper):
+        return np.diag(np.exp(np.diag(a)))
+    Am = np.empty((5,) + a.shape)  # the kernels' work space, Am[0] = A
+    Am[0] = a
+    m, s = _expm_kernels.pick_pade_structure(Am)
+    if m < 0:
+        raise MemoryError("scipy.linalg.expm could not allocate sufficient "
+                          "memory while trying to compute the Pade "
+                          f"structure (error code {m}).")
+    info = _expm_kernels.pade_UV_calc(Am, m)
+    if info != 0:
+        if info <= -11:
+            raise MemoryError("scipy.linalg.expm could not allocate "
+                              "sufficient memory while trying to compute "
+                              f"the exponential (error code {info}).")
+        raise RuntimeError("scipy.linalg.expm got an internal LAPACK error "
+                           "during the exponential computation (error code "
+                           f"{info})")
+    E = Am[0]
+    if s != 0 and lower and upper:
+        for _ in range(s):
+            E = E @ E
+    elif s != 0:
+        d = np.diag(a)
+        np.einsum("ii->i", E)[:] = np.exp(d * 2**(-s))
+        sd = np.diag(a, k=-1 if lower else 1)
+        for i in range(s - 1, -1, -1):
+            E = E @ E
+            np.einsum("ii->i", E)[:] = np.exp(d * 2.0**(-i))
+            off = E[1:, :-1] if lower else E[:-1, 1:]
+            np.einsum("ii->i", off)[:] = (_exp_sinch(d * 2.0**(-i))
+                                          * (sd * 2**(-i)))
+    if not lower:
+        return np.triu(E)
+    if not upper:
+        return np.tril(E)
+    return E.copy()  # frees the rest of Am
+
+
+def _exp_sinch(x: np.ndarray) -> np.ndarray:
+    """(exp(x[i+1]) - exp(x[i])) / (x[i+1] - x[i]), exp(x[i]) where the
+    two are equal (Higham, Functions of Matrices, 2008, (10.42))."""
+    lexp_diff = np.diff(np.exp(x))
+    l_diff = np.diff(x)
+    mask_z = l_diff == 0.0
+    lexp_diff[~mask_z] /= l_diff[~mask_z]
+    lexp_diff[mask_z] = np.exp(x[:-1][mask_z])
+    return lexp_diff
 
 
 def _as_matrix(M) -> np.ndarray:
@@ -229,7 +404,7 @@ def zoh_discretize(sys: StateSpace, T: float) -> StateSpace:
     M = np.zeros((n + m, n + m))
     M[:n, :n] = sys.A
     M[:n, n:] = sys.B
-    E = expm(M * T)
+    E = _expm(M * T)
     if not np.all(np.isfinite(E)):
         raise np.linalg.LinAlgError(
             "matrix exponential produced non-finite entries")
@@ -452,11 +627,11 @@ def _shifted_schur(A, B, C, D, beta: float):
     response, S upper triangular: W = Q' Lb and V = Rc Q."""
     C, D = C / beta, D / beta
     Lp = np.linalg.cholesky(np.eye(D.shape[1]) - D.T @ D)
-    F = solve_triangular(Lp, D.T @ C, lower=True)
-    Bc = solve_triangular(Lp, B.T, lower=True).T
+    F = _solve_lower(Lp, D.T @ C)
+    Bc = _solve_lower(Lp, B.T).T
     Rc = np.linalg.qr(np.vstack([C, F]), mode="r")
     Lb = np.linalg.qr(Bc.T, mode="r").T
-    S, Q = schur(A + Bc @ F, output="complex")
+    S, Q = _complex_schur(A + Bc @ F)
     return S, Q.conj().T @ Lb, Rc @ Q
 
 
@@ -499,7 +674,7 @@ def _has_unit_circle_crossing(sys: StateSpace, gamma: float) -> bool:
         [-Q, np.eye(n), -S],
         [S.T, Zmn, R],
     ])
-    w = geig(M, L, right=False, homogeneous_eigvals=True)
+    w = _pencil_eigenvalues(M, L)
     alpha, beta = w[0], w[1]
     finite = np.abs(beta) > 1e-12 * np.max(np.abs(beta), initial=1.0)
     lam = alpha[finite] / beta[finite]

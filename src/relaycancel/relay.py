@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .lti import StateSpace, from_tf, is_stable
 
@@ -73,8 +72,17 @@ def scalar_block(num, den) -> StateSpace:
     a static gain and an improper num raises ValueError.
     """
     siso = from_tf(num, den)
-    return StateSpace(*(block_diag(M, M)
+    return StateSpace(*(_two_blocks(M)
                         for M in (siso.A, siso.B, siso.C, siso.D)))
+
+
+def _two_blocks(M: np.ndarray) -> np.ndarray:
+    """[[M, 0], [0, M]], also for an M with no rows or no columns."""
+    r, c = M.shape
+    out = np.zeros((2 * r, 2 * c))
+    out[:r, :c] = M
+    out[r:, c:] = M
+    return out
 
 
 def _check_block(name: str, sys: StateSpace, strictly_proper: bool = False):

@@ -53,13 +53,8 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import os
-import sys
-import threading
 import time
 from dataclasses import dataclass, field, replace
-from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -68,6 +63,7 @@ from .lti import (
     StateSpace,
     _closed_loop_a,
     _controller_side,
+    _scipy_extension,
     _spectral_margin,
     interconnect,
     is_stable,
@@ -115,39 +111,20 @@ class LPResult:
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
-_highs_lock = threading.Lock()
 
 
 def _highs_core():
-    """scipy's HiGHS extension module, loaded without ``scipy.optimize``.
+    """scipy's HiGHS extension module, loaded by ``lti._scipy_extension``
+    without ``scipy.optimize`` at the first LP.
 
     Importing it by name would first run ``scipy/optimize/__init__.py``,
     which loads about 240 modules the package never calls (sparse,
     spatial, special, fft): 19 MB of resident memory with scipy 1.17,
-    against 2.5 MB for the extension alone.  So unless it is loaded, the
-    extension is found in scipy's ``optimize/_highspy`` folder and
-    registered in ``sys.modules`` under its full name, where a later
-    ``import scipy.optimize`` finds and reuses it (pybind11 registers its
-    types once per process).  The lock keeps two threads' first LPs from
-    loading it twice.
+    against 2.5 MB for the extension alone.  A later ``import
+    scipy.optimize`` reuses the module (pybind11 registers its types once
+    per process).
     """
-    with _highs_lock:
-        core = sys.modules.get(_HIGHS_CORE)
-        if core is None:
-            import scipy
-
-            folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
-            spec = PathFinder.find_spec(_HIGHS_CORE, [folder])
-            if spec is None:
-                raise ImportError(f"no HiGHS bindings in {folder}")
-            core = module_from_spec(spec)
-            sys.modules[_HIGHS_CORE] = core
-            try:
-                spec.loader.exec_module(core)
-            except BaseException:
-                del sys.modules[_HIGHS_CORE]
-                raise
-        return core
+    return _scipy_extension(_HIGHS_CORE)
 
 
 def linprog(c, A_ub, b_ub, bounds) -> LPResult:

@@ -722,7 +722,7 @@ def test_numerical_failure_exits_three(tmp_path, capsys, monkeypatch, exc):
 
 def test_non_finite_discretization_exits_three(tmp_path, capsys, monkeypatch):
     # lti raises LinAlgError, not a plain ValueError that would exit 1
-    monkeypatch.setattr("relaycancel.lti.expm",
+    monkeypatch.setattr("relaycancel.lti._expm",
                         lambda M: np.full_like(M, np.nan))
     cfg_path = write_cfg(tmp_path, FAST_CONFIG)
     rc = main(["design", "--config", cfg_path,

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from relaycancel.lti import (
     subsystem,
     zoh_discretize,
 )
+from relaycancel.relay import scalar_block
 
 from oracles import frequency_response, reference_screen
 
@@ -970,3 +972,167 @@ def test_gramian_factor_failures_raise():
                             np.array([[0.0], [1e10]]))
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         lti._gramian_factor(np.eye(1), np.ones((1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# LAPACK and expm kernels, byte for byte against scipy.linalg
+
+
+def _same_bytes(got, ref) -> bool:
+    got, ref = np.asarray(got), np.asarray(ref)
+    return (got.shape == ref.shape and got.dtype == ref.dtype
+            and got.tobytes() == ref.tobytes())
+
+
+@st.composite
+def kernel_matrices(draw, kinds=("general", "upper", "lower", "diagonal",
+                                 "paired_diagonal")):
+    """A square matrix of order 1-8 and norm from about 1e-3 to 500, so
+    that expm scales and squares (s > 0) on the larger draws.  Every
+    triangular kind has diagonal entries in pairs, as a ``scalar_block``
+    core does, which ``_exp_sinch``'s equal-entry case takes."""
+    kind = draw(st.sampled_from(kinds))
+    n = draw(st.integers(1, 8))
+    scale = 10.0 ** draw(st.floats(-3.0, 1.7))
+    A = np.random.default_rng(draw(st.integers(0, 2**32 - 1))) \
+        .standard_normal((n, n)) * scale
+    if kind == "paired_diagonal":
+        np.fill_diagonal(A, np.repeat(A.diagonal()[::2], 2)[:n])
+        A = np.triu(A) if draw(st.booleans()) else np.tril(A)
+    elif kind == "upper":
+        A = np.triu(A)
+    elif kind == "lower":
+        A = np.tril(A)
+    elif kind == "diagonal":
+        A = np.diag(A.diagonal())
+    return A
+
+
+def _squarings(A) -> int:
+    from scipy.linalg._matfuncs_expm import pick_pade_structure
+
+    Am = np.empty((5,) + A.shape)
+    Am[0] = A
+    return pick_pade_structure(Am)[1]
+
+
+@settings(max_examples=200)
+@given(kernel_matrices())
+def test_expm_is_scipys_bit_for_bit(A):
+    assert _same_bytes(lti._expm(A), scipy.linalg.expm(A))
+
+
+@pytest.mark.parametrize("kind", ["general", "upper", "lower"])
+def test_expm_is_scipys_bit_for_bit_when_it_squares(kind):
+    A = np.random.default_rng(3).standard_normal((6, 6)) * 20.0
+    A = {"general": A, "upper": np.triu(A), "lower": np.tril(A)}[kind]
+    assert _squarings(A) > 0
+    assert _same_bytes(lti._expm(A), scipy.linalg.expm(A))
+
+
+def test_zoh_of_a_scalar_block_takes_the_triangular_squaring():
+    # [[A, B], [0, 0]] T of P = 1/(0.001 s + 1) I: upper triangular, a
+    # diagonal A with equal entries, and a norm that needs squaring
+    P = scalar_block([1.0], [0.001, 1.0])
+    M = np.zeros((4, 4))
+    M[:2, :2], M[:2, 2:] = P.A, P.B
+    M *= 0.25
+    assert _squarings(M) > 0
+    assert _same_bytes(lti._expm(M), scipy.linalg.expm(M))
+    d = zoh_discretize(P, 0.25)
+    assert _same_bytes(d.A, scipy.linalg.expm(M)[:2, :2])
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 8), st.integers(1, 5), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_solve_lower_is_scipys_bit_for_bit(n, k, fortran_L, fortran_b, seed):
+    rng = np.random.default_rng(seed)
+    # the strict upper triangle is left full: both must read only the lower
+    L = rng.standard_normal((n, n))
+    np.fill_diagonal(L, rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n))
+    b = rng.standard_normal((n, k))
+    L = np.asfortranarray(L) if fortran_L else np.ascontiguousarray(L)
+    b = np.asfortranarray(b) if fortran_b else np.ascontiguousarray(b)
+    ref = scipy.linalg.solve_triangular(L, b, lower=True)
+    assert _same_bytes(lti._solve_lower(L, b), ref)
+
+
+@settings(max_examples=100)
+@given(kernel_matrices())
+def test_complex_schur_is_scipys_bit_for_bit(A):
+    S, Q = lti._complex_schur(A)
+    S_ref, Q_ref = scipy.linalg.schur(A, output="complex")
+    assert _same_bytes(S, S_ref) and _same_bytes(Q, Q_ref)
+
+
+@settings(max_examples=100)
+@given(kernel_matrices(), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_pencil_eigenvalues_are_scipys_bit_for_bit(M, singular, seed):
+    # the bounded-real pencil's L has zero rows, which gives beta = 0
+    L = np.random.default_rng(seed).standard_normal(M.shape)
+    L[L.shape[0] - singular:] = 0.0
+    ref = scipy.linalg.eig(M, L, right=False, homogeneous_eigvals=True)
+    assert _same_bytes(lti._pencil_eigenvalues(M, L), ref)
+
+
+def _kernel_calls(bad: float):
+    """(kernel, scipy's function, arguments) with ``bad`` in one input."""
+    M = np.array([[2.0, 0.0, 0.0], [1.0, 3.0, 0.0], [0.5, -1.0, 4.0]])
+    Mbad = M.copy()
+    Mbad[1, 0] = bad
+    b = np.ones((3, 2))
+    bbad = b.copy()
+    bbad[2, 1] = bad
+
+    def solve(L, b):
+        return scipy.linalg.solve_triangular(L, b, lower=True)
+
+    def schur(A):
+        return scipy.linalg.schur(A, output="complex")
+
+    def eig(M, L):
+        return scipy.linalg.eig(M, L, right=False, homogeneous_eigvals=True)
+
+    return [(lti._solve_lower, solve, (Mbad, b)),
+            (lti._solve_lower, solve, (M, bbad)),
+            (lti._complex_schur, schur, (Mbad,)),
+            (lti._pencil_eigenvalues, eig, (Mbad, M)),
+            (lti._pencil_eigenvalues, eig, (M, Mbad))]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("case", range(5))
+def test_kernels_refuse_non_finite_inputs_as_scipy_does(bad, case):
+    kernel, reference, args = _kernel_calls(bad)[case]
+    with pytest.raises(ValueError) as ref:
+        reference(*args)
+    with pytest.raises(ValueError) as got:
+        kernel(*args)
+    assert type(got.value) is type(ref.value)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_solve_lower_refuses_a_singular_factor_as_scipy_does(order):
+    L = np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, -1.0, 4.0]],
+                 order=order)
+    b = np.ones((3, 1))
+    with pytest.raises(np.linalg.LinAlgError) as ref:
+        scipy.linalg.solve_triangular(L, b, lower=True)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        lti._solve_lower(L, b)
+    assert str(got.value) == str(ref.value) == (
+        "singular matrix: resolution failed at diagonal 1")
+
+
+@pytest.mark.parametrize("num, den", [
+    ([3.0], [2.0]),                   # static gain: no states
+    ([1.0], [0.001, 1.0]),            # first order
+    ([-1.0, 0.5], [1.0, 0.2, 1.0]),   # second order, negative entries
+])
+def test_scalar_block_is_block_diag_bit_for_bit(num, den):
+    siso, block = from_tf(num, den), scalar_block(num, den)
+    for M, got in zip((siso.A, siso.B, siso.C, siso.D),
+                      (block.A, block.B, block.C, block.D)):
+        assert _same_bytes(got, scipy.linalg.block_diag(M, M))

@@ -32,11 +32,75 @@ def _fresh(code: str) -> str:
     return out.stdout.strip()
 
 
+# scipy.linalg's __init__ runs scipy's array-API layer, whose vendored
+# array_api_compat clones numpy's namespace and so loads numpy.f2py,
+# testing, ma, random and polynomial; lti loads the two extension modules
+# it calls by their paths instead
+_NOT_LOADED = ("scipy.linalg", "scipy._lib._array_api", "numpy.f2py",
+               "numpy.testing")
+
+
 def test_import_leaves_out_the_heavy_scipy_subpackages():
     code = ("import sys, relaycancel.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'], "
-            "['scipy', 'interpolate'], ['scipy', 'optimize'])))")
+            "['scipy', 'interpolate'], ['scipy', 'optimize']) "
+            f"or m in {_NOT_LOADED!r}))")
     assert _fresh(code) == "[]"
+
+
+def test_a_design_and_a_simulation_leave_out_scipy_linalg():
+    code = f"""
+import sys
+from relaycancel.lifting import fsfh_lift
+from relaycancel.relay import (CouplingChannel, RelayParams,
+                               build_generalized_plant, scalar_block)
+from relaycancel.sim import SimConfig, simulate_closed_loop
+from relaycancel.synthesis import synthesize_nominal, verify_design
+params = RelayParams(h=1.0, f=10000.0, a1=1.0, a2=1000.0,
+                     W=scalar_block([1.0], [2.0, 1.0]),
+                     F=scalar_block([1.0], [1.0]),
+                     P=scalar_block([1.0], [0.001, 1.0]))
+channel = CouplingChannel(0.2, 1.0)
+spec = build_generalized_plant(params, channel)
+K = synthesize_nominal(fsfh_lift(spec, 2), n_q=1, grid_size=32)
+verify_design(spec, K, 4)
+trace = simulate_closed_loop(SimConfig(params=params, channel=channel, K=K,
+                                       duration=5.0, oversample=8))
+assert trace.err.size and not trace.diverged
+print(sorted(m for m in {_NOT_LOADED!r} if m in sys.modules))
+"""
+    assert _fresh(code) == "[]"
+
+
+def test_scipy_linalg_reuses_the_loaded_extensions():
+    # a later import of scipy.linalg finds lti's modules in sys.modules,
+    # and its functions then give lti's kernels' results byte for byte
+    code = """
+import sys
+import numpy as np
+from relaycancel import lti
+assert "scipy.linalg" not in sys.modules
+flapack, expm_kernels = lti._flapack, lti._expm_kernels
+import scipy.linalg
+from scipy.linalg import _flapack, _matfuncs_expm, lapack
+rng = np.random.default_rng(5)
+A = rng.standard_normal((6, 6)) * 4.0
+L = np.tril(A) + 8.0 * np.eye(6)
+b = rng.standard_normal((6, 2))
+pairs = [(lti._expm(A), scipy.linalg.expm(A)),
+         (lti._solve_lower(L, b),
+          scipy.linalg.solve_triangular(L, b, lower=True)),
+         *zip(lti._complex_schur(A), scipy.linalg.schur(A, output="complex")),
+         (lti._pencil_eigenvalues(A, L),
+          scipy.linalg.eig(A, L, right=False, homogeneous_eigvals=True))]
+print(_flapack is flapack is lapack._flapack
+      is sys.modules["scipy.linalg._flapack"],
+      _matfuncs_expm is expm_kernels
+      is sys.modules["scipy.linalg._matfuncs_expm"],
+      all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+          for x, y in pairs))
+"""
+    assert _fresh(code) == "True True True"
 
 
 # min x0 + 2 x1  s.t.  -x0 - x1 <= -1,  0 <= x0 <= 0.75,  x1 >= 0.25,
@@ -79,13 +143,15 @@ print(_core is core is sys.modules[CORE], ref.x.tobytes() == x.tobytes())
 
 
 def test_threads_share_one_first_load():
-    # four threads on two cores, switching often; the slowed search holds
-    # the first one inside the load until the others arrive, and they must
-    # wait for it and take its module
+    # four threads on two cores, switching often; the slowed search of
+    # the shared loader, lti._scipy_extension, holds the first one inside
+    # the load until the others arrive, and they must wait for it and take
+    # its module
     code = _SMALL_LP + """
 import threading
 import time
 from importlib.machinery import PathFinder
+from relaycancel import lti
 
 searches = []
 
@@ -96,7 +162,7 @@ class SlowFinder:
         time.sleep(0.05)
         return PathFinder.find_spec(name, path)
 
-synthesis.PathFinder = SlowFinder
+lti.PathFinder = SlowFinder
 sys.setswitchinterval(1e-5)
 start = threading.Barrier(4)
 results = []
@@ -128,6 +194,68 @@ def test_the_highs_extension_is_found_without_scipy_optimize():
     assert spec is not None and isinstance(spec.loader, ExtensionFileLoader)
     assert spec.name == "scipy.optimize._highspy._core"
     assert os.path.dirname(spec.origin) == folder
+
+
+@pytest.mark.parametrize("name", ["scipy.linalg._flapack",
+                                  "scipy.linalg._matfuncs_expm"])
+def test_the_linalg_extensions_are_found_without_scipy_linalg(name):
+    # lti._scipy_extension finds them in scipy's linalg folder by path
+    import scipy
+    from importlib.machinery import ExtensionFileLoader, PathFinder
+
+    folder = os.path.join(scipy.__path__[0], "linalg")
+    spec = PathFinder.find_spec(name, [folder])
+    assert spec is not None and isinstance(spec.loader, ExtensionFileLoader)
+    assert spec.name == name and os.path.dirname(spec.origin) == folder
+
+
+def test_the_loader_names_a_missing_extension():
+    from relaycancel import lti
+
+    with pytest.raises(ImportError, match="no scipy.linalg._absent in "):
+        lti._scipy_extension("scipy.linalg._absent")
+    assert "scipy.linalg._absent" not in sys.modules
+
+
+def test_the_lapack_and_expm_calls_exist():
+    # lti's kernels call scipy's private LAPACK wrappers and expm kernels
+    # directly, with the arguments scipy 1.17's solve_triangular, schur,
+    # eig and expm pass them
+    from scipy.linalg import _flapack, _matfuncs_expm
+
+    a = np.array([[2.0, 1.0], [0.5, 3.0]])
+    x, info = _flapack.dtrtrs(a, np.array([[2.0], [3.5]]), overwrite_b=False,
+                              lower=True, trans=0, unitdiag=False)
+    assert info == 0 and x.ravel().tolist() == [1.0, 1.0]
+    x, info = _flapack.dtrtrs(a.T, np.array([[2.0], [3.5]]),
+                              overwrite_b=False, lower=False, trans=True,
+                              unitdiag=False)
+    assert info == 0 and x.ravel().tolist() == [1.0, 1.0]
+    # (t, sdim, w, vs, work, info): the work query's optimum in work[0]
+    query = _flapack.zgees(lambda x: None, a.astype("D"), lwork=-1)
+    assert len(query) == 6 and query[-1] == 0 and query[-2][0].real >= 2
+    t, _, w, vs, _, info = _flapack.zgees(
+        lambda x: None, a.astype("D"), lwork=int(query[-2][0].real),
+        overwrite_a=True, sort_t=0)
+    assert info == 0 and np.allclose(vs @ t @ vs.conj().T, a)
+    # (alphar, alphai, beta, vl, vr, work, info), the same way
+    query = _flapack.dggev(a, np.eye(2), lwork=-1)
+    assert len(query) == 7 and query[-1] == 0 and query[-2][0] >= 1
+    alphar, alphai, beta, _, _, _, info = _flapack.dggev(
+        a, np.eye(2), False, False, int(query[-2][0]), False, False)
+    assert info == 0 and not alphai.any()
+    assert np.allclose(np.sort(alphar / beta), np.linalg.eigvals(a).real)
+    # the scaled Pade approximant in Am[0], then s squarings
+    Am = np.empty((5, 2, 2))
+    Am[0] = a
+    m, s = _matfuncs_expm.pick_pade_structure(Am)
+    assert m in (3, 5, 7, 9, 13) and s >= 0
+    assert _matfuncs_expm.pade_UV_calc(Am, m) == 0
+    E = Am[0]
+    for _ in range(s):
+        E = E @ E
+    lam, V = np.linalg.eig(a)
+    assert np.allclose(E, (V * np.exp(lam)) @ np.linalg.inv(V), rtol=1e-12)
 
 
 def test_the_highs_bindings_linprog_calls_exist():
