@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -341,8 +342,26 @@ def write_trace_csv(trace, path: Path):
             fh.write(row * n % tuple(cells.ravel().tolist()))
 
 
+def _finite(obj):
+    """obj with each non-finite float, in its dicts and lists too, made
+    None: JSON (RFC 8259) has no Infinity or NaN."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
+def _json(obj: dict) -> str:
+    """A report as JSON, non-finite floats as null."""
+    return json.dumps(_finite(obj), indent=2, sort_keys=True,
+                      allow_nan=False)
+
+
 def _write_json(obj: dict, path: Path):
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json(obj) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +473,7 @@ def cmd_verify(config: str, controller: str, out: str | None = None) -> int:
         }
     if out:
         _write_json(report, Path(out))
-    print(json.dumps({k: v for k, v in report.items() if k != "config"},
-                     indent=2, sort_keys=True, default=str))
+    print(_json({k: v for k, v in report.items() if k != "config"}))
     ok = report["closed_loop_stable"] and report.get("small_gain_certified",
                                                      True)
     ok = ok and report.get("perturbation_sweep", {}).get("all_stable", True)
@@ -531,9 +549,7 @@ def cmd_lift_check(config: str, out: str | None, n_list) -> int:
               "relative_successive_change": diffs}
     if out:
         _write_json(report, Path(out))
-    print(json.dumps({"gamma_by_N": gammas,
-                      "relative_successive_change": diffs},
-                     indent=2, sort_keys=True))
+    print(_json({"gamma_by_N": gammas, "relative_successive_change": diffs}))
     return 0
 
 

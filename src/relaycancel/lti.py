@@ -10,20 +10,20 @@ stored as dense real matrices; the orders encountered here (tens of
 states after lifting) are small enough that dense linear algebra is both
 simpler and fast.
 
-Beyond numpy, the module needs four dense kernels: a triangular solve,
-a complex Schur form, the eigenvalues of a pencil (LAPACK's dtrtrs,
-zgees and dggev; Anderson et al., LAPACK Users' Guide, 1999) and the
-matrix exponential (scipy's compiled scaling-and-squaring Pade kernel;
-Al-Mohy & Higham, SIMAX 31, 2009).  ``_scipy_extension`` loads scipy's
+Beyond numpy, the module needs three dense kernels: a complex Schur
+form and the eigenvalues of a pencil (LAPACK's zgees and dggev;
+Anderson et al., LAPACK Users' Guide, 1999) and the matrix exponential
+(scipy's compiled scaling-and-squaring Pade kernel; Al-Mohy & Higham,
+SIMAX 31, 2009).  ``_scipy_extension`` loads scipy's
 ``linalg._flapack`` and ``linalg._matfuncs_expm`` extension modules by
 their paths, without ``scipy.linalg``, whose import would also load
 numpy's ``f2py``, ``testing``, ``ma``, ``random`` and ``polynomial``
 through scipy's array-API layer (20 MB more resident memory at import
-with scipy 1.17).  ``_solve_lower``, ``_complex_schur``,
-``_pencil_eigenvalues`` and ``_expm`` make the calls that scipy 1.17's
-``solve_triangular``, ``schur``, ``eig`` and ``expm`` make for the one
-case the package passes each, with their finiteness and LAPACK ``info``
-checks, so their results are bitwise scipy's.
+with scipy 1.17).  ``_complex_schur``, ``_pencil_eigenvalues`` and
+``_expm`` make the calls that scipy 1.17's ``schur``, ``eig`` and
+``expm`` make for the one case the package passes each, with their
+finiteness and LAPACK ``info`` checks, so their results are bitwise
+scipy's.
 
 A system is
 
@@ -118,26 +118,6 @@ _flapack = _scipy_extension("scipy.linalg._flapack")
 _expm_kernels = _scipy_extension("scipy.linalg._matfuncs_expm")
 
 
-def _solve_lower(L, b) -> np.ndarray:
-    """x with L x = b, L lower triangular: scipy's ``solve_triangular(L,
-    b, lower=True)``, by dtrtrs.  dtrtrs reads Fortran order, so a
-    C-ordered L is passed as its transpose, solved transposed."""
-    L, b = np.asarray_chkfinite(L), np.asarray_chkfinite(b)
-    if L.flags.f_contiguous:
-        x, info = _flapack.dtrtrs(L, b, overwrite_b=False, lower=True,
-                                  trans=0, unitdiag=False)
-    else:
-        x, info = _flapack.dtrtrs(L.T, b, overwrite_b=False, lower=False,
-                                  trans=True, unitdiag=False)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"singular matrix: resolution failed at diagonal {info - 1}")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal "
-                         "trtrs")
-    return x
-
-
 def _complex_schur(A) -> tuple[np.ndarray, np.ndarray]:
     """(S, Q) with A = Q S Q', S upper triangular: scipy's ``schur(A,
     output="complex")``, by a zgees work query and then zgees, unsorted,
@@ -176,19 +156,17 @@ def _pencil_eigenvalues(M, L) -> np.ndarray:
 
 
 def _expm(A) -> np.ndarray:
-    """exp(A) of a real square matrix: scipy's ``expm``.  A diagonal A
-    gets exp of its diagonal; any other is scaled by 2^-s and given a
-    Pade approximant by scipy's compiled kernels, then squared s times.
-    A triangular A is squared as in Code Fragment 2.1 of Al-Mohy &
-    Higham, which recomputes the diagonal and the first off-diagonal
-    after each squaring.  Like scipy's, it makes no finiteness check.
+    """exp(A) of a real square matrix with an entry above its diagonal,
+    as ``zoh_discretize`` builds: scipy's ``expm``.  A is scaled by 2^-s,
+    given a Pade approximant by scipy's compiled kernels and squared s
+    times; an upper-triangular A as in Al-Mohy & Higham's Code Fragment
+    2.1, which recomputes the diagonal and superdiagonal after each
+    squaring.  No finiteness check, as in scipy.  scipy's own cases for a
+    1 x 1, diagonal or lower-triangular A are not kept: such an A takes
+    these paths, accurate but not always bitwise scipy's.
     """
     a = np.asarray(A, dtype=float)
-    if a.shape == (1, 1):
-        return np.exp(a)
-    lower, upper = np.tril(a, -1).any(), np.triu(a, 1).any()
-    if not (lower or upper):
-        return np.diag(np.exp(np.diag(a)))
+    upper = not np.tril(a, -1).any()
     Am = np.empty((5,) + a.shape)  # the kernels' work space, Am[0] = A
     Am[0] = a
     m, s = _expm_kernels.pick_pade_structure(Am)
@@ -206,24 +184,18 @@ def _expm(A) -> np.ndarray:
                            "during the exponential computation (error code "
                            f"{info})")
     E = Am[0]
-    if s != 0 and lower and upper:
+    if s != 0 and not upper:
         for _ in range(s):
             E = E @ E
     elif s != 0:
-        d = np.diag(a)
+        d, sd = np.diag(a), np.diag(a, k=1)
         np.einsum("ii->i", E)[:] = np.exp(d * 2**(-s))
-        sd = np.diag(a, k=-1 if lower else 1)
         for i in range(s - 1, -1, -1):
             E = E @ E
             np.einsum("ii->i", E)[:] = np.exp(d * 2.0**(-i))
-            off = E[1:, :-1] if lower else E[:-1, 1:]
-            np.einsum("ii->i", off)[:] = (_exp_sinch(d * 2.0**(-i))
-                                          * (sd * 2**(-i)))
-    if not lower:
-        return np.triu(E)
-    if not upper:
-        return np.tril(E)
-    return E.copy()  # frees the rest of Am
+            np.einsum("ii->i", E[:-1, 1:])[:] = (_exp_sinch(d * 2.0**(-i))
+                                                 * (sd * 2**(-i)))
+    return np.triu(E) if upper else E.copy()  # the copy frees Am
 
 
 def _exp_sinch(x: np.ndarray) -> np.ndarray:
@@ -530,26 +502,24 @@ def _sigma_max_grid(sys: StateSpace, n_grid: int, sigma_D: float,
         np.geomspace(theta_lo, np.pi, n_grid // 2),
     ]))
     In = np.eye(sys.n_states)
-    exact = {}
+    sigma = np.zeros(thetas.size)  # sigma_max where an SVD was taken
 
-    def svd_at(i: int) -> float:
+    def svd_at(i: int):
         z = np.exp(1j * thetas[i])
         G = sys.C @ np.linalg.solve(z * In - sys.A, sys.B) + sys.D
-        exact[i] = s = np.linalg.svd(G, compute_uv=False)[0]
-        return s
+        sigma[i] = np.linalg.svd(G, compute_uv=False)[0]
 
     seeds = np.r_[0:thetas.size - 1:_SCREEN_STRIDE, thetas.size - 1]
-    best = max(svd_at(i) for i in seeds)
-    rest = np.setdiff1d(np.arange(thetas.size), seeds)
-    passed = _screen(sys, best * (1.0 - 1e-9), thetas[rest], sigma_D)
-    for i in rest if passed is None else rest[~passed]:
+    for i in seeds:
         svd_at(i)
-    # the per-point loop's walk: a strict > keeps the first maximizer
-    best, theta_best = 0.0, 0.0
-    for i in sorted(exact):
-        if exact[i] > best:
-            best, theta_best = float(exact[i]), float(thetas[i])
-    return best, theta_best, len(exact), thetas.size, theta_lo
+    rest = np.setdiff1d(np.arange(thetas.size), seeds)
+    passed = _screen(sys, sigma.max() * (1.0 - 1e-9), thetas[rest], sigma_D)
+    failed = rest if passed is None else rest[~passed]
+    for i in failed:
+        svd_at(i)
+    k = int(np.argmax(sigma))  # the first maximizer, as a per-point loop's
+    return (float(sigma[k]), float(thetas[k]), seeds.size + failed.size,
+            thetas.size, theta_lo)
 
 
 def _screen(sys: StateSpace, beta: float, thetas,
@@ -572,12 +542,13 @@ def _screen(sys: StateSpace, beta: float, thetas,
 
     T comes from one complex Schur form At = Q S Q' per screen, T = (Rc
     Q) (zI - S)^-1 (Q' Lb), in place of a solve of zI - At per point
-    (Laub, IEEE TAC 26, 1981).  Both the Schur form and the triangular
-    solve are backward stable, so the rounding of T, and the argument
-    above, are unchanged.  ``_SCREEN_CHUNK`` points at a time share each
-    step: a back-substitution on zI - S with one product per row of S,
-    one product for T, one stacked product for I - T'T and one stacked
-    Cholesky factorization, which leaves nan in a factor that fails.
+    (Laub, IEEE TAC 26, 1981).  The Schur form, the back-substitution
+    and numpy's LU solves for Lp^-1 Dh'Ch and B Lp^-T are backward stable,
+    so the rounding of T, and the argument above, are unchanged.
+    ``_SCREEN_CHUNK`` points at a time share each step: a back-substitution
+    on zI - S with one product per row of S, one product for T, one
+    stacked product for I - T'T and one stacked Cholesky factorization,
+    which leaves nan in a factor that fails.
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     if D.shape[0] < D.shape[1]:
@@ -624,11 +595,12 @@ def _screen(sys: StateSpace, beta: float, thetas,
 
 def _shifted_schur(A, B, C, D, beta: float):
     """(S, W, V) with T = V (zI - S)^-1 W for ``_screen``'s loop-shifted
-    response, S upper triangular: W = Q' Lb and V = Rc Q."""
+    response, S upper triangular: W = Q' Lb and V = Rc Q.  numpy's solve
+    forms F = Lp^-1 D'C and Bc = B Lp^-T."""
     C, D = C / beta, D / beta
     Lp = np.linalg.cholesky(np.eye(D.shape[1]) - D.T @ D)
-    F = _solve_lower(Lp, D.T @ C)
-    Bc = _solve_lower(Lp, B.T).T
+    F = np.linalg.solve(Lp, D.T @ C)
+    Bc = np.linalg.solve(Lp, B.T).T
     Rc = np.linalg.qr(np.vstack([C, F]), mode="r")
     Lb = np.linalg.qr(Bc.T, mode="r").T
     S, Q = _complex_schur(A + Bc @ F)

@@ -113,20 +113,6 @@ class LPResult:
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 
 
-def _highs_core():
-    """scipy's HiGHS extension module, loaded by ``lti._scipy_extension``
-    without ``scipy.optimize`` at the first LP.
-
-    Importing it by name would first run ``scipy/optimize/__init__.py``,
-    which loads about 240 modules the package never calls (sparse,
-    spatial, special, fft): 19 MB of resident memory with scipy 1.17,
-    against 2.5 MB for the extension alone.  A later ``import
-    scipy.optimize`` reuses the module (pybind11 registers its types once
-    per process).
-    """
-    return _scipy_extension(_HIGHS_CORE)
-
-
 def linprog(c, A_ub, b_ub, bounds) -> LPResult:
     """min c x  s.t.  A_ub x <= b_ub, bounds, by HiGHS's dual simplex.
 
@@ -136,11 +122,16 @@ def linprog(c, A_ub, b_ub, bounds) -> LPResult:
     bitwise scipy's, without its input cleaning, sparse conversion and
     result post-processing.  ``bounds`` holds one (lower, upper) pair per
     variable, ``None`` for no bound; non-finite c, A_ub or b_ub raise
-    ``ValueError``.  The bindings are loaded at the first call, by
-    ``_highs_core`` and without the rest of ``scipy.optimize``: only a
-    design solves LPs.
+    ``ValueError``.  The bindings, scipy's HiGHS extension module, are
+    loaded at the first call (only a design solves LPs) by
+    ``lti._scipy_extension``, without ``scipy.optimize``: importing that
+    would run its ``__init__.py``, which loads about 240 modules the
+    package never calls (sparse, spatial, special, fft), 19 MB of
+    resident memory with scipy 1.17 against 2.5 MB for the extension.  A
+    later ``import scipy.optimize`` reuses the module (pybind11 registers
+    its types once per process).
     """
-    core = _highs_core()
+    core = _scipy_extension(_HIGHS_CORE)
     kHighsInf = core.kHighsInf
 
     c, A_ub, b_ub = (np.asarray(a, dtype=float) for a in (c, A_ub, b_ub))
@@ -453,12 +444,14 @@ _Q_BOX = 10.0
 _SEED_CUTS = 24
 _CUTS_PER_ITER = 12
 _CON_CUTS = 32
+# most LPs one minimax solves; every bundled and tested design stops far
+# below it
+_MINIMAX_MAX_ITER = 300
 
 
 def _solve_minimax(objective: dict, zinv_pow: np.ndarray, n_q: int,
                    constraint: dict | None = None, bound: float = 1.0,
-                   rel_tol: float = 1e-3, max_iter: int = 300,
-                   x_init: np.ndarray | None = None):
+                   rel_tol: float = 1e-3, x_init: np.ndarray | None = None):
     """Minimize the grid maximum of sigma_max(T_obj(Q)) over FIR Q.
 
     Optionally subject to sigma_max(T_con(Q)) <= bound on the same grid.
@@ -518,7 +511,7 @@ def _solve_minimax(objective: dict, zinv_pow: np.ndarray, n_q: int,
     c[-1] = 1.0
     bounds = [(-box, box)] * n_vars + [(0.0, None)]
     lower, n_iter, converged = 0.0, 0, False
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _MINIMAX_MAX_ITER + 1):
         t0 = time.perf_counter()
         A_ub, b_ub = map(np.concatenate, zip(*obj_rows, *con_rows))
         res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
@@ -548,7 +541,7 @@ def _solve_minimax(objective: dict, zinv_pow: np.ndarray, n_q: int,
     if not converged:
         logger.warning(
             "cutting-plane reached the iteration cap (%d) with relative "
-            "gap %.2e", max_iter, rel_gap,
+            "gap %.2e", _MINIMAX_MAX_ITER, rel_gap,
         )
     info = {
         "iterations": n_iter,
@@ -626,18 +619,18 @@ def _check_reuse(meta: dict, fingerprint: str, settings: dict):
     """Raise ValueError unless a design at these settings, on grid
     responses with this fingerprint, would give the Q* in ``meta`` (a
     robust design's meta lacks h and max_iter, so it never passes)."""
-    wrong = [f"{k}={v!r} (reconstruction: {meta.get(k)!r})"
+    wrong = [f"{k}={v!r} (reused design: {meta.get(k)!r})"
              for k, v in settings.items() if meta.get(k) != v]
     if wrong:
-        raise ValueError("reconstruction was designed at other settings: "
+        raise ValueError("the reused design was made at other settings: "
                          + ", ".join(wrong))
     if fingerprint != meta.get("grid_fingerprint"):
-        raise ValueError("reconstruction does not fit this plant: its "
+        raise ValueError("the reused design does not fit this plant: its "
                          "T1/T2/T3 grid responses differ")
 
 
 def synthesize_nominal(lp: LiftedPlant, tol: float = 1e-3, n_q: int = 8,
-                       grid_size: int = 256, max_iter: int = 300,
+                       grid_size: int = 256,
                        reuse: Controller | None = None) -> Controller:
     """Minimize the lifted closed-loop H-infinity norm over FIR-Q cancelers.
 
@@ -658,11 +651,10 @@ def synthesize_nominal(lp: LiftedPlant, tol: float = 1e-3, n_q: int = 8,
                          "use synthesize_robust")
     G22, omegas, zinv_pow = _design_grid(lp, n_q, grid_size, tol)
     settings = {"n_q": n_q, "N": lp.N, "h": lp.h, "grid_size": grid_size,
-                "tol": tol, "max_iter": max_iter}
+                "tol": tol, "max_iter": _MINIMAX_MAX_ITER}
     if reuse is None:
         (ch,) = _prepare_channels(lp, omegas)
-        Q, info = _solve_minimax(ch, zinv_pow, n_q, rel_tol=tol,
-                                 max_iter=max_iter)
+        Q, info = _solve_minimax(ch, zinv_pow, n_q, rel_tol=tol)
         meta = {**settings, **info, "q": Q.tolist(),
                 "grid_fingerprint": _fingerprint(lp, omegas)}
     else:
@@ -686,8 +678,7 @@ def synthesize_nominal(lp: LiftedPlant, tol: float = 1e-3, n_q: int = 8,
 
 
 def synthesize_robust(rp: LiftedPlant, n_q: int = 8, grid_size: int = 256,
-                      margin: float = 0.05, tol: float = 1e-3,
-                      max_iter: int = 300) -> Controller:
+                      margin: float = 0.05, tol: float = 1e-3) -> Controller:
     """Robust canceler: minimize the performance gain subject to the
     uncertainty channel having H-infinity norm at most one.
 
@@ -711,8 +702,7 @@ def synthesize_robust(rp: LiftedPlant, n_q: int = 8, grid_size: int = 256,
     # warm start: solve without the uncertainty constraint, then shrink the
     # result into the feasible set.  The uncertainty channel is exactly
     # linear in Q (its open-loop term is zero), so scaling is safe.
-    Q_unc, warm_info = _solve_minimax(ch1, zinv_pow, n_q, rel_tol=tol,
-                                      max_iter=max_iter)
+    Q_unc, warm_info = _solve_minimax(ch1, zinv_pow, n_q, rel_tol=tol)
     warm_start = {k: warm_info[k] for k in
                   ("iterations", "n_cuts", "converged", "gap",
                    "grid_objective")}
@@ -726,7 +716,6 @@ def synthesize_robust(rp: LiftedPlant, n_q: int = 8, grid_size: int = 256,
         scale = min(1.0, bound / peak2 * (1.0 - 1e-9)) if peak2 > 0 else 1.0
         Q, info = _solve_minimax(ch1, zinv_pow, n_q, constraint=ch2,
                                  bound=bound, rel_tol=tol,
-                                 max_iter=max_iter,
                                  x_init=(scale * Q_unc).reshape(-1))
         K = controller_from_q(Q, G22)
         _, (gamma1, gamma2) = closed_loop_norms(rp, K)

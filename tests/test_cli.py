@@ -554,6 +554,43 @@ def test_lift_check_command(tmp_path):
     assert np.isfinite(report["relative_successive_change"]["2->4"])
 
 
+def _strict_json(text):
+    """text parsed as RFC 8259 JSON, which has no Infinity or NaN."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_an_unstable_verify_report_is_valid_json(nominal_design, tmp_path,
+                                                 capsys):
+    # the nominal_60db canceler on robust_40db's detour channel: the loop
+    # is unstable, so its norm and bound are infinite
+    ctrl, out = tmp_path / "K.yaml", tmp_path / "verify.json"
+    write_controller(nominal_design["K"], ctrl)
+    assert main(["verify", "--config", "robust_40db", "--controller",
+                 str(ctrl), "--out", str(out)]) == 2
+    for report in (_strict_json(out.read_text()),
+                   _strict_json(capsys.readouterr().out)):
+        assert report["closed_loop_stable"] is False
+        assert report["gamma_verify"] is None and report["l2_bound"] is None
+
+
+def test_a_lift_check_report_with_an_unstable_n_is_valid_json(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_design", lambda cfg: (None, Controller(
+        sys=StateSpace.static([[0.0]], dt=1.0), gamma_achieved=0.0,
+        method="nominal_hinf")))
+    monkeypatch.setattr(cli, "sampled_data_norm",
+                        lambda spec, K, N: 0.5 if N == 2 else float("nan"))
+    out = tmp_path / "lift.json"
+    assert main(["lift-check", "--config", write_cfg(tmp_path, FAST_CONFIG),
+                 "--n-list", "2,4", "--out", str(out)]) == 0
+    for report in (_strict_json(out.read_text()),
+                   _strict_json(capsys.readouterr().out)):
+        assert report["gamma_by_N"] == {"2": 0.5, "4": None}
+        assert report["relative_successive_change"] == {"2->4": None}
+
+
 @pytest.mark.parametrize("n_list", ["0", "2.5"])
 def test_lift_check_rejects_a_bad_n_list_before_designing(
         tmp_path, capsys, monkeypatch, n_list):

@@ -985,27 +985,25 @@ def _same_bytes(got, ref) -> bool:
 
 
 @st.composite
-def kernel_matrices(draw, kinds=("general", "upper", "lower", "diagonal",
-                                 "paired_diagonal")):
-    """A square matrix of order 1-8 and norm from about 1e-3 to 500, so
-    that expm scales and squares (s > 0) on the larger draws.  Every
-    triangular kind has diagonal entries in pairs, as a ``scalar_block``
-    core does, which ``_exp_sinch``'s equal-entry case takes."""
-    kind = draw(st.sampled_from(kinds))
-    n = draw(st.integers(1, 8))
+def kernel_matrices(draw):
+    """M = [[A, B], [0, 0]] T as ``zoh_discretize`` builds it, of order 2
+    to 8 with B != 0 and norm from about 1e-3 to 500, so that expm scales
+    and squares (s > 0) on the larger draws.  A general A makes M
+    general, an upper-triangular or diagonal one makes it upper
+    triangular; a paired diagonal, as a first-order ``scalar_block``
+    has, takes ``_exp_sinch``'s equal-entry case."""
+    kind = draw(st.sampled_from(["general", "upper", "paired_diagonal"]))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 2))
     scale = 10.0 ** draw(st.floats(-3.0, 1.7))
-    A = np.random.default_rng(draw(st.integers(0, 2**32 - 1))) \
-        .standard_normal((n, n)) * scale
-    if kind == "paired_diagonal":
-        np.fill_diagonal(A, np.repeat(A.diagonal()[::2], 2)[:n])
-        A = np.triu(A) if draw(st.booleans()) else np.tril(A)
-    elif kind == "upper":
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((n, n))
+    if kind == "upper":
         A = np.triu(A)
-    elif kind == "lower":
-        A = np.tril(A)
-    elif kind == "diagonal":
-        A = np.diag(A.diagonal())
-    return A
+    elif kind == "paired_diagonal":
+        A = np.diag(np.repeat(A.diagonal()[::2], 2)[:n])
+    M = np.zeros((n + m, n + m))
+    M[:n, :n], M[:n, n:] = A, rng.standard_normal((n, m))
+    return M * scale
 
 
 def _squarings(A) -> int:
@@ -1022,12 +1020,24 @@ def test_expm_is_scipys_bit_for_bit(A):
     assert _same_bytes(lti._expm(A), scipy.linalg.expm(A))
 
 
-@pytest.mark.parametrize("kind", ["general", "upper", "lower"])
+@pytest.mark.parametrize("kind", ["general", "upper"])
 def test_expm_is_scipys_bit_for_bit_when_it_squares(kind):
     A = np.random.default_rng(3).standard_normal((6, 6)) * 20.0
-    A = {"general": A, "upper": np.triu(A), "lower": np.tril(A)}[kind]
+    A = {"general": A, "upper": np.triu(A)}[kind]
     assert _squarings(A) > 0
     assert _same_bytes(lti._expm(A), scipy.linalg.expm(A))
+
+
+@pytest.mark.parametrize("kind", ["scalar", "diagonal", "lower"])
+def test_expm_of_a_matrix_zoh_never_builds_stays_accurate(kind):
+    # scipy's own cases for these are gone; the two paths left still
+    # give its result to rounding
+    A = np.random.default_rng(4).standard_normal((6, 6)) * 20.0
+    A = {"scalar": A[:1, :1], "diagonal": np.diag(np.diag(A)),
+         "lower": np.tril(A)}[kind]
+    ref = scipy.linalg.expm(A)
+    assert np.allclose(lti._expm(A), ref, rtol=1e-11,
+                       atol=1e-11 * np.abs(ref).max())
 
 
 def test_zoh_of_a_scalar_block_takes_the_triangular_squaring():
@@ -1041,21 +1051,6 @@ def test_zoh_of_a_scalar_block_takes_the_triangular_squaring():
     assert _same_bytes(lti._expm(M), scipy.linalg.expm(M))
     d = zoh_discretize(P, 0.25)
     assert _same_bytes(d.A, scipy.linalg.expm(M)[:2, :2])
-
-
-@settings(max_examples=100)
-@given(st.integers(1, 8), st.integers(1, 5), st.booleans(), st.booleans(),
-       st.integers(0, 2**32 - 1))
-def test_solve_lower_is_scipys_bit_for_bit(n, k, fortran_L, fortran_b, seed):
-    rng = np.random.default_rng(seed)
-    # the strict upper triangle is left full: both must read only the lower
-    L = rng.standard_normal((n, n))
-    np.fill_diagonal(L, rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n))
-    b = rng.standard_normal((n, k))
-    L = np.asfortranarray(L) if fortran_L else np.ascontiguousarray(L)
-    b = np.asfortranarray(b) if fortran_b else np.ascontiguousarray(b)
-    ref = scipy.linalg.solve_triangular(L, b, lower=True)
-    assert _same_bytes(lti._solve_lower(L, b), ref)
 
 
 @settings(max_examples=100)
@@ -1081,12 +1076,8 @@ def _kernel_calls(bad: float):
     M = np.array([[2.0, 0.0, 0.0], [1.0, 3.0, 0.0], [0.5, -1.0, 4.0]])
     Mbad = M.copy()
     Mbad[1, 0] = bad
-    b = np.ones((3, 2))
-    bbad = b.copy()
-    bbad[2, 1] = bad
-
-    def solve(L, b):
-        return scipy.linalg.solve_triangular(L, b, lower=True)
+    Dbad = M.copy()
+    Dbad[1, 1] = bad
 
     def schur(A):
         return scipy.linalg.schur(A, output="complex")
@@ -1094,8 +1085,9 @@ def _kernel_calls(bad: float):
     def eig(M, L):
         return scipy.linalg.eig(M, L, right=False, homogeneous_eigvals=True)
 
-    return [(lti._solve_lower, solve, (Mbad, b)),
-            (lti._solve_lower, solve, (M, bbad)),
+    # the bad value on the diagonal first, then below it
+    return [(lti._complex_schur, schur, (Dbad,)),
+            (lti._pencil_eigenvalues, eig, (Dbad, Dbad)),
             (lti._complex_schur, schur, (Mbad,)),
             (lti._pencil_eigenvalues, eig, (Mbad, M)),
             (lti._pencil_eigenvalues, eig, (M, Mbad))]
@@ -1111,19 +1103,6 @@ def test_kernels_refuse_non_finite_inputs_as_scipy_does(bad, case):
         kernel(*args)
     assert type(got.value) is type(ref.value)
     assert str(got.value) == str(ref.value)
-
-
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_solve_lower_refuses_a_singular_factor_as_scipy_does(order):
-    L = np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, -1.0, 4.0]],
-                 order=order)
-    b = np.ones((3, 1))
-    with pytest.raises(np.linalg.LinAlgError) as ref:
-        scipy.linalg.solve_triangular(L, b, lower=True)
-    with pytest.raises(np.linalg.LinAlgError) as got:
-        lti._solve_lower(L, b)
-    assert str(got.value) == str(ref.value) == (
-        "singular matrix: resolution failed at diagonal 1")
 
 
 @pytest.mark.parametrize("num, den", [

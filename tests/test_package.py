@@ -86,10 +86,7 @@ from scipy.linalg import _flapack, _matfuncs_expm, lapack
 rng = np.random.default_rng(5)
 A = rng.standard_normal((6, 6)) * 4.0
 L = np.tril(A) + 8.0 * np.eye(6)
-b = rng.standard_normal((6, 2))
 pairs = [(lti._expm(A), scipy.linalg.expm(A)),
-         (lti._solve_lower(L, b),
-          scipy.linalg.solve_triangular(L, b, lower=True)),
          *zip(lti._complex_schur(A), scipy.linalg.schur(A, output="complex")),
          (lti._pencil_eigenvalues(A, L),
           scipy.linalg.eig(A, L, right=False, homogeneous_eigvals=True))]
@@ -183,7 +180,7 @@ print(results == [[0.75, 0.25]] * 4, searches == [CORE])
 
 
 def test_the_highs_extension_is_found_without_scipy_optimize():
-    # synthesis._highs_core finds the bindings' extension module in
+    # synthesis.linprog finds the bindings' extension module in
     # scipy's optimize/_highspy folder by path, without importing the
     # scipy.optimize package around it
     import scipy
@@ -219,18 +216,11 @@ def test_the_loader_names_a_missing_extension():
 
 def test_the_lapack_and_expm_calls_exist():
     # lti's kernels call scipy's private LAPACK wrappers and expm kernels
-    # directly, with the arguments scipy 1.17's solve_triangular, schur,
-    # eig and expm pass them
+    # directly, with the arguments scipy 1.17's schur, eig and expm pass
+    # them
     from scipy.linalg import _flapack, _matfuncs_expm
 
     a = np.array([[2.0, 1.0], [0.5, 3.0]])
-    x, info = _flapack.dtrtrs(a, np.array([[2.0], [3.5]]), overwrite_b=False,
-                              lower=True, trans=0, unitdiag=False)
-    assert info == 0 and x.ravel().tolist() == [1.0, 1.0]
-    x, info = _flapack.dtrtrs(a.T, np.array([[2.0], [3.5]]),
-                              overwrite_b=False, lower=False, trans=True,
-                              unitdiag=False)
-    assert info == 0 and x.ravel().tolist() == [1.0, 1.0]
     # (t, sdim, w, vs, work, info): the work query's optimum in work[0]
     query = _flapack.zgees(lambda x: None, a.astype("D"), lwork=-1)
     assert len(query) == 6 and query[-1] == 0 and query[-2][0].real >= 2

@@ -264,7 +264,7 @@ def test_simulation_matches_lifted_closed_loop(example_params, example_channel):
     N = 8
     spec = build_generalized_plant(example_params, example_channel)
     lp = fsfh_lift(spec, N)
-    K = synthesize_nominal(lp, tol=1e-3, n_q=4, grid_size=64, max_iter=120)
+    K = synthesize_nominal(lp, tol=1e-3, n_q=4, grid_size=64)
 
     rng = np.random.default_rng(41)
     periods = 12

@@ -241,7 +241,7 @@ def test_nominal_no_coupling_beats_open_loop():
     spec = build_generalized_plant(make_example_params(a2=0.0),
                                    CouplingChannel(0.2, 1.0))
     lp = fsfh_lift(spec, 4)
-    K = synthesize_nominal(lp, tol=1e-3, n_q=4, grid_size=64, max_iter=120)
+    K = synthesize_nominal(lp, tol=1e-3, n_q=4, grid_size=64)
     cl = lifted_closed_loop(lp, K.sys)
     assert is_stable(cl)
     K0 = StateSpace.static(np.zeros((2, 2)), dt=1.0)
@@ -251,7 +251,7 @@ def test_nominal_no_coupling_beats_open_loop():
 
 def test_nominal_small_design_properties(small_lifted):
     spec, lp = small_lifted
-    K = synthesize_nominal(lp, tol=1e-3, n_q=4, grid_size=64, max_iter=120)
+    K = synthesize_nominal(lp, tol=1e-3, n_q=4, grid_size=64)
     cl = lifted_closed_loop(lp, K.sys)
     assert is_stable(cl)
     assert np.isfinite(K.gamma_achieved)
@@ -282,7 +282,7 @@ def _small_lp(a2=1000.0, channel=CouplingChannel(0.2, 1.0), N=4, W=None):
     return fsfh_lift(build_generalized_plant(params, channel), N)
 
 
-SMALL_DESIGN = dict(tol=1e-3, n_q=4, grid_size=64, max_iter=120)
+SMALL_DESIGN = dict(tol=1e-3, n_q=4, grid_size=64)
 
 
 def _q(K):
@@ -436,7 +436,7 @@ def test_design_memory_holds_no_t1_grid(name, caplog):
         design = synthesize_nominal
     # a design loads the HiGHS bindings at its first LP; that is not the
     # design's memory
-    synthesis._highs_core()
+    synthesis._scipy_extension(synthesis._HIGHS_CORE)
     tracemalloc.start()
     try:
         with caplog.at_level(logging.WARNING, logger="relaycancel.synthesis"):
@@ -761,7 +761,7 @@ def test_minimax_logs_one_debug_line(caplog, monkeypatch):
 
 
 def test_solver_limits_travel_with_the_controller(small_lifted, tmp_path,
-                                                  caplog):
+                                                  caplog, monkeypatch):
     spec, lp = small_lifted
     K = synthesize_nominal(lp, **SMALL_DESIGN)
     assert K.meta["converged"] is True
@@ -770,8 +770,9 @@ def test_solver_limits_travel_with_the_controller(small_lifted, tmp_path,
     write_controller(K, path)
     meta = read_controller(path).meta
     assert meta["converged"] is True and meta["gap"] == K.meta["gap"]
+    monkeypatch.setattr(synthesis, "_MINIMAX_MAX_ITER", 2)
     with caplog.at_level(logging.WARNING, logger="relaycancel.synthesis"):
-        capped = synthesize_nominal(lp, **{**SMALL_DESIGN, "max_iter": 2})
+        capped = synthesize_nominal(lp, **SMALL_DESIGN)
     assert capped.meta["converged"] is False
     assert capped.meta["gap"] > SMALL_DESIGN["tol"]
     assert capped.meta["iterations"] == 2
@@ -817,13 +818,15 @@ def test_minimax_names_the_failed_lp(small_robust, monkeypatch):
         synthesis._solve_minimax(ch1, zinv_pow, 2)
 
 
-def test_minimax_without_a_feasible_point_says_so(small_robust, caplog):
+def test_minimax_without_a_feasible_point_says_so(small_robust, caplog,
+                                                  monkeypatch):
     # the performance channel as its own constraint, bounded below the LP
     # lower bound of its unconstrained minimax: no Q in the box meets the
     # bound, yet the first LP (its cuts are lower bounds) is solvable
     (ch1, _), zinv_pow = _small_channels(small_robust)
     _, info = synthesis._solve_minimax(ch1, zinv_pow, 2)
     bound = 0.99 * info["lp_lower_bound"]
+    monkeypatch.setattr(synthesis, "_MINIMAX_MAX_ITER", 1)
     with warnings.catch_warnings(record=True) as caught, \
             caplog.at_level(logging.WARNING, logger="relaycancel.synthesis"):
         warnings.simplefilter("always")
@@ -831,7 +834,7 @@ def test_minimax_without_a_feasible_point_says_so(small_robust, caplog):
                 f"no FIR parameter satisfied the uncertainty-channel bound "
                 f"{bound:.4f} on the grid")):
             synthesis._solve_minimax(ch1, zinv_pow, 2, constraint=ch1,
-                                     bound=bound, max_iter=1)
+                                     bound=bound)
     # with no incumbent there is no gap to form or to report
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "relative gap" not in caplog.text
@@ -847,10 +850,8 @@ def test_robust_vanishing_uncertainty_matches_nominal(small_lifted):
     channel = CouplingChannel(0.2, 1.0)
     W2 = uncertainty_weight(channel, epsilon=1e-8)
     rp = build_robust_plant(spec, W2, 4)
-    K_rob = synthesize_robust(rp, n_q=4, grid_size=64, margin=0.05,
-                              max_iter=120)
-    K_nom = synthesize_nominal(lp, tol=1e-3, n_q=4, grid_size=64,
-                               max_iter=120)
+    K_rob = synthesize_robust(rp, n_q=4, grid_size=64, margin=0.05)
+    K_nom = synthesize_nominal(lp, tol=1e-3, n_q=4, grid_size=64)
     g1 = K_rob.gamma_achieved["gamma1"]
     assert g1 >= K_nom.gamma_achieved - 1e-4
     assert g1 == pytest.approx(K_nom.gamma_achieved, rel=0.02)
@@ -858,7 +859,7 @@ def test_robust_vanishing_uncertainty_matches_nominal(small_lifted):
 
 def test_robust_design_certificates(small_robust):
     spec, rp = small_robust
-    K = synthesize_robust(rp, n_q=4, grid_size=96, margin=0.05, max_iter=150)
+    K = synthesize_robust(rp, n_q=4, grid_size=96, margin=0.05)
     assert K.gamma_achieved["gamma2"] <= 1.0
     assert K.meta["grid_gamma2"] <= 1.0 - K.meta["margin"] + 1e-8
     assert K.meta["controller_stable"] == is_stable(K.sys)
@@ -868,8 +869,7 @@ def test_robust_design_records_its_warm_start(small_robust, caplog,
                                              tmp_path):
     spec, rp = small_robust
     with caplog.at_level(logging.DEBUG, logger="relaycancel.synthesis"):
-        K = synthesize_robust(rp, n_q=4, grid_size=96, margin=0.05,
-                              max_iter=150)
+        K = synthesize_robust(rp, n_q=4, grid_size=96, margin=0.05)
     warm = K.meta["warm_start"]
     assert set(warm) == {"iterations", "n_cuts", "converged", "gap",
                          "grid_objective"}
@@ -890,8 +890,7 @@ def test_robust_objective_monotone_in_n_q(small_robust):
     spec, rp = small_robust
     vals = []
     for n_q in (2, 4, 8):
-        K = synthesize_robust(rp, n_q=n_q, grid_size=96, margin=0.05,
-                              max_iter=150)
+        K = synthesize_robust(rp, n_q=n_q, grid_size=96, margin=0.05)
         vals.append(K.meta["grid_objective"])
     assert vals[1] <= vals[0] * (1.0 + 2e-3)
     assert vals[2] <= vals[1] * (1.0 + 2e-3)
@@ -972,7 +971,7 @@ def test_verify_design_zero_controller(small_lifted):
 
 def test_verify_design_refinement(small_lifted):
     spec, lp = small_lifted
-    K = synthesize_nominal(lp, tol=1e-3, n_q=4, grid_size=64, max_iter=120)
+    K = synthesize_nominal(lp, tol=1e-3, n_q=4, grid_size=64)
     report = verify_design(spec, K, N_verify=8)
     assert report["closed_loop_stable"]
     assert report["gamma_verify"] == pytest.approx(K.gamma_achieved, rel=0.08)
@@ -982,7 +981,7 @@ def test_verify_design_robust_small_gain(small_robust):
     # the certificate is re-checked exactly at the design rate; a finer
     # lifting has no finite uncertainty-channel norm when F is allpass
     spec, rp = small_robust
-    K = synthesize_robust(rp, n_q=4, grid_size=96, margin=0.05, max_iter=150)
+    K = synthesize_robust(rp, n_q=4, grid_size=96, margin=0.05)
     report = verify_design(spec, K, N_verify=8)
     assert report["closed_loop_stable"]
     assert report["small_gain_certified"]
@@ -995,7 +994,7 @@ def test_verify_design_uses_the_recorded_w2(small_robust, tmp_path):
     # with, also after the controller file round trip
     spec, _ = small_robust
     rp = build_robust_plant(spec, uncertainty_weight(spec.channel, 0.05), 4)
-    K = synthesize_robust(rp, n_q=4, grid_size=96, margin=0.05, max_iter=150)
+    K = synthesize_robust(rp, n_q=4, grid_size=96, margin=0.05)
     report = verify_design(spec, K, N_verify=8)
     assert report["gamma2_design_rate"] == K.gamma_achieved["gamma2"]
     path = tmp_path / "K.yaml"
@@ -1023,7 +1022,7 @@ def test_robust_sweep_flags_unstable_cases(small_robust):
 
 def test_robust_sweep_passes_for_robust_controller(small_robust):
     spec, rp = small_robust
-    K = synthesize_robust(rp, n_q=4, grid_size=96, margin=0.05, max_iter=150)
+    K = synthesize_robust(rp, n_q=4, grid_size=96, margin=0.05)
     sweep = robust_stability_sweep(spec, K, n_cases=20, seed=5, N=4)
     assert sweep["all_stable"], sweep["failures"]
     assert 0.0 < sweep["min_spectral_margin"] < 1.0
@@ -1034,7 +1033,7 @@ def test_shared_lift_sweep_matches_the_per_case_lifts(small_robust,
     # the shared lift sliced per case gives each case's own lifted loop
     # up to rounding: the same cases and verdicts, margins to 1e-12
     spec, rp = small_robust
-    K = synthesize_robust(rp, n_q=4, grid_size=96, margin=0.05, max_iter=150)
+    K = synthesize_robust(rp, n_q=4, grid_size=96, margin=0.05)
     spec_40, K_40 = robust_40db_design["spec"], robust_40db_design["K"]
     # a post filter with feedthrough 0.5: y also reads each detour's
     # delayed u directly, through the history holds the detours share
