@@ -2,7 +2,8 @@
 
 Configuration is a single YAML document; unknown keys are rejected and
 every report embeds the full effective configuration including defaults,
-so reports are re-runnable.  Exit codes: 0 success, 1 usage,
+so reports are re-runnable; ``simulate``'s metrics JSON embeds it with
+``--seed`` and ``--oversample`` applied.  Exit codes: 0 success, 1 usage,
 configuration or I/O error, 2 infeasible synthesis (``SynthesisError``,
 reported as "synthesis infeasible: ..." by every command) or a failed
 experiment expectation, 3 internal numerical failure (a ``RuntimeError``
@@ -418,19 +419,14 @@ def cmd_design(config: str, out: str) -> int:
     return 0
 
 
-def _simulate(cfg: dict, K: Controller, csv_path: Path,
-              seed: int | None = None, oversample: int | None = None):
-    """Simulate K in a config's relay, channel and sim sections, seed and
-    oversample overriding the config's when given, and write the trace
-    to csv_path."""
+def _simulate(cfg: dict, K: Controller, csv_path: Path):
+    """Simulate K as a config describes; write the trace to csv_path."""
     params, channel = config_objects(cfg)
-    sim, inp = cfg["sim"], cfg["sim"]["input"]
+    sim = cfg["sim"]
     trace = simulate_closed_loop(SimConfig(
-        params=params, channel=channel, K=K, duration=sim["duration"],
-        oversample=sim["oversample"] if oversample is None else oversample,
-        input=InputSpec(kind=inp["kind"], period=inp["period"],
-                        filter=inp["filter"]),
-        seed=sim["seed"] if seed is None else seed))
+        params=params, channel=channel, K=K.sys, duration=sim["duration"],
+        oversample=sim["oversample"], input=InputSpec(**sim["input"]),
+        seed=sim["seed"]))
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, csv_path)
     return trace
@@ -440,10 +436,13 @@ def cmd_simulate(config: str, controller: str, out_prefix: str,
                  seed: int | None = None,
                  oversample: int | None = None) -> int:
     cfg = load_config(config)
+    # the flags go into the effective config, which the metrics embed
+    flags = {"seed": seed, "oversample": oversample}
+    cfg["sim"].update((k, v) for k, v in flags.items() if v is not None)
     K = read_controller(controller)
     # suffixes are appended, so a dotted prefix such as runs/v1.2 is kept
     csv_path = Path(f"{out_prefix}.csv")
-    trace = _simulate(cfg, K, csv_path, seed=seed, oversample=oversample)
+    trace = _simulate(cfg, K, csv_path)
     # the induced-gain bound applies to unit-energy shaped disturbances only
     gamma = (K.gamma_achieved
              if isinstance(K.gamma_achieved, float)

@@ -274,23 +274,18 @@ def delay_steps(L: float, N: int, h: float) -> int:
 
 
 def assemble_plant_core(spec: GeneralizedPlantSpec,
-                        external_input: bool = False,
                         W2: StateSpace | None = None) -> CoreSystem:
     """Delay-free core of the design plant.
 
     Inputs: [w (2), u (2), one delayed-u slot (2) per path]; outputs
-    [z (2), y (2)].  With ``external_input`` the W block is replaced by a
-    unit feedthrough so the first input is the already-shaped signal v
-    (used by the simulator, which generates v separately).  With a static
-    uncertainty weight ``W2`` (``uncertainty_weight``'s) the core also
-    carries the uncertainty channel of the robust design plant (see
-    ``assemble_core_blocks``).
+    [z (2), y (2)].  With a static uncertainty weight ``W2``
+    (``uncertainty_weight``'s) the core also carries the uncertainty
+    channel of the robust design plant (see ``assemble_core_blocks``).
     """
     params = spec.params
-    W = StateSpace.static(np.eye(2)) if external_input else params.W
     if W2 is not None:
         _check_block("W2", W2)
-    return assemble_core_blocks(W, params.F, params.P, spec.paths, W2)
+    return assemble_core_blocks(params.W, params.F, params.P, spec.paths, W2)
 
 
 def assemble_core_blocks(W: StateSpace, F: StateSpace, P: StateSpace,

@@ -29,7 +29,7 @@ from .relay import (
     CoreSystem,
     CouplingChannel,
     RelayParams,
-    assemble_plant_core,
+    assemble_core_blocks,
     build_perturbed_plant,
 )
 
@@ -88,7 +88,7 @@ class SimConfig:
 
     params: RelayParams
     channel: CouplingChannel
-    K: object  # Controller or StateSpace at period h
+    K: StateSpace  # the controller's discrete system, at period h
     duration: float
     oversample: int = 64
     input: InputSpec = field(default_factory=InputSpec)
@@ -200,12 +200,14 @@ def simulate_closed_loop(cfg: SimConfig) -> SimulationTrace:
     params = cfg.params
     N = cfg.oversample
     dt = params.h / N
-    K = getattr(cfg.K, "sys", cfg.K)
+    K = cfg.K
     if not K.is_discrete or abs(K.dt - params.h) > 1e-12 * params.h:
         raise ValueError("controller period must equal the sampling period h")
 
     spec = build_perturbed_plant(params, cfg.channel)
-    core = assemble_plant_core(spec, external_input=True)
+    # a unit feedthrough in place of W: the first input is the shaped v
+    core = assemble_core_blocks(StateSpace.static(np.eye(2)), params.F,
+                                params.P, spec.paths)
     # z = v - P u, and v reaches z only through a unit feedthrough; without
     # it the loop's output is minus the canceler output P u
     D = core.sys.D.copy()

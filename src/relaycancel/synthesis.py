@@ -767,14 +767,17 @@ def verify_design(plant: GeneralizedPlantSpec, K: Controller,
     channel does not when the anti-alias filter is allpass (the sampler
     then sees the unstructured perturbation unfiltered and the lifted
     norm grows like sqrt(N)), so the small-gain certificate is re-checked
-    exactly at the design rate and with the W2 recorded in the controller
-    metadata (ValueError when W2 is missing); physical detour
-    perturbations are covered separately by the stability sweep.
+    exactly at the design rate and with the W2 that the controller
+    metadata records (meta["N"], meta["W2"]; ValueError when missing);
+    physical detour perturbations are covered separately by the
+    stability sweep.  An unstable loop's statement says no bound holds.
     """
     robust = K.method == "robust_qparam"
-    if robust and "W2" not in K.meta:
-        raise ValueError("robust controller lacks meta['W2'], the "
-                         "uncertainty weight it was designed with")
+    for key, what in (("W2", "the uncertainty weight"),
+                      ("N", "the fast-rate factor")):
+        if robust and key not in K.meta:
+            raise ValueError(f"robust controller lacks meta[{key!r}], "
+                             f"{what} it was designed with")
     margin, (gamma_v,) = closed_loop_norms(fsfh_lift(plant, N_verify), K.sys)
     report = {
         "N_verify": N_verify,
@@ -787,19 +790,19 @@ def verify_design(plant: GeneralizedPlantSpec, K: Controller,
     if robust:
         W2 = StateSpace(**{k: np.array(v, dtype=float)
                            for k, v in K.meta["W2"].items()})
-        N_design = K.meta.get("N", N_verify)
-        rp = build_robust_plant(plant, W2, N_design)
+        rp = build_robust_plant(plant, W2, K.meta["N"])
         _, (g1, g2) = closed_loop_norms(rp, K.sys)
         report["gamma1_design_rate"] = g1
         report["gamma2_design_rate"] = g2
         report["small_gain_certified"] = bool(g2 <= 1.0)
-        report["small_gain_rate"] = N_design
-    bound = gamma_v
-    report["l2_bound"] = bound
+        report["small_gain_rate"] = K.meta["N"]
+    report["l2_bound"] = gamma_v
     report["l2_bound_statement"] = (
         "for any input v = W w with ||w||_2 <= 1, the cancelation error "
-        f"satisfies ||v - u||_2 <= {bound:.6g} (FSFH approximation at "
-        f"N={N_verify})"
+        f"satisfies ||v - u||_2 <= {gamma_v:.6g} (FSFH approximation at "
+        f"N={N_verify})" if math.isfinite(gamma_v) else
+        f"the closed loop is unstable at N={N_verify}, so no bound on "
+        "||v - u||_2 holds"
     )
     return report
 

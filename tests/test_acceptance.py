@@ -99,7 +99,7 @@ def test_criterion_1_nominal_design_and_simulation(nominal_design):
     t0 = time.perf_counter()
     cl = lifted_closed_loop(d["lp"], d["K"].sys)
     stable = is_stable(cl)
-    cfg = SimConfig(params=d["params"], channel=d["channel"], K=d["K"],
+    cfg = SimConfig(params=d["params"], channel=d["channel"], K=d["K"].sys,
                     duration=100.0, oversample=64, input=RECT_INPUT,
                     seed=FIG_SEED)
     trace = simulate_closed_loop(cfg)
@@ -130,7 +130,7 @@ def test_criterion_1_tail_error_bound(nominal_design):
     d = nominal_design
     gamma = d["K"].gamma_achieved
     N = 64
-    cfg = SimConfig(params=d["params"], channel=d["channel"], K=d["K"],
+    cfg = SimConfig(params=d["params"], channel=d["channel"], K=d["K"].sys,
                     duration=100.0, oversample=N, input=RECT_INPUT,
                     seed=FIG_SEED)
     trace = simulate_closed_loop(cfg)
@@ -170,7 +170,7 @@ def test_flip_is_invisible_for_one_period(nominal_design):
     flipped[:, flip:] = -1.0
     traces = [
         simulate_closed_loop(SimConfig(
-            params=d["params"], channel=d["channel"], K=d["K"],
+            params=d["params"], channel=d["channel"], K=d["K"].sys,
             duration=duration, oversample=N,
             input=InputSpec(kind="custom_samples", filter="through_P",
                             samples=levels)))
@@ -191,7 +191,7 @@ def test_criterion_2_l2_bound(nominal_design):
     gamma = d["K"].gamma_achieved
     worst = 0.0
     for seed in range(1, 21):
-        cfg = SimConfig(params=d["params"], channel=d["channel"], K=d["K"],
+        cfg = SimConfig(params=d["params"], channel=d["channel"], K=d["K"].sys,
                         duration=50.0, oversample=256,
                         input=InputSpec(kind="unit_norm_l2",
                                         filter="through_W"), seed=seed)
@@ -208,7 +208,7 @@ def test_criterion_2_l2_bound(nominal_design):
 
 def test_criterion_3_instability_reproduction(lowgain_design):
     d = lowgain_design
-    cfg = SimConfig(params=d["params"], channel=PERTURBED, K=d["K"],
+    cfg = SimConfig(params=d["params"], channel=PERTURBED, K=d["K"].sys,
                     duration=100.0, oversample=80, input=RECT_INPUT,
                     seed=FIG_SEED)
     trace = simulate_closed_loop(cfg)
@@ -226,7 +226,7 @@ def test_criterion_4_robust_reproduction(robust_design):
     d = robust_design
     t0 = time.perf_counter()
     gamma2 = d["K"].gamma_achieved["gamma2"]
-    cfg = SimConfig(params=d["params"], channel=PERTURBED, K=d["K"],
+    cfg = SimConfig(params=d["params"], channel=PERTURBED, K=d["K"].sys,
                     duration=100.0, oversample=80, input=RECT_INPUT,
                     seed=FIG_SEED)
     trace = simulate_closed_loop(cfg)
@@ -252,7 +252,7 @@ def test_figure_runs_match_fine_stepping(request, design, perturbed,
     d = request.getfixturevalue(design)
     cfg = SimConfig(params=d["params"],
                     channel=PERTURBED if perturbed else d["channel"],
-                    K=d["K"], duration=100.0, oversample=oversample,
+                    K=d["K"].sys, duration=100.0, oversample=oversample,
                     input=RECT_INPUT, seed=FIG_SEED)
     trace = simulate_closed_loop(cfg)
     assert_matches_reference(trace, cfg)

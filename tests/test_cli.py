@@ -442,6 +442,29 @@ def test_seed_override_changes_trace(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
 
 
+def test_simulate_flags_are_in_the_embedded_config(nominal_design,
+                                                   tmp_path):
+    # the metrics JSON embeds the config the trace ran with, flags
+    # applied: that config, saved and run without flags, gives the same
+    # trace and the same metrics JSON
+    ctrl = tmp_path / "K.yaml"
+    write_controller(nominal_design["K"], ctrl)
+    argv = ["simulate", "--controller", str(ctrl)]
+    assert main(argv + ["--config", "nominal_60db", "--out",
+                        str(tmp_path / "a"), "--seed", "5",
+                        "--oversample", "80"]) == 0
+    report = json.loads((tmp_path / "a.metrics.json").read_text())
+    assert report["config"]["sim"]["seed"] == 5
+    assert report["config"]["sim"]["oversample"] == 80
+    cfg_path = write_cfg(tmp_path, report["config"], "embedded.yaml")
+    assert main(argv + ["--config", cfg_path, "--out",
+                        str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "b.csv").read_bytes()
+            == (tmp_path / "a.csv").read_bytes())
+    assert ((tmp_path / "b.metrics.json").read_bytes()
+            == (tmp_path / "a.metrics.json").read_bytes())
+
+
 def test_simulate_rejects_oversample_zero(tmp_path, capsys):
     # an explicit 0 reaches SimConfig's check instead of the config's 64
     cfg_path = write_cfg(tmp_path, FAST_CONFIG)
@@ -564,7 +587,7 @@ def _strict_json(text):
 def test_an_unstable_verify_report_is_valid_json(nominal_design, tmp_path,
                                                  capsys):
     # the nominal_60db canceler on robust_40db's detour channel: the loop
-    # is unstable, so its norm and bound are infinite
+    # is unstable, so its norm and bound are infinite and no bound holds
     ctrl, out = tmp_path / "K.yaml", tmp_path / "verify.json"
     write_controller(nominal_design["K"], ctrl)
     assert main(["verify", "--config", "robust_40db", "--controller",
@@ -573,6 +596,9 @@ def test_an_unstable_verify_report_is_valid_json(nominal_design, tmp_path,
                    _strict_json(capsys.readouterr().out)):
         assert report["closed_loop_stable"] is False
         assert report["gamma_verify"] is None and report["l2_bound"] is None
+        assert report["l2_bound_statement"] == (
+            "the closed loop is unstable at N=8, so no bound on "
+            "||v - u||_2 holds")
 
 
 def test_a_lift_check_report_with_an_unstable_n_is_valid_json(

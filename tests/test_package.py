@@ -64,8 +64,8 @@ channel = CouplingChannel(0.2, 1.0)
 spec = build_generalized_plant(params, channel)
 K = synthesize_nominal(fsfh_lift(spec, 2), n_q=1, grid_size=32)
 verify_design(spec, K, 4)
-trace = simulate_closed_loop(SimConfig(params=params, channel=channel, K=K,
-                                       duration=5.0, oversample=8))
+trace = simulate_closed_loop(SimConfig(params=params, channel=channel,
+                                       K=K.sys, duration=5.0, oversample=8))
 assert trace.err.size and not trace.diverged
 print(sorted(m for m in {_NOT_LOADED!r} if m in sys.modules))
 """

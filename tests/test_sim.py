@@ -8,7 +8,7 @@ from relaycancel.lti import StateSpace, zoh_discretize
 from relaycancel.relay import (
     CouplingChannel,
     RelayParams,
-    assemble_plant_core,
+    assemble_core_blocks,
     build_generalized_plant,
     build_perturbed_plant,
     delay_steps,
@@ -65,10 +65,11 @@ def reference_simulate(cfg):
     params = cfg.params
     N_sim = cfg.oversample
     dt = params.h / N_sim
-    K = getattr(cfg.K, "sys", cfg.K)
+    K = cfg.K
 
     spec = build_perturbed_plant(params, cfg.channel)
-    core = assemble_plant_core(spec, external_input=True)
+    core = assemble_core_blocks(StateSpace.static(np.eye(2)), params.F,
+                                params.P, spec.paths)
     cd = zoh_discretize(core.sys, dt)
     lengths = [delay_steps(L, N_sim, params.h) for L in core.delays]
 
@@ -272,7 +273,7 @@ def test_simulation_matches_lifted_closed_loop(example_params, example_channel):
     v = generate_input(InputSpec(kind="custom_samples", filter="through_W",
                                  samples=w),
                        example_params, float(periods), N, seed=0)
-    cfg = SimConfig(params=example_params, channel=example_channel, K=K,
+    cfg = SimConfig(params=example_params, channel=example_channel, K=K.sys,
                     duration=float(periods), oversample=N,
                     input=InputSpec(kind="custom_samples", filter="none",
                                     samples=v), seed=0)

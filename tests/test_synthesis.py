@@ -991,7 +991,8 @@ def test_verify_design_robust_small_gain(small_robust):
 
 def test_verify_design_uses_the_recorded_w2(small_robust, tmp_path):
     # a robust controller re-verifies against the W2 it was designed
-    # with, also after the controller file round trip
+    # with, also after the controller file round trip, and at its design
+    # rate, never at N_verify in its place
     spec, _ = small_robust
     rp = build_robust_plant(spec, uncertainty_weight(spec.channel, 0.05), 4)
     K = synthesize_robust(rp, n_q=4, grid_size=96, margin=0.05)
@@ -1001,10 +1002,11 @@ def test_verify_design_uses_the_recorded_w2(small_robust, tmp_path):
     write_controller(K, path)
     report = verify_design(spec, read_controller(path), N_verify=8)
     assert report["gamma2_design_rate"] == K.gamma_achieved["gamma2"]
-    bare = Controller(sys=K.sys, gamma_achieved=K.gamma_achieved,
-                      method=K.method, meta={"N": 4})
-    with pytest.raises(ValueError, match="W2"):
-        verify_design(spec, bare, N_verify=8)
+    for meta, key in (({"N": 4}, "W2"), ({"W2": K.meta["W2"]}, "N")):
+        bare = Controller(sys=K.sys, gamma_achieved=K.gamma_achieved,
+                          method=K.method, meta=meta)
+        with pytest.raises(ValueError, match=rf"meta\['{key}'\]"):
+            verify_design(spec, bare, N_verify=8)
 
 
 # an aggressive non-robust controller: high-gain passthrough
