@@ -286,12 +286,27 @@ def controller_to_dict(K: Controller) -> dict:
     }
 
 
+_CONTROLLER_KEYS = {"A", "B", "C", "D", "period", "gamma_achieved",
+                    "method", "meta"}
+_METHODS = ("nominal_hinf", "robust_qparam")
+
+
 def controller_from_dict(d: dict) -> Controller:
+    """The controller ``controller_to_dict`` wrote: its eight keys, one
+    of the two design methods and a mapping for meta, else ValueError."""
+    missing = sorted(_CONTROLLER_KEYS - set(d))
+    unknown = sorted(set(d) - _CONTROLLER_KEYS, key=str)
+    if missing or unknown:
+        raise ValueError(f"missing keys {missing}, unknown keys {unknown}")
+    if d["method"] not in _METHODS:
+        raise ValueError(f"method must be one of {list(_METHODS)}, "
+                         f"got {d['method']!r}")
+    if not isinstance(d["meta"], dict):
+        raise ValueError(f"meta must be a mapping, got {d['meta']!r}")
     sys = StateSpace(np.array(d["A"]), np.array(d["B"]), np.array(d["C"]),
                      np.array(d["D"]), dt=float(d["period"]))
-    return Controller(sys=sys, gamma_achieved=d.get("gamma_achieved"),
-                      method=d.get("method", "unknown"),
-                      meta=d.get("meta", {}))
+    return Controller(sys=sys, gamma_achieved=d["gamma_achieved"],
+                      method=d["method"], meta=d["meta"])
 
 
 def write_controller(K: Controller, path: Path):
@@ -445,7 +460,7 @@ def cmd_simulate(config: str, controller: str, out_prefix: str,
     trace = _simulate(cfg, K, csv_path)
     # the induced-gain bound applies to unit-energy shaped disturbances only
     gamma = (K.gamma_achieved
-             if isinstance(K.gamma_achieved, float)
+             if K.method == "nominal_hinf"
              and cfg["sim"]["input"]["kind"] == "unit_norm_l2" else None)
     m = metrics(trace, gamma=gamma)
     _write_json({"config": cfg, "metrics": m},
@@ -515,7 +530,7 @@ def cmd_reproduce_paper(out_dir: str) -> int:
             trace = _simulate(cfgs[run], K, out / f"{fig}.csv")
             g = K.gamma_achieved
             gammas = ({**g, "small_gain": g["gamma2"] <= 1.0}
-                      if isinstance(g, dict) else {"gamma": g})
+                      if K.method == "robust_qparam" else {"gamma": g})
             outcome = "diverged" if trace.diverged else "stable"
             summary[fig] = {expected: outcome == expected, **gammas,
                             **metrics(trace)}

@@ -90,7 +90,7 @@ def _check_block(name: str, sys: StateSpace, strictly_proper: bool = False):
         raise ValueError(f"{name} must be a continuous-time system")
     if (sys.n_inputs, sys.n_outputs) != (2, 2):
         raise ValueError(f"{name} must be 2x2, got {sys.n_outputs}x{sys.n_inputs}")
-    if not is_stable(sys) and sys.n_states > 0:
+    if not is_stable(sys):
         raise ValueError(f"{name} must be stable")
     if strictly_proper and not np.allclose(sys.D, 0.0):
         raise ValueError(f"{name} must be strictly proper (zero feedthrough)")

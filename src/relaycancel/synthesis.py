@@ -178,12 +178,14 @@ class SynthesisError(RuntimeError):
 class Controller:
     """Synthesized digital canceler with its achieved norms.
 
-    gamma_achieved is a float for nominal designs and a dict with keys
-    gamma1 (performance) and gamma2 (uncertainty channel) for robust
-    ones.  The controller itself need not be stable, only the closed
-    loop; its own stability is recorded in meta["controller_stable"].
-    A nominal design records its FIR parameter in meta["q"], so it can be
-    passed to ``synthesize_nominal`` as ``reuse=`` for another plant.
+    method decides the design kind: "nominal_hinf", whose gamma_achieved
+    is a float, or "robust_qparam", whose gamma_achieved is a dict with
+    keys gamma1 (performance) and gamma2 (uncertainty channel) and whose
+    meta records the design's N and W2 for ``verify_design``.  The
+    controller itself need not be stable, only the closed loop; its own
+    stability is recorded in meta["controller_stable"].  A nominal design
+    records its FIR parameter in meta["q"], so it can be passed to
+    ``synthesize_nominal`` as ``reuse=`` for another plant.
     """
 
     sys: StateSpace
@@ -615,10 +617,14 @@ def _fingerprint(lp: LiftedPlant, omegas: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def _check_reuse(meta: dict, fingerprint: str, settings: dict):
-    """Raise ValueError unless a design at these settings, on grid
-    responses with this fingerprint, would give the Q* in ``meta`` (a
-    robust design's meta lacks h and max_iter, so it never passes)."""
+def _check_reuse(reuse: Controller, fingerprint: str, settings: dict):
+    """Raise ValueError unless ``reuse`` is a nominal design and a design
+    at these settings, on grid responses with this fingerprint, would
+    give the Q* in its meta."""
+    if reuse.method != "nominal_hinf":
+        raise ValueError(f"the reused design must be nominal_hinf, got a "
+                         f"{reuse.method} design")
+    meta = reuse.meta
     wrong = [f"{k}={v!r} (reused design: {meta.get(k)!r})"
              for k, v in settings.items() if meta.get(k) != v]
     if wrong:
@@ -642,9 +648,10 @@ def synthesize_nominal(lp: LiftedPlant, tol: float = 1e-3, n_q: int = 8,
     Without ``reuse`` the minimax is solved here.  With an earlier nominal
     design, its Q* (meta["q"]) is wrapped around this plant's G22 instead,
     after checking that this plant's affine grid responses and the design
-    settings match (ValueError otherwise); the result is bitwise that of a
-    fresh design.  meta["iterations"] and meta["n_cuts"] count the minimax
-    work done by this call, so both are 0 when Q* is reused.
+    settings match (ValueError otherwise, and for a ``reuse`` whose method
+    is not nominal_hinf); the result is bitwise that of a fresh design.
+    meta["iterations"] and meta["n_cuts"] count the minimax work done by
+    this call, so both are 0 when Q* is reused.
     """
     if len(lp.channel_indices()) != 1:
         raise ValueError("nominal design expects a one-channel plant; "
@@ -658,7 +665,7 @@ def synthesize_nominal(lp: LiftedPlant, tol: float = 1e-3, n_q: int = 8,
         meta = {**settings, **info, "q": Q.tolist(),
                 "grid_fingerprint": _fingerprint(lp, omegas)}
     else:
-        _check_reuse(reuse.meta, _fingerprint(lp, omegas), settings)
+        _check_reuse(reuse, _fingerprint(lp, omegas), settings)
         Q = np.asarray(reuse.meta["q"])
         meta = {**reuse.meta, "iterations": 0, "n_cuts": 0}
     K = controller_from_q(Q, G22)
@@ -753,6 +760,29 @@ def synthesize_robust(rp: LiftedPlant, n_q: int = 8, grid_size: int = 256,
 # Verification
 
 
+def _design_record(meta: dict) -> tuple[StateSpace, int]:
+    """The W2 and N a robust design recorded in its meta; ValueError
+    naming the entry when one is missing or malformed."""
+    for key, what in (("W2", "the uncertainty weight"),
+                      ("N", "the fast-rate factor")):
+        if key not in meta:
+            raise ValueError(f"robust controller lacks meta[{key!r}], "
+                             f"{what} it was designed with")
+    W2, N = meta["W2"], meta["N"]
+    if not isinstance(W2, dict) or set(W2) != set("ABCD"):
+        got = sorted(W2, key=str) if isinstance(W2, dict) else type(W2)
+        raise ValueError("robust controller's meta['W2'] must hold exactly "
+                         f"the matrices A, B, C and D, got {got}")
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValueError("robust controller's meta['N'] must be a positive "
+                         f"integer, got {N!r}")
+    try:
+        W2 = StateSpace(**{k: np.array(v, dtype=float) for k, v in W2.items()})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"robust controller's meta['W2']: {exc}") from exc
+    return W2, N
+
+
 def verify_design(plant: GeneralizedPlantSpec, K: Controller,
                   N_verify: int) -> dict:
     """Re-check a design on a finer lifting.
@@ -768,16 +798,14 @@ def verify_design(plant: GeneralizedPlantSpec, K: Controller,
     then sees the unstructured perturbation unfiltered and the lifted
     norm grows like sqrt(N)), so the small-gain certificate is re-checked
     exactly at the design rate and with the W2 that the controller
-    metadata records (meta["N"], meta["W2"]; ValueError when missing);
+    metadata records (meta["N"], meta["W2"]; ValueError when missing or
+    malformed);
     physical detour perturbations are covered separately by the
     stability sweep.  An unstable loop's statement says no bound holds.
     """
     robust = K.method == "robust_qparam"
-    for key, what in (("W2", "the uncertainty weight"),
-                      ("N", "the fast-rate factor")):
-        if robust and key not in K.meta:
-            raise ValueError(f"robust controller lacks meta[{key!r}], "
-                             f"{what} it was designed with")
+    if robust:
+        W2, N = _design_record(K.meta)
     margin, (gamma_v,) = closed_loop_norms(fsfh_lift(plant, N_verify), K.sys)
     report = {
         "N_verify": N_verify,
@@ -788,14 +816,12 @@ def verify_design(plant: GeneralizedPlantSpec, K: Controller,
         "gamma_verify": gamma_v,
     }
     if robust:
-        W2 = StateSpace(**{k: np.array(v, dtype=float)
-                           for k, v in K.meta["W2"].items()})
-        rp = build_robust_plant(plant, W2, K.meta["N"])
+        rp = build_robust_plant(plant, W2, N)
         _, (g1, g2) = closed_loop_norms(rp, K.sys)
         report["gamma1_design_rate"] = g1
         report["gamma2_design_rate"] = g2
         report["small_gain_certified"] = bool(g2 <= 1.0)
-        report["small_gain_rate"] = K.meta["N"]
+        report["small_gain_rate"] = N
     report["l2_bound"] = gamma_v
     report["l2_bound_statement"] = (
         "for any input v = W w with ||w||_2 <= 1, the cancelation error "

@@ -357,21 +357,35 @@ def test_read_controller_bad_file(tmp_path):
         read_controller(path)
 
 
+_DELETED = object()
+
+
 @pytest.mark.parametrize("entry, value, message", [
     ("period", 0.0, "dt must be positive for a discrete system"),
     ("A", [[0.5, 0.0]], "A must be square, got (1, 2)"),
-], ids=["period_zero", "A_not_square"])
+    ("method", _DELETED, "missing keys ['method'], unknown keys []"),
+    ("method", "robust",
+     "method must be one of ['nominal_hinf', 'robust_qparam'], got 'robust'"),
+    ("gamma_acheived", 0.5,
+     "missing keys [], unknown keys ['gamma_acheived']"),
+    ("meta", None, "meta must be a mapping, got None"),
+], ids=["period_zero", "A_not_square", "method_missing", "method_unknown",
+        "extra_key", "meta_null"])
 def test_bad_controller_entry_names_the_file(tmp_path, capsys, entry, value,
                                              message):
-    # a controller that parses but does not make a system exits 1, and the
-    # message names the file
+    # a controller that parses but does not make a system, or that is not
+    # the eight keys controller_to_dict writes with one of the two
+    # methods, exits 1, and the message names the file
     path = tmp_path / "bad.controller.yaml"
     write_controller(Controller(sys=StateSpace.static(np.zeros((2, 2)),
                                                       dt=1.0),
                                 gamma_achieved=None, method="nominal_hinf"),
                      path)
     d = yaml.safe_load(path.read_text())
-    d[entry] = value
+    if value is _DELETED:
+        del d[entry]
+    else:
+        d[entry] = value
     path.write_text(yaml.safe_dump(d))
     rc = main(["simulate", "--config", write_cfg(tmp_path, FAST_CONFIG),
                "--controller", str(path), "--out", str(tmp_path / "run")])
@@ -599,6 +613,24 @@ def test_an_unstable_verify_report_is_valid_json(nominal_design, tmp_path,
         assert report["l2_bound_statement"] == (
             "the closed loop is unstable at N=8, so no bound on "
             "||v - u||_2 holds")
+
+
+def test_verify_refuses_a_controller_without_its_method(robust_40db_design,
+                                                       tmp_path, capsys):
+    # without its method a robust design would verify as neither kind:
+    # no small-gain check and no perturbation sweep, yet exit 0
+    ctrl = tmp_path / "K.yaml"
+    write_controller(robust_40db_design["K"], ctrl)
+    d = yaml.safe_load(ctrl.read_text())
+    del d["method"]
+    ctrl.write_text(yaml.safe_dump(d))
+    assert main(["verify", "--config", "robust_40db", "--controller",
+                 str(ctrl)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        f"error: cannot read controller {ctrl}: missing keys ['method'], "
+        "unknown keys []")
 
 
 def test_a_lift_check_report_with_an_unstable_n_is_valid_json(

@@ -325,7 +325,8 @@ def test_reused_reconstruction_matches_cold_design(nominal_a2_1000,
     assert warm.meta["grid_objective"] == cold.meta["grid_objective"]
 
 
-def test_reconstruction_rejects_other_plants(nominal_a2_1000, small_robust):
+def test_reconstruction_rejects_other_plants(nominal_a2_1000,
+                                            robust_40db_design):
     rec = nominal_a2_1000
     other_W = _small_lp(W=scalar_block([1.0], [1.0, 1.0]))
     with pytest.raises(ValueError, match="grid responses differ"):
@@ -335,10 +336,11 @@ def test_reconstruction_rejects_other_plants(nominal_a2_1000, small_robust):
     with pytest.raises(ValueError, match="n_q=3"):
         synthesize_nominal(_small_lp(), **{**SMALL_DESIGN, "n_q": 3},
                            reuse=rec)
-    # a robust design records no h or max_iter, so it never fits
-    robust = synthesize_robust(small_robust[1], **SMALL_DESIGN)
-    with pytest.raises(ValueError, match="h=1.0"):
-        synthesize_nominal(_small_lp(), **SMALL_DESIGN, reuse=robust)
+    # a robust design never fits, by its method
+    with pytest.raises(ValueError, match="must be nominal_hinf, got a "
+                                         "robust_qparam design"):
+        synthesize_nominal(_small_lp(), **SMALL_DESIGN,
+                           reuse=robust_40db_design["K"])
 
 
 def test_reuse_survives_the_controller_file(nominal_a2_1000, tmp_path):
@@ -1002,7 +1004,17 @@ def test_verify_design_uses_the_recorded_w2(small_robust, tmp_path):
     write_controller(K, path)
     report = verify_design(spec, read_controller(path), N_verify=8)
     assert report["gamma2_design_rate"] == K.gamma_achieved["gamma2"]
-    for meta, key in (({"N": 4}, "W2"), ({"W2": K.meta["W2"]}, "N")):
+    # a missing or malformed entry, as in a hand-edited file
+    W2 = K.meta["W2"]
+    W2_no_D = {k: v for k, v in W2.items() if k != "D"}
+    for meta, key in (({"N": 4}, "W2"), ({"W2": W2}, "N"),
+                      ({"N": 4, "W2": W2_no_D}, "W2"),
+                      ({"N": 4, "W2": {**W2, "E": [[1.0]]}}, "W2"),
+                      ({"N": 4, "W2": {**W2, "D": [[1.0, 2.0]]}}, "W2"),
+                      ({"N": 4, "W2": [W2["A"]]}, "W2"),
+                      ({"N": 4.0, "W2": W2}, "N"),
+                      ({"N": 0, "W2": W2}, "N"),
+                      ({"N": True, "W2": W2}, "N")):
         bare = Controller(sys=K.sys, gamma_achieved=K.gamma_achieved,
                           method=K.method, meta=meta)
         with pytest.raises(ValueError, match=rf"meta\['{key}'\]"):
