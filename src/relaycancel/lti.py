@@ -226,7 +226,8 @@ def _number(value, kind):
 
 
 def _as_matrix(M) -> np.ndarray:
-    return np.atleast_2d(np.asarray(M, dtype=float))
+    """A float copy of M with at least two axes."""
+    return np.array(M, dtype=float, ndmin=2)
 
 
 @dataclass(frozen=True)
@@ -238,6 +239,7 @@ class StateSpace:
     A, B, C, D : array_like
         System matrices of exactly these shapes: A is n x n, B n x m,
         C p x n and D p x m; ``StateSpace.static`` builds a static one.
+        The system keeps read-only copies of them.
     dt : float or None
         None for continuous time, finite sampling period in seconds otherwise.
     """
@@ -249,7 +251,12 @@ class StateSpace:
     dt: float | None = None
 
     def __post_init__(self):
+        # copies: the system's read-only matrices are its own, and the
+        # caller's arrays stay writeable
         A, B, C, D = map(_as_matrix, (self.A, self.B, self.C, self.D))
+        for name, M in zip("ABCD", (A, B, C, D)):
+            if M.ndim > 2:
+                raise ValueError(f"{name} must be a matrix, got {M.ndim} axes")
         n = A.shape[0]
         if A.shape[1] != n:
             raise ValueError(f"A must be square, got {A.shape}")

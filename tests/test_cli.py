@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaycancel import cli
 from relaycancel.cli import (
@@ -317,6 +319,26 @@ def _special_traces(rng):
     err[0, cli._CSV_BLOCK_ROWS:2 * cli._CSV_BLOCK_ROWS] = np.repeat(
         rng.standard_normal(cli._CSV_BLOCK_ROWS // 2), 2)
     yield np.arange(n) / 64.0, v, u, err
+    # runs of rows, whose six cells share one line: a block where every
+    # row is its own run, one where four rows in five start a run, one
+    # that is one run going on over the block's end, rows that differ in
+    # one cell, a 0.0/-0.0 switch in err_I alone, and runs of nan and of
+    # -nan (other bits, the same cells)
+    rows = cli._CSV_BLOCK_ROWS
+    n = 4 * rows + 100
+    x = np.empty((6, n))
+    x[:, :rows] = rng.standard_normal((6, rows))
+    k = 4 * rows // 5
+    x[:, rows:2 * rows] = rng.standard_normal((6, k))[:, np.sort(
+        np.r_[np.arange(k), rng.choice(k, rows - k)])]
+    edge = 3 * rows + 50
+    x[:, 2 * rows:edge] = np.array(special[6:])[:, None]
+    x[:, edge:] = np.array(special[1:7])[:, None]
+    x[5, edge:edge + 300] = np.repeat(rng.standard_normal(100), 3)
+    x[4, edge + 300:edge + 600] = np.repeat([0.0, -0.0] * 30, 5)
+    x[:, edge + 600:edge + 750] = np.nan
+    x[:, edge + 750:edge + 900] = -np.nan
+    yield np.arange(n) / 64.0, x[:2], x[2:4], x[4:]
 
 
 def test_trace_csv_matches_per_cell_formatting(tmp_path):
@@ -329,6 +351,39 @@ def test_trace_csv_matches_per_cell_formatting(tmp_path):
         assert new == (tmp_path / "old.csv").read_bytes()
         assert b"nan" in new and b"-inf" in new and b"-0," in new
         assert b"1e-300" in new
+
+
+_CELLS = (st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0,
+                           5e-324, 1e-300, 0.1, 123456789012.5])
+          | st.floats())
+
+
+@st.composite
+def piecewise_constant_traces(draw):
+    """Traces of up to two and a half blocks of rows whose six v, u and
+    err columns each hold a value over runs of their own."""
+    n = draw(st.integers(1, 5 * cli._CSV_BLOCK_ROWS // 2))
+    cells = np.empty((6, n))
+    for column in cells:
+        ends = sorted(draw(st.sets(st.integers(1, n), max_size=30)) | {n})
+        start = 0
+        for end in ends:
+            column[start:end] = draw(_CELLS)
+            start = end
+    t = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
+        size=n) * 10.0 ** draw(st.integers(-20, 20))
+    return SimulationTrace(t=t, v=cells[:2], u=cells[2:4], err=cells[4:],
+                           diverged=False, l2_err=np.nan,
+                           max_abs_err_tail=np.nan)
+
+
+@settings(max_examples=40)
+@given(trace=piecewise_constant_traces())
+def test_trace_csv_of_piecewise_constant_traces(tmp_path_factory, trace):
+    d = tmp_path_factory.mktemp("csv")
+    write_trace_csv(trace, d / "new.csv")
+    reference_write_trace_csv(trace, d / "old.csv")
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
 
 
 def test_trace_csv_memory_stays_in_blocks(tmp_path):

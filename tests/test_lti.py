@@ -61,6 +61,20 @@ def test_state_space_takes_exact_shapes(A, B, C, dt, message):
         StateSpace(A, B, C, np.eye(2), dt)
 
 
+def test_state_space_rejects_a_third_axis():
+    with pytest.raises(ValueError, match="A must be a matrix, got 3 axes"):
+        StateSpace(np.zeros((2, 2, 2)), np.zeros((2, 1)), np.zeros((1, 2)),
+                   np.zeros((1, 1)))
+
+
+def test_state_space_copies_the_callers_matrices():
+    A = 0.5 * np.eye(2)
+    sys = StateSpace(A, np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1)))
+    assert A.flags.writeable and not sys.A.flags.writeable
+    A[0, 0] = 7.0
+    assert sys.A.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+
+
 @st.composite
 def recorded_systems(draw):
     """Continuous or discrete systems with 0-4 states and 1-3 inputs and

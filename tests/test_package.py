@@ -301,3 +301,30 @@ def test_the_numpy_2_names_the_package_uses_exist():
     assert np.array_equal(stack.mT, np.swapaxes(stack, -1, -2))
     x = np.array([0.0, 1.0, 2.0])
     assert np.trapezoid(x, x) == 2.0
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+"""
+
+
+def test_a_failing_property_test_ends_in_a_failure_report(tmp_path):
+    # on a failure hypothesis's plugin imports libcst, whose import warns
+    # of mypy_extensions' deprecated TypedDict; the configuration's
+    # "error" filter made that an INTERNALERROR that stopped the session
+    (tmp_path / "test_fails.py").write_text(_FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config),
+         "-p", "no:cacheprovider", str(tmp_path / "test_fails.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    report = out.stdout + out.stderr
+    assert out.returncode == 1, report
+    assert "INTERNALERROR" not in report
+    assert "1 failed" in out.stdout
