@@ -314,7 +314,6 @@ def read_controller(path) -> Controller:
 
 
 _CSV_BLOCK_ROWS = 1024
-_CSV_ROW = "%.12g" + ",%.12g" * 6 + "\n"
 # a run's line: its six cells formatted, and t's format left ("%%")
 _CSV_RUN = "%%.12g" + ",%.12g" * 6 + "\n"
 
@@ -327,10 +326,9 @@ def write_trace_csv(trace, path: Path):
     through P repeats its values), so a block's rows fall into runs whose
     six v, u and err cells are bitwise equal (compared as int64, so -0.0
     stays apart from 0.0).  Each run's cells are formatted once, into one
-    line that the run's rows share, and t is formatted per row.  A block
-    in which more than four rows in five start a run (a white-noise
-    input) is formatted row by row, which is faster there.  The bytes
-    are those of formatting cell by cell.
+    line that the run's rows share, and t is formatted per row; a
+    white-noise trace, whose every row is its own run, takes the same
+    path.  The bytes are those of formatting cell by cell.
     """
     with path.open("w") as fh:
         fh.write("t,v_I,v_Q,u_I,u_Q,err_I,err_Q\n")
@@ -342,9 +340,6 @@ def write_trace_csv(trace, path: Path):
             bits = data[1:].view(np.int64)
             starts = np.flatnonzero(np.r_[True, (bits[:, 1:] != bits[:, :-1])
                                           .any(axis=0)])
-            if 5 * starts.size > 4 * n:
-                fh.write(_CSV_ROW * n % tuple(data.T.ravel().tolist()))
-                continue
             runs = _CSV_RUN * starts.size % tuple(
                 data[1:, starts].T.ravel().tolist())
             # formatted cells hold no "%", so only the t formats are left
@@ -506,9 +501,11 @@ def cmd_reproduce_paper(out_dir: str) -> int:
 
     fig11's design does not depend on the other two, so it runs on a
     worker thread of a one-thread pool scoped to this call while this
-    thread designs fig9 and then fig10; the LPs (HiGHS) and LAPACK
-    release the GIL, so the two overlap.  The outputs are those of the
-    designs run one after the other.  An error in either design is
+    thread designs fig9 and then fig10.  They overlap where the GIL is
+    released (HiGHS's solves, linear solves, products, full SVDs); numpy
+    holds it through eigvals and a values-only svd, so every spectrum and
+    every norm's singular-value scan serialize.  The outputs are those of
+    the designs run one after the other.  An error in either design is
     raised here once the worker has finished (this thread's, when both
     fail), and no thread outlives the call.
     """

@@ -9,23 +9,24 @@ one slow period of the fast-rate channels yields a discrete generalized
 plant at period h whose H-infinity norm converges to the sampled-data
 norm as N grows.
 
-Conventions (fixed; synthesis and simulation must agree):
+The layout of a lift is fixed here, and only here; ``sim`` and
+``synthesis`` read it from ``LiftedPlant``:
 
-* within one period the fast samples are stacked oldest first, in both
-  the input and the output stacks, one I/Q pair after another: a core
-  with fast inputs (w1, w2) gives [w1 stack, w2 stack, u], and likewise
-  [z1 stack, z2 stack, y] for its outputs;
-* the measurement is sampled at the start of the period (y at t = k h)
-  and the controller output is held over [k h, (k+1) h);
-* performance outputs are sampled at the substep starts t = k h + j h/N,
-  j = 0..N-1.
+* within one period the fast samples are stacked oldest first, one I/Q
+  pair after another, in the input and the output stacks alike: fast
+  pair p at substep j is stacked at N p + 2 j, so a core with fast inputs
+  (w1, w2) gives inputs [w1 stack, w2 stack, u] and outputs [z1 stack,
+  z2 stack, y], u and y at ``u_cols`` and ``y_rows``;
+* the lifted state is the core state, then past holds of u, most recent
+  first: core delay i, of d substeps, reads the ceil(d/N) holds of the
+  slice ``holds[i]``, substep j reading hold floor((j - d)/N) of u (the
+  current hold when j >= d, a past one otherwise);
+* y is sampled at t = k h and the controller output held over
+  [k h, (k+1) h); performance outputs are sampled at the substep starts
+  t = k h + j h/N, j = 0..N-1.
 
-Every delay in the core acts on the held controller output u, so a
-delay of d = L N / h substeps reads a past hold of u: the lifted state
-keeps the holds that the delayed slots still read, and each substep
-reads its hold by index.  That is exact whenever d is an integer.
-Off-grid delays are a hard error: silently rounding them would corrupt
-the robustness analysis.
+That is exact whenever d = L N / h is an integer.  Off-grid delays are a
+hard error: silently rounding them would corrupt the robustness analysis.
 
 The discrete l2 norm of the lifted system equals the L2-induced norm of
 its piecewise-constant interpretation directly; the substep length
@@ -78,18 +79,22 @@ STATE_DIM_CAP = 2000
 class LiftedPlant:
     """Discrete generalized plant produced by FSFH lifting.
 
-    Inputs are [w stack (n_fast_in * N), u (n_ctrl)], outputs
-    [z stack (n_fast_in * N), y (n_ctrl)], all at period h; each stack
-    holds one I/Q pair's 2N fast samples after another, so channel k is
-    the k-th block of 2N inputs and outputs.  W2 is the uncertainty
-    weight of a robust design plant, None otherwise.
+    Inputs are [w stack (n_fast_in * N), u], outputs [z stack
+    (n_fast_in * N), y], all at period h; each stack holds one I/Q pair's
+    2N fast samples after another, so channel k is the k-th block of 2N
+    inputs and outputs.  u_cols and y_rows index u and y, and holds[i] is
+    the slice of lifted state that core delay i reads (see the module
+    docstring).  W2 is the uncertainty weight of a robust design plant,
+    None otherwise.
     """
 
     sys: StateSpace
     N: int
     h: float
     n_fast_in: int
-    n_ctrl: int
+    u_cols: np.ndarray
+    y_rows: np.ndarray
+    holds: tuple
     W2: StateSpace | None = None
 
     @property
@@ -111,17 +116,15 @@ def lift_core(core: CoreSystem, N: int, h: float) -> LiftedPlant:
 
     The core is discretized exactly at the substep h/N (all of its inputs
     are piecewise constant on the fast grid by construction) and the N
-    substeps are stacked into one slow-rate step.  The lifted state is the
-    core state followed by the last ceil(d_max/N) holds of u, most recent
-    first, for a longest delay of d_max substeps.  Substep j of a slot
-    with delay d reads hold floor((j - d)/N) of u: the current hold when
-    j >= d and a history entry otherwise.
+    substeps are stacked into one slow-rate step, laid out as the module
+    docstring states.
     """
     if N < 1:
         raise ValueError("fast-rate factor N must be a positive integer")
     delays = tuple(delay_steps(L, N, h) for L in core.delays)
     n_c, n_ext, n_u = core.sys.n_states, core.n_ext, core.n_ctrl
-    depth = max((-(-d // N) for d in delays), default=0)
+    depths = [-(-d // N) for d in delays]
+    depth = max(depths, default=0)
     n_s = n_c + n_u * depth
     if n_s > STATE_DIM_CAP:
         raise ValueError(
@@ -152,7 +155,7 @@ def lift_core(core: CoreSystem, N: int, h: float) -> LiftedPlant:
             P_j[r:r + n_u, c:c + n_u] = eye_u
         z_rows.append(cd.C[:n_ext] @ M + cd.D[:n_ext] @ P_j)
         if j == 0:
-            y_rows = cd.C[n_ext:] @ M + cd.D[n_ext:] @ P_j
+            y_map = cd.C[n_ext:] @ M + cd.D[n_ext:] @ P_j
         M = cd.A @ M + cd.B @ P_j
 
     # history entry i of the next period is hold -i of this one
@@ -162,10 +165,28 @@ def lift_core(core: CoreSystem, N: int, h: float) -> LiftedPlant:
         H[n_u * i:n_u * (i + 1), c:c + n_u] = eye_u
     AB = np.vstack([M, H])
     z_stack = [z[p:p + 2] for p in range(0, n_ext, 2) for z in z_rows]
-    CD = np.vstack(z_stack + [y_rows])
+    CD = np.vstack(z_stack + [y_map])
     sys = StateSpace(AB[:, :n_s], AB[:, n_s:], CD[:, :n_s], CD[:, n_s:],
                      dt=h)
-    return LiftedPlant(sys=sys, N=N, h=h, n_fast_in=n_ext, n_ctrl=n_u)
+    n_w = N * n_ext
+    return LiftedPlant(sys=sys, N=N, h=h, n_fast_in=n_ext,
+                       u_cols=np.arange(n_w, n_w + n_u),
+                       y_rows=np.arange(n_w, len(CD)),
+                       holds=tuple(slice(n_c, n_c + n_u * k) for k in depths))
+
+
+def _stack_periods(signal: np.ndarray, N: int) -> np.ndarray:
+    """2 x T fine-grid signal -> ceil(T/N) x 2N FSFH stacks, zero-padded:
+    sample j of a period goes to columns 2 j, 2 j + 1, as in ``lift_core``."""
+    n_per = -(-signal.shape[1] // N)
+    padded = np.zeros((2, n_per * N))
+    padded[:, :signal.shape[1]] = signal
+    return padded.T.reshape(n_per, 2 * N)
+
+
+def _unstack_periods(stacks: np.ndarray, T: int) -> np.ndarray:
+    """Inverse of _stack_periods, truncated to the first T samples."""
+    return stacks.reshape(-1, 2).T[:, :T]
 
 
 def fsfh_lift(plant: GeneralizedPlantSpec, N: int) -> LiftedPlant:

@@ -8,9 +8,10 @@ perturbed plant with its delayed paths over one sampling period
 (``lifting.lift_core``, the FSFH lifting the design uses, whose state
 keeps the past holds the paths still read), closes the loop with
 ``lifting.lifted_closed_loop`` and steps it once per period, driven by
-the stacked shaped input v.  The digital canceler thus runs at the slow
-rate: the measurement is read at t = k h and the new controller output
-is held over [k h, (k+1) h).  One matrix product then forms the
+the shaped input v stacked as ``lifting`` lays out a lift (see its
+module docstring).  The digital canceler thus runs at the slow rate:
+the measurement is read at t = k h and the new controller output is
+held over [k h, (k+1) h).  One matrix product then forms the
 fine-grid trace of every period.
 
 The module also provides the input generators used by the experiments,
@@ -23,7 +24,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lifting import lift_core, lifted_closed_loop
+from .lifting import (_stack_periods, _unstack_periods, lift_core,
+                       lifted_closed_loop)
 from .lti import StateSpace
 from .relay import (
     CoreSystem,
@@ -119,19 +121,6 @@ class SimulationTrace:
     l2_err: float
     max_abs_err_tail: float
     diverged_at_s: float | None = None
-
-
-def _stack_periods(signal: np.ndarray, N: int) -> np.ndarray:
-    """2 x T fine-grid signal -> ceil(T/N) x 2N FSFH stacks, zero-padded."""
-    n_per = -(-signal.shape[1] // N)
-    padded = np.zeros((2, n_per * N))
-    padded[:, :signal.shape[1]] = signal
-    return padded.T.reshape(n_per, 2 * N)
-
-
-def _unstack_periods(stacks: np.ndarray, T: int) -> np.ndarray:
-    """Inverse of _stack_periods, truncated to the first T samples."""
-    return stacks.reshape(-1, 2).T[:, :T]
 
 
 def _step_periods(sys: StateSpace, w: np.ndarray):

@@ -13,8 +13,9 @@ closed-loop map into an affine function of Q:
 
 per channel.  One function, ``_affine_blocks``, gives every channel's
 T1, T2 and T3 at any set of frequencies from one batched resolvent
-solve of the lifted plant.  The oracle factorization and the
-fingerprint walk the design grid with it a block of points at a time,
+solve of the lifted plant, at the ports ``LiftedPlant`` records (the
+layout of a lift is ``lifting``'s alone).  The oracle factorization and
+the fingerprint walk the design grid with it a block of points at a time,
 and each cut evaluates it at its own points, so a design never holds
 the whole T1 grid (2N x 2N per point, 4 MB on the nominal_60db grid)
 and keeps no T2 or T3 grid either.  Restricting Q to an FIR filter of
@@ -82,7 +83,6 @@ from .relay import (
     GeneralizedPlantSpec,
     assemble_plant_core,
     build_perturbed_plant,
-    delay_steps,
 )
 
 __all__ = [
@@ -249,12 +249,6 @@ def controller_from_q(coeffs: np.ndarray, G22: StateSpace) -> StateSpace:
 # Affine closed-loop maps on the design grid
 
 
-def _ports(lp: LiftedPlant):
-    """Columns of u and rows of y in the lifted plant."""
-    return (np.arange(lp.n_w, lp.n_w + lp.n_ctrl),
-            np.arange(lp.n_z, lp.n_z + lp.n_ctrl))
-
-
 # grid points per call of ``_affine_blocks`` when the whole design grid
 # is walked (``_prepare_channels``, ``_fingerprint``): T1 is 0.5 MB per
 # block at 2N = 32, and the stacked factorization of a block holds up to
@@ -273,7 +267,7 @@ def _affine_blocks(lp: LiftedPlant, omegas) -> list:
     (zI - A) X = B[:, w stacks and u] serves them all; every block is
     bitwise the one a solve at its frequency alone gives.
     """
-    u_cols, y_rows = _ports(lp)
+    u_cols, y_rows = lp.u_cols, lp.y_rows
     stacks = lp.channel_indices()
     sys = lp.sys
     z = np.exp(1j * np.asarray(omegas) * sys.dt)
@@ -580,8 +574,7 @@ def _design_grid(lp: LiftedPlant, n_q: int, grid_size: int, tol: float):
         raise ValueError("grid_size must be at least 1")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    u_cols, y_rows = _ports(lp)
-    G22 = subsystem(lp.sys, y_rows, u_cols)
+    G22 = subsystem(lp.sys, lp.y_rows, lp.u_cols)
     if not is_stable(G22):
         raise SynthesisError(
             "the u->y block of the lifted plant is unstable; the "
@@ -851,17 +844,17 @@ def robust_stability_sweep(plant: GeneralizedPlantSpec, K: Controller,
     unit-gain detour per drawn delay step, whose measurement y is split
     into the nominal rows and each detour's own rows.  A case keeps the
     core states outside the detours, its own detours' states and the
-    history holds its deepest delay reads, and sums its y rows as the
-    nominal rows plus r_i times detour i's rows.  That is the case's own
-    lifted plant up to rounding and the order of its detours' states: a
-    detour's states are driven only by its own delayed-u slot and read
-    only by y, so the kept block of the shared ZOH exponential is the
-    case's own, and history holds deeper than the case's are read only by
-    the dropped detours.  The cases share y's feedthrough and the
-    controller, so ``lti._controller_side`` is formed once (a singular
-    algebraic loop raises LinAlgError before any case), and each case
-    forms only its closed-loop A (``lti._closed_loop_a``) and its
-    spectral margin.
+    history holds its delays read (``LiftedPlant.holds``), and sums its
+    y rows as the nominal rows plus r_i times detour i's rows.  That is
+    the case's own lifted plant up to rounding and the order of its
+    detours' states: a detour's states are driven only by its own
+    delayed-u slot and read only by y, so the kept block of the shared
+    ZOH exponential is the case's own, and history holds deeper than the
+    case's are read only by the dropped detours.  The cases share y's
+    feedthrough and the controller, so ``lti._controller_side`` is formed
+    once (a singular algebraic loop raises LinAlgError before any case),
+    and each case forms only its closed-loop A (``lti._closed_loop_a``)
+    and its spectral margin.
     """
     if n_cases < 0:
         raise ValueError(f"n_cases must be nonnegative, got {n_cases}")
@@ -908,32 +901,30 @@ def robust_stability_sweep(plant: GeneralizedPlantSpec, K: Controller,
                            np.vstack([core.sys.C[:n_ext], *Cy]),
                            np.vstack([core.sys.D[:n_ext], *Dy]))
         lp = lift_core(replace(core, sys=split), N, plant.h)
-        A, B, C = lp.sys.A, lp.sys.B, lp.sys.C
-        n_c, n_z, n_states = core.sys.n_states, lp.n_z, lp.sys.n_states
-        yC = C[n_z:].reshape(len(Cy), n_u, -1)
+        A, B_u = lp.sys.A, lp.sys.B[:, lp.u_cols]
+        n_states = lp.sys.n_states
+        yC = lp.sys.C[lp.y_rows].reshape(len(Cy), n_u, -1)
         # a detour is at least one step long, so at the period start y
         # reads its delayed u from a history hold, a state: the D rows of
         # every case are the nominal ones, and so is the controller's side
         # of the loop, formed here once for every case
-        D22 = lp.sys.D[n_z:n_z + n_u, lp.n_w:]
+        D22 = lp.sys.D[np.ix_(lp.y_rows[:n_u], lp.u_cols)]
         side = _controller_side(K.sys, D22)
-        depths = [-(-delay_steps(L, N, plant.h) // N) for L in core.delays]
         detour = {Li: i for i, Li in enumerate(delays, 1)}
-        base = np.arange(n_states) < n_c
+        base = np.arange(n_states) < core.sys.n_states
         for sl in core.path_states[1:]:
             base[sl] = False
+        base[lp.holds[0]] = True  # the nominal delay's history holds
         for case, extras in enumerate(cases):
             paths = [detour[Li] for _, Li in extras]
             keep = base.copy()
             for i in paths:
-                keep[core.path_states[i]] = True
-            depth = max(depths[0], *(depths[i] for i in paths))
-            keep[n_c:n_c + n_u * depth] = True
+                keep[core.path_states[i]] = keep[lp.holds[i]] = True
             cy = yC[0]
             for (ri, _), i in zip(extras, paths):
                 cy = cy + ri * yC[i]
             idx = np.flatnonzero(keep)
-            Acl, _ = _closed_loop_a(A[np.ix_(idx, idx)], B[idx, lp.n_w:],
+            Acl, _ = _closed_loop_a(A[np.ix_(idx, idx)], B_u[idx],
                                     cy[:, idx], D22, side)
             margin = _spectral_margin(Acl)
             margins.append(margin)

@@ -42,7 +42,6 @@ from relaycancel.relay import (
     build_perturbed_plant,
     rotation_matrix,
 )
-from relaycancel.synthesis import _ports
 
 
 def frequency_response(sys: StateSpace, omega: float) -> np.ndarray:
@@ -67,7 +66,7 @@ def frequency_response(sys: StateSpace, omega: float) -> np.ndarray:
 def materialized_grid_responses(lp: LiftedPlant, omegas) -> list:
     """{"T1", "T2", "T3"} arrays of every channel on the grid ``omegas``,
     one resolvent solve per frequency."""
-    u_cols, y_rows = _ports(lp)
+    u_cols, y_rows = lp.u_cols, lp.y_rows
     stacks = lp.channel_indices()
     sys = lp.sys
     B = sys.B[:, np.concatenate(stacks + [u_cols])]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from relaycancel import lifting
+from relaycancel.cli import config_objects, load_config
 from relaycancel.lti import (
     StateSpace,
     hinf_norm,
@@ -10,6 +11,7 @@ from relaycancel.lti import (
     zoh_discretize,
 )
 from relaycancel.relay import (
+    CoreSystem,
     CouplingChannel,
     CouplingPath,
     RelayParams,
@@ -17,17 +19,21 @@ from relaycancel.relay import (
     assemble_plant_core,
     build_generalized_plant,
     build_perturbed_plant,
+    delay_steps,
     scalar_block,
     uncertainty_weight,
 )
 from relaycancel.lifting import (
     STATE_DIM_CAP,
+    _stack_periods,
+    _unstack_periods,
     closed_loop_norms,
     fsfh_lift,
     lift_core,
     lifted_closed_loop,
     sampled_data_norm,
 )
+from relaycancel.sim import _step_periods
 
 from oracles import frequency_response
 
@@ -77,7 +83,7 @@ def lifted_drive(lp, w_fine, u_slow):
     sys = lp.sys
     x = np.zeros(sys.n_states)
     z = np.zeros((lp.n_fast_in, n_periods * N))
-    y = np.zeros((lp.n_ctrl, n_periods))
+    y = np.zeros((lp.y_rows.size, n_periods))
     for k in range(n_periods):
         period = slice(k * N, (k + 1) * N)
         w_stack = np.concatenate([w_fine[p:p + 2, period].T.reshape(-1)
@@ -213,6 +219,41 @@ def test_lift_of_a_delayed_fast_source_matches_oracle(L):
     z_lift, y_lift = lifted_drive(lp, w_fine, u_slow)
     assert np.max(np.abs(z_orc - z_lift)) < 1e-12
     assert np.max(np.abs(y_orc - y_lift)) < 1e-12
+
+
+@pytest.mark.parametrize("N, T", [(1, 7), (4, 12), (4, 13), (5, 23)])
+def test_stacking_helpers_agree_with_the_lift(N, T):
+    # a static identity core's lift passes each stacked fast sample to
+    # the output position lift_core gives it, so stacking, driving the
+    # lift and unstacking return the signal bit for bit, a last period
+    # that is cut short included
+    core = CoreSystem(StateSpace.static(np.eye(2)), n_ext=2, n_ctrl=0,
+                      delays=())
+    lp = lift_core(core, N, 1.0)
+    v = np.random.default_rng(T).standard_normal((2, T))
+    _, out = _step_periods(lp.sys, _stack_periods(v, N))
+    assert np.array_equal(_unstack_periods(out, T), v)
+
+
+@pytest.mark.parametrize("N", [2, 4])
+def test_lift_records_ports_and_hold_slices_of_the_sweep_core(N):
+    # the robust stability sweep's shared core on robust_40db: the nominal
+    # path and a unit detour per delay of 1 to 3N fast steps beyond it
+    params, channel = config_objects(load_config("robust_40db"))
+    tau = params.h / N
+    shared = CouplingChannel(r=channel.r, L=channel.L, extra_paths=tuple(
+        (1.0, channel.L + k * tau) for k in range(1, 3 * N + 1)))
+    core = assemble_plant_core(build_perturbed_plant(params, shared))
+    lp = lift_core(core, N, params.h)
+    n_c, n_u = core.sys.n_states, core.n_ctrl
+    assert np.array_equal(lp.u_cols, np.arange(2 * N, 2 * N + n_u))
+    assert np.array_equal(lp.y_rows, np.arange(2 * N, 2 * N + n_u))
+    assert len(lp.holds) == len(core.delays) == 3 * N + 1
+    for sl, L in zip(lp.holds, core.delays):
+        depth = -(-delay_steps(L, N, params.h) // N)
+        assert (sl.start, sl.stop, sl.step) == (n_c, n_c + n_u * depth, None)
+    deepest = max(core.delays)
+    assert lp.holds[core.delays.index(deepest)].stop == lp.sys.n_states
 
 
 def test_lift_is_linear_in_input_weight(example_params, example_channel):

@@ -84,8 +84,7 @@ def test_fir_system_response():
 
 def _g22(lp):
     """The u -> y block of a lifted plant."""
-    return subsystem(lp.sys, np.arange(lp.n_z, lp.n_z + lp.n_ctrl),
-                     np.arange(lp.n_w, lp.n_w + lp.n_ctrl))
+    return subsystem(lp.sys, lp.y_rows, lp.u_cols)
 
 
 def test_controller_from_q_pointwise(small_lifted):
