@@ -26,6 +26,7 @@ in HiGHS) and one per H-infinity norm.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -501,11 +502,14 @@ def cmd_reproduce_paper(out_dir: str) -> int:
 
     fig11's design does not depend on the other two, so it runs on a
     worker thread of a one-thread pool scoped to this call while this
-    thread designs fig9 and then fig10.  They overlap where the GIL is
-    released (HiGHS's solves, linear solves, products, full SVDs); numpy
-    holds it through eigvals and a values-only svd, so every spectrum and
-    every norm's singular-value scan serialize.  The outputs are those of
-    the designs run one after the other.  An error in either design is
+    thread designs fig9 and then fig10.  numpy holds the GIL through
+    eigvals and a values-only svd, so the threads' spectra and norm scans
+    serialize, but most of a design is HiGHS's solves, which release it.
+    Beside a loop of nominal_60db designs, a robust_40db design took 1.09
+    s (median) on a second thread and 1.05 s in a second process, 1.00 s
+    alone (24 designs each, 2-core host): the shared host costs the
+    overlap about as much as the GIL does.  The outputs are those of the
+    designs run one after the other.  An error in either design is
     raised here once the worker has finished (this thread's, when both
     fail), and no thread outlives the call.
     """
@@ -597,7 +601,10 @@ def _fast_rate_factors(text: str) -> list[int]:
     return factors
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first ``main`` of a process
+    and reused: a parse keeps no state in the parser."""
     parser = _CommandParser(
         prog="relaycancel",
         description="design and simulate digital coupling-wave cancelers",

@@ -19,11 +19,11 @@ SIMAX 31, 2009).  ``_scipy_extension`` loads scipy's
 their paths, without ``scipy.linalg``, whose import would also load
 numpy's ``f2py``, ``testing``, ``ma``, ``random`` and ``polynomial``
 through scipy's array-API layer (20 MB more resident memory at import
-with scipy 1.17).  ``_complex_schur``, ``_pencil_eigenvalues`` and
-``_expm`` make the calls that scipy 1.17's ``schur``, ``eig`` and
-``expm`` make for the one case the package passes each, with their
-finiteness and LAPACK ``info`` checks, so their results are bitwise
-scipy's.
+with scipy 1.17), and without running scipy's own ``__init__.py``.
+``_complex_schur``, ``_pencil_eigenvalues`` and ``_expm`` make the
+calls that scipy 1.17's ``schur``, ``eig`` and ``expm`` make for the
+one case the package passes each, with their finiteness and LAPACK
+``info`` checks, so their results are bitwise scipy's.
 
 A system is
 
@@ -44,10 +44,9 @@ import sys
 import threading
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
-import scipy
 from numpy.linalg._umath_linalg import cholesky_lo
 
 __all__ = [
@@ -73,11 +72,14 @@ _HINF_MAX_ITER = 200
 # _sigma_max_grid takes an SVD at every _SCREEN_STRIDE-th grid point and
 # screens the rest by a Cholesky test of order min(n, p, m); from N = 64
 # on the p x m seed SVDs cost more.  The screen runs on a Schur form
-# (Laub 1981), _SCREEN_CHUNK points per back-substitution: each step costs
-# a few numpy calls whatever the chunk, and the chunk's buffers, 3 x 74 kB
-# at order 17, are what tracemalloc sees of the grid at N = 32.
+# (Laub 1981), a chunk of points per back-substitution: each step costs a
+# few numpy calls whatever the chunk, so the chunk takes as many points as
+# fit _SCREEN_BYTES per buffer (``_screen_chunk``).  That is 16 points at
+# order 17 (N = 32's nominal loop, 17 states), whose three buffers, 3 x
+# 74 kB, are what tracemalloc sees of the grid, and 32 points on
+# robust_40db's order-8 design-rate channels (18 states).
 _SCREEN_STRIDE = 64
-_SCREEN_CHUNK = 16
+_SCREEN_BYTES = 16 * 17 * 17 * 16  # 16 points of 17 x 17 complex
 
 logger = logging.getLogger(__name__)
 
@@ -90,7 +92,8 @@ def _scipy_extension(name: str):
 
     When the module is already in ``sys.modules`` (as after an import of
     its package) that one is returned.  Otherwise the extension is found
-    in its folder under ``scipy.__path__[0]`` and registered in
+    in its folder under scipy's, which ``find_spec("scipy")`` gives
+    without running ``scipy/__init__.py``, and registered in
     ``sys.modules`` under its full name before it runs (and removed if
     that fails), where a later import of its package finds and reuses it:
     pybind11 registers HiGHS's types, for one, once per process.  (The
@@ -101,7 +104,8 @@ def _scipy_extension(name: str):
     with _extension_lock:
         module = sys.modules.get(name)
         if module is None:
-            folder = os.path.join(scipy.__path__[0], *name.split(".")[1:-1])
+            root = find_spec("scipy").submodule_search_locations[0]
+            folder = os.path.join(root, *name.split(".")[1:-1])
             spec = PathFinder.find_spec(name, [folder])
             if spec is None:
                 raise ImportError(f"no {name} in {folder}")
@@ -472,8 +476,13 @@ def _closed_loop_a(A, B2, C2, D22, side) -> tuple:
     D22)``: [[A + B2 Y Dk C2, B2 Y Ck], [Bk (C2 + D22 Y Dk C2), Ak_cl]]."""
     YDk, YCk, Bk, Ak_cl = side
     u_x = YDk @ C2
-    return np.block([[A + B2 @ u_x, B2 @ YCk],
-                     [Bk @ (C2 + D22 @ u_x), Ak_cl]]), u_x
+    n = A.shape[0]
+    Acl = np.empty((n + Ak_cl.shape[0],) * 2)
+    Acl[:n, :n] = A + B2 @ u_x
+    Acl[:n, n:] = B2 @ YCk
+    Acl[n:, :n] = Bk @ (C2 + D22 @ u_x)
+    Acl[n:, n:] = Ak_cl
+    return Acl, u_x
 
 
 def _spectral_radius(A: np.ndarray) -> float:
@@ -485,6 +494,22 @@ def _spectral_margin(A: np.ndarray) -> float:
     """1 - rho(A), the spectral margin of a discrete system with state
     matrix A; infinite when it has no states."""
     return 1.0 - _spectral_radius(A)
+
+
+def _spectral_margins(As) -> list[float]:
+    """[``_spectral_margin(A)`` for A in As], bitwise: the state matrices
+    of one order share one stacked eigvals, which solves each matrix as
+    its own call would."""
+    margins = [0.0] * len(As)
+    by_order = {}
+    for k, A in enumerate(As):
+        by_order.setdefault(A.shape[0], []).append(k)
+    for ks in by_order.values():
+        w = np.linalg.eigvals(np.stack([As[k] for k in ks]))
+        rho = np.max(np.abs(w), axis=1, initial=-np.inf)
+        for k, r in zip(ks, rho.tolist()):
+            margins[k] = 1.0 - r
+    return margins
 
 
 def stability_margin(sys: StateSpace) -> float:
@@ -577,10 +602,10 @@ def _screen(sys: StateSpace, beta: float, thetas,
     (Laub, IEEE TAC 26, 1981).  The Schur form, the back-substitution
     and numpy's LU solves for Lp^-1 Dh'Ch and B Lp^-T are backward stable,
     so the rounding of T, and the argument above, are unchanged.
-    ``_SCREEN_CHUNK`` points at a time share each step: a back-substitution
-    on zI - S with one product per row of S, one product for T, one
-    stacked product for I - T'T and one stacked Cholesky factorization,
-    which leaves nan in a factor that fails.
+    A chunk of points (``_screen_chunk``) shares each step: a
+    back-substitution on zI - S with one product per row of S, one
+    product for T, one stacked product for I - T'T and one stacked
+    Cholesky factorization, which leaves nan in a factor that fails.
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     if D.shape[0] < D.shape[1]:
@@ -588,7 +613,8 @@ def _screen(sys: StateSpace, beta: float, thetas,
     if not (beta > 0 and sigma_D <= 0.99 * beta):
         return None
     S, W, V = _shifted_schur(A, B, C, D, beta)
-    (n, r), q, c = W.shape, V.shape[0], _SCREEN_CHUNK
+    (n, r), q = W.shape, V.shape[0]
+    c = _screen_chunk(n, r)
     # buffers every chunk reuses: row i of X holds x_i of (zI - S) X = W
     # for the c points side by side; the c Gram matrices overwrite X and
     # their factors conj(T), as r <= n and r <= q
@@ -623,6 +649,13 @@ def _screen(sys: StateSpace, beta: float, thetas,
             passed[start:start + z.size] = np.isfinite(
                 diagonal[:z.size]).all(axis=1)
     return passed
+
+
+def _screen_chunk(n: int, r: int) -> int:
+    """Points per chunk of an order-r screen of an n-state system: as many
+    as keep its largest buffer, n x (chunk r) complex, within
+    ``_SCREEN_BYTES``, and at least one."""
+    return max(1, _SCREEN_BYTES // (16 * n * r))
 
 
 def _shifted_schur(A, B, C, D, beta: float):

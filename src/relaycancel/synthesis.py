@@ -67,7 +67,7 @@ from .lti import (
     _from_record,
     _record,
     _scipy_extension,
-    _spectral_margin,
+    _spectral_margins,
     interconnect,
     is_stable,
     subsystem,
@@ -853,8 +853,10 @@ def robust_stability_sweep(plant: GeneralizedPlantSpec, K: Controller,
     case's are read only by the dropped detours.  The cases share y's
     feedthrough and the controller, so ``lti._controller_side`` is formed
     once (a singular algebraic loop raises LinAlgError before any case),
-    and each case forms only its closed-loop A (``lti._closed_loop_a``)
-    and its spectral margin.
+    and each case forms only its closed-loop A (``lti._closed_loop_a``).
+    The spectra of all cases of one order are then solved by one stacked
+    eigvals (``lti._spectral_margins``), bitwise the per-case margins;
+    margins and failures are in case order.
     """
     if n_cases < 0:
         raise ValueError(f"n_cases must be nonnegative, got {n_cases}")
@@ -915,7 +917,8 @@ def robust_stability_sweep(plant: GeneralizedPlantSpec, K: Controller,
         for sl in core.path_states[1:]:
             base[sl] = False
         base[lp.holds[0]] = True  # the nominal delay's history holds
-        for case, extras in enumerate(cases):
+        loops = []
+        for extras in cases:
             paths = [detour[Li] for _, Li in extras]
             keep = base.copy()
             for i in paths:
@@ -924,13 +927,14 @@ def robust_stability_sweep(plant: GeneralizedPlantSpec, K: Controller,
             for (ri, _), i in zip(extras, paths):
                 cy = cy + ri * yC[i]
             idx = np.flatnonzero(keep)
-            Acl, _ = _closed_loop_a(A[np.ix_(idx, idx)], B_u[idx],
-                                    cy[:, idx], D22, side)
-            margin = _spectral_margin(Acl)
-            margins.append(margin)
-            if not margin > STABILITY_MARGIN:
-                failures.append({"case": case, "extra_paths": extras,
-                                 "spectral_margin": margin})
+            loops.append(_closed_loop_a(A[np.ix_(idx, idx)], B_u[idx],
+                                        cy[:, idx], D22, side)[0])
+        margins = _spectral_margins(loops)
+        failures = [{"case": case, "extra_paths": extras,
+                     "spectral_margin": margin}
+                    for case, (extras, margin)
+                    in enumerate(zip(cases, margins))
+                    if not margin > STABILITY_MARGIN]
     logger.debug(
         "robust_stability_sweep: %d cases, %d unstable, shared lift of %d "
         "delay steps, %d states, %.3g s", n_cases, len(failures), len(delays),

@@ -798,6 +798,27 @@ def test_top_level_usage_exit_codes(capsys, argv, code):
     assert "usage: relaycancel" in "".join(capsys.readouterr())
 
 
+def test_main_reuses_its_parser_across_calls(tmp_path, capsys,
+                                            package_log_level):
+    # the parser is built once per process; a call's arguments do not
+    # outlive it, and a bad command line still exits 1 in between
+    verify = ["verify", "--config", "nominal_60db", "--controller",
+              str(tmp_path / "missing.yaml")]
+    assert main(["-v", "debug"] + verify) == 1
+    assert logging.getLogger("relaycancel").level == logging.DEBUG
+    assert "missing.yaml" in capsys.readouterr().err
+    parser = cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", "nominal_60db"])
+    assert exc.value.code == 1
+    assert ("the following arguments are required: --controller, --out"
+            in capsys.readouterr().err)
+    assert main(verify) == 1
+    assert logging.getLogger("relaycancel").level == logging.WARNING
+    assert "missing.yaml" in capsys.readouterr().err
+    assert cli._build_parser() is parser
+
+
 @pytest.mark.parametrize("command", ["design", "reproduce-paper",
                                      "lift-check"])
 def test_synthesis_error_exits_two(tmp_path, capsys, monkeypatch, command):

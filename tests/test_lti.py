@@ -216,6 +216,53 @@ def test_lower_lft_singular_loop():
         interconnect(plant, K, partition=(1, 1))
 
 
+@st.composite
+def closed_loop_parts(draw, n_k):
+    """(A, B2, C2, D22, K): a plant's state matrix, u columns, y rows and
+    feedthrough from u to y, and a discrete controller of n_k states;
+    entries spread over six decades, feedthroughs small enough for a
+    regular algebraic loop."""
+    n, n_u, n_y = (draw(st.integers(1, 5)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def mat(rows, cols):
+        return rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-3, 3)
+
+    K = StateSpace(mat(n_k, n_k), mat(n_k, n_y), mat(n_u, n_k),
+                   0.3 * rng.standard_normal((n_u, n_y)), dt=1.0)
+    return (mat(n, n), mat(n, n_u), mat(n_y, n),
+            0.3 * rng.standard_normal((n_y, n_u)), K)
+
+
+@pytest.mark.parametrize("n_k", [0, 1, 3])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_closed_loop_a_is_the_block_assembly(n_k, data):
+    # the preallocated closed-loop A is bitwise np.block of the same four
+    # blocks, also for a controller without states (n_k = 0)
+    A, B2, C2, D22, K = data.draw(closed_loop_parts(n_k))
+    side = lti._controller_side(K, D22)
+    YDk, YCk, Bk, Ak_cl = side
+    u_x = YDk @ C2
+    expected = np.block([[A + B2 @ u_x, B2 @ YCk],
+                         [Bk @ (C2 + D22 @ u_x), Ak_cl]])
+    Acl, got_u_x = lti._closed_loop_a(A, B2, C2, D22, side)
+    assert _same_bytes(Acl, expected) and _same_bytes(got_u_x, u_x)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(0, 6), max_size=12),
+       st.integers(0, 2**32 - 1))
+def test_stacked_spectral_margins_are_the_per_matrix_ones(orders, seed):
+    # one stacked eigvals per order gives each matrix's margin bitwise,
+    # in the order given; an order-0 matrix has an infinite margin
+    rng = np.random.default_rng(seed)
+    As = [rng.standard_normal((n, n)) * rng.uniform(0.1, 2.0)
+          for n in orders]
+    margins = lti._spectral_margins(As)
+    assert _same_bytes(margins, [lti._spectral_margin(A) for A in As])
+
+
 # ---------------------------------------------------------------------------
 # from_tf
 
@@ -907,6 +954,71 @@ def test_sigma_max_grid_is_bitwise_on_the_robust_loop(robust_loops, channel,
         sys, lti._HINF_GRID, _sigma_D(sys), _rho(sys))
     assert (value, theta) == _reference_sigma_max_grid(sys, lti._HINF_GRID)
     assert points == 511 and svds == svds_expected
+
+
+@pytest.mark.parametrize("channel", [0, 1])
+def test_screen_chunks_by_bytes_on_the_robust_loop(robust_loops, channel,
+                                                   monkeypatch):
+    # robust_40db's design-rate channels are order-8 screens of 18
+    # states: 32 points fit the byte budget of 16 points at the nominal
+    # N = 32 loop's order 17, and the grid's last chunk is partial
+    sys = robust_loops[channel]
+    calls = []
+    real = lti._screen
+
+    def recorded(*args):
+        calls.append((*args, real(*args)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(lti, "_screen", recorded)
+    lti._sigma_max_grid(sys, lti._HINF_GRID, _sigma_D(sys), _rho(sys))
+    [(_, beta, thetas, sigma_D, passed)] = calls
+    assert min(sys.n_states, sys.n_inputs, sys.n_outputs) == 8
+    assert sys.n_states == 18 and thetas.size % 32
+    assert lti._screen_chunk(18, 8) == 32
+    assert lti._screen_chunk(17, 17) == 16
+    assert np.array_equal(passed,
+                          reference_screen(sys, beta, thetas, sigma_D))
+
+
+@st.composite
+def chunked_screen_cases(draw):
+    """(sys, beta, thetas, sigma): a stable system of 10 to 20 states
+    and 4 to 8 inputs and outputs, between two and three chunks of
+    thetas, the last one partial, sigma_max at each theta, and a beta
+    between sigma's extremes."""
+    n, m, p = (draw(st.integers(*span)) for span in ((10, 20), (4, 8),
+                                                     (4, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((n, n))
+    A *= rng.uniform(0.1, 0.95) / np.max(np.abs(np.linalg.eigvals(A)))
+    sys = StateSpace(A, rng.standard_normal((n, m)),
+                     rng.standard_normal((p, n)),
+                     0.1 * rng.standard_normal((p, m)), dt=1.0)
+    chunk = lti._screen_chunk(n, min(n, m, p))
+    size = 2 * chunk + draw(st.integers(1, chunk - 1))
+    thetas = np.linspace(0.0, np.pi, size)
+    sigma = _sigma_max(sys, thetas)
+    lo, hi = sigma.min(), sigma.max()
+    return sys, lo + draw(st.floats(0.1, 0.9)) * (hi - lo), thetas, sigma
+
+
+@settings(max_examples=25)
+@given(chunked_screen_cases())
+def test_screen_agrees_with_the_reference_over_a_partial_chunk(case):
+    # chunks sized by bytes pass what the per-point reference passes,
+    # wherever sigma_max is not within 1e-9 relative of beta
+    sys, beta, thetas, sigma = case
+    r = min(sys.n_states, sys.n_inputs, sys.n_outputs)
+    chunk = lti._screen_chunk(sys.n_states, r)
+    assert 2 * chunk < thetas.size < 3 * chunk
+    passed = lti._screen(sys, beta, thetas, _sigma_D(sys))
+    assume(passed is not None)
+    reference = reference_screen(sys, beta, thetas, _sigma_D(sys))
+    clear = np.abs(sigma - beta) > 1e-9 * beta
+    assert np.array_equal(passed[clear], reference[clear])
+    # beta lies inside sigma's range, so both verdicts occur
+    assert passed.any() and not passed.all()
 
 
 def test_sigma_max_grid_memory_stays_chunked(nominal_loops):

@@ -34,10 +34,11 @@ def _fresh(code: str) -> str:
 
 # scipy.linalg's __init__ runs scipy's array-API layer, whose vendored
 # array_api_compat clones numpy's namespace and so loads numpy.f2py,
-# testing, ma, random and polynomial; lti loads the two extension modules
-# it calls by their paths instead
-_NOT_LOADED = ("scipy.linalg", "scipy._lib._array_api", "numpy.f2py",
-               "numpy.testing")
+# testing, ma, random and polynomial; lti loads the extension modules it
+# calls by their paths instead, and finds scipy's folder without running
+# scipy's own __init__
+_NOT_LOADED = ("scipy", "scipy.linalg", "scipy._lib._array_api",
+               "numpy.f2py", "numpy.testing")
 
 
 def test_import_leaves_out_the_heavy_scipy_subpackages():

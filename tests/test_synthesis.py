@@ -18,7 +18,9 @@ from relaycancel.cli import (
     write_controller,
 )
 from relaycancel.lti import (
+    STABILITY_MARGIN,
     StateSpace,
+    _spectral_margin,
     hinf_norm,
     is_stable,
     subsystem,
@@ -1095,6 +1097,42 @@ def test_robust_sweep_of_no_cases_lifts_nothing(small_robust, monkeypatch):
     assert robust_stability_sweep(spec, K_BAD, n_cases=0) == {
         "n_cases": 0, "n_unstable": 0, "all_stable": True,
         "min_spectral_margin": np.inf, "failures": []}
+
+
+# a static canceler at the edge of stability on small_robust's channel:
+# 14 of the 30 cases of seed 3 are unstable
+K_EDGE = Controller(sys=StateSpace.static(0.047 * np.eye(2), dt=1.0),
+                    gamma_achieved=0.0, method="nominal_hinf")
+
+
+@pytest.mark.parametrize("n_cases", [0, 1, 30])
+def test_robust_sweep_margins_are_the_per_case_margins(small_robust,
+                                                       monkeypatch, n_cases):
+    # the spectra stacked by order give each case's margin bitwise as its
+    # own eigvals would, and the failures are those cases in case order
+    spec, _ = small_robust
+    solved = []
+    real = synthesis._spectral_margins
+
+    def recorded(As):
+        solved.append((As, real(As)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(synthesis, "_spectral_margins", recorded)
+    sweep = robust_stability_sweep(spec, K_EDGE, n_cases=n_cases, seed=3,
+                                   N=4)
+    loops, margins = solved[0] if solved else ([], [])
+    assert len(solved) == (n_cases > 0) and len(loops) == n_cases
+    assert margins == [_spectral_margin(A) for A in loops]
+    unstable = [k for k, m in enumerate(margins)
+                if not m > STABILITY_MARGIN]
+    assert [f["case"] for f in sweep["failures"]] == unstable
+    assert ([f["spectral_margin"] for f in sweep["failures"]]
+            == [margins[k] for k in unstable])
+    assert sweep["min_spectral_margin"] == min(margins, default=np.inf)
+    if n_cases == 30:
+        assert len({A.shape[0] for A in loops}) == 5
+        assert sweep["n_unstable"] == 14
 
 
 def test_robust_sweep_logs_one_debug_line(small_robust, caplog):
